@@ -24,7 +24,7 @@ GOLDEN_SEMIPRIME_COUNTS = {
     10**6: 210035,
 }
 
-#: Rows that take minutes to hours; only included when long_run is requested.
+#: The largest rows (10^8 takes seconds); only included when long_run is requested.
 LONG_RUN_SEMIPRIME_COUNTS = {
     10**7: 1904324,
     10**8: 17427258,

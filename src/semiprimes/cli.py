@@ -229,7 +229,7 @@ def _build_parser():
         "--threads",
         type=_natural_arg,
         default=1,
-        help="consecutive range partitions evaluated concurrently (formula method)",
+        help="consecutive range partitions, counted in turn (formula method)",
     )
     _add_verify(p, "an independent counting route")
     _add_format(p)
@@ -266,7 +266,7 @@ def _build_parser():
     p.add_argument(
         "--long-run",
         action="store_true",
-        help="include the 10^7 and 10^8 counting rows (minutes to hours)",
+        help="include the 10^7 and 10^8 counting rows (seconds)",
     )
     _add_format(p)
     p.set_defaults(handler=_cmd_table)

@@ -1,15 +1,12 @@
 """Acceptance sweep: every shipped criterion, one printed PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-complete.  The two multi-minute counting rows are marked `longrun` and only
-run under `pytest -m longrun`.
+complete.
 """
 
 import math
 import random
 import time
-
-import pytest
 
 import semiprimes as sp
 from semiprimes import Category, bench, literal, oracle
@@ -41,16 +38,14 @@ def test_c01_counts_at_powers_of_ten_within_two_minutes():
     )
 
 
-@pytest.mark.longrun
-def test_c01_long_run_count_1e7():
+def test_c01_count_1e7():
     got = sp.semiprime_count(10**7)
-    _report("criterion 1 (long-run): count at 10^7", got == 1904324, f"got {got}")
+    _report("criterion 1: count at 10^7", got == 1904324, f"got {got}")
 
 
-@pytest.mark.longrun
-def test_c01_long_run_count_1e8():
+def test_c01_count_1e8():
     got = sp.semiprime_count(10**8)
-    _report("criterion 1 (long-run): count at 10^8", got == 17427258, f"got {got}")
+    _report("criterion 1: count at 10^8", got == 17427258, f"got {got}")
 
 
 def test_c02_nth_semiprime_golden_values():

@@ -1,8 +1,13 @@
+import tracemalloc
+from bisect import bisect_left, bisect_right
+from math import isqrt
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiprimes import (
+    MAX_COUNT_INPUT,
     Category,
     DomainError,
     RangeLimitError,
@@ -151,8 +156,9 @@ def test_count_domain_and_range():
         semiprime_count(0)
     with pytest.raises(RangeLimitError):
         semiprime_count(10**9 + 1)
-    with pytest.raises(DomainError):
-        semiprime_count(100, threads=0)
+    for n in (100, 5):  # 5: threads is checked before the below-8 lookup
+        with pytest.raises(DomainError):
+            semiprime_count(n, threads=0)
 
 
 def test_count_range_examples():
@@ -195,6 +201,59 @@ def test_count_range_composition_over_random_splits(cuts):
         if a < b:
             total += count_range(a, b - 1)
     assert total == semiprime_count(5000) - 2
+
+
+# Primes through the first prime past 1000^2: every p with p^2 <= 10^9, and
+# the primes q nearest p^2 for every p with p^3 <= 10^9.
+_PRIMES = oracle.sieve(1000**2 + 200).primes
+_ROOT_PRIMES = _PRIMES[: bisect_right(_PRIMES, isqrt(MAX_COUNT_INPUT))]
+_CUBE_ROOT_PRIMES = _PRIMES[: bisect_right(_PRIMES, icbrt(MAX_COUNT_INPUT))]
+
+
+@st.composite
+def _edge_windows(draw):
+    """A window [lo, hi] holding edge - 1 and edge, where the construction
+    changes at edge: a cube c^3 (icbrt steps up), a prime square p^2, a prime
+    cube p^3, or x = p*q with q the prime just below or above p^2 (where the
+    semiprime moves from the k1 term to the k2 term)."""
+    kind = draw(st.sampled_from(("cube", "prime square", "prime cube", "p*q, q near p^2")))
+    if kind == "cube":
+        edge = draw(st.integers(min_value=2, max_value=icbrt(MAX_COUNT_INPUT))) ** 3
+    elif kind == "prime square":
+        edge = draw(st.sampled_from(_ROOT_PRIMES)) ** 2
+    elif kind == "prime cube":
+        edge = draw(st.sampled_from(_CUBE_ROOT_PRIMES)) ** 3
+    else:
+        p = draw(st.sampled_from(_CUBE_ROOT_PRIMES))
+        i = bisect_left(_PRIMES, p * p)
+        q = _PRIMES[i - draw(st.integers(min_value=0, max_value=1))]
+        edge = p * q
+    lo = max(8, edge - draw(st.integers(min_value=1, max_value=300)))
+    hi = min(MAX_COUNT_INPUT, max(edge, lo) + draw(st.integers(min_value=0, max_value=300)))
+    return lo, hi
+
+
+@given(_edge_windows())
+@example((10**9 - 600, 10**9))
+@example((8, 8))
+@settings(max_examples=200)
+def test_count_range_matches_indicator_sum_across_edges(window):
+    lo, hi = window
+    assert count_range(lo, hi) == sum(semiprime_indicator(x) for x in range(lo, hi + 1))
+
+
+def test_count_memory_is_bounded_by_segments():
+    # Every sieve runs in segments of core.SEGMENT (128 KiB) bytes.  A flat
+    # sieve of [8, 10^7] alone would take 10 MB, and of its largest quotient
+    # range 5 MB.
+    tracemalloc.start()
+    try:
+        value = semiprime_count(10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 1904324
+    assert peak < 1_000_000, peak
 
 
 def test_large_inputs_within_contract():
