@@ -21,6 +21,7 @@ from .core import (
 from .intmath import (
     MAX_CLASSIFY_INPUT,
     MAX_COUNT_INPUT,
+    MAX_NTH_INPUT,
     DomainError,
     RangeLimitError,
     ceil_div,
@@ -41,6 +42,7 @@ __all__ = [
     "IndicatorTriple",
     "MAX_CLASSIFY_INPUT",
     "MAX_COUNT_INPUT",
+    "MAX_NTH_INPUT",
     "PrimeTable",
     "RangeLimitError",
     "build_prime_table",

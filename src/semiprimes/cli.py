@@ -12,6 +12,7 @@ import time
 
 from . import bench, oracle
 from .core import Category, classify, semiprime_count
+from .intmath import MAX_COUNT_INPUT, MAX_NTH_INPUT
 from .sequences import next_semiprime, nth_semiprime, semiprime_stream
 
 OK = 0
@@ -26,7 +27,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _natural_arg(text):
-    if not text.isdecimal():
+    # ASCII digits only: str.isdecimal would also pass other scripts' digits
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a base-10 natural number, got {text!r}")
     return int(text, 10)
 
@@ -119,29 +121,12 @@ def _cmd_classify(args):
     return OK
 
 
-def _oracle_nth(n):
-    found = 0
-    x = 3
-    while found < n:
-        x += 1
-        found += oracle.is_semiprime_oracle(x)
-    return x
-
-
-def _oracle_next(n):
-    # callers have already validated n >= 4, so every probe is >= 5
-    x = n + 1
-    while not oracle.is_semiprime_oracle(x):
-        x += 1
-    return x
-
-
 def _cmd_nth(args):
     begin = time.perf_counter()
     value = nth_semiprime(args.number, mode=args.mode)
     elapsed = time.perf_counter() - begin
     if args.verify:
-        check = _oracle_nth(args.number)
+        check = oracle.nth_semiprime_oracle(args.number)
         if check != value:
             return _mismatch(f"nth({args.number})={value} but oracle scan gives {check}")
     _emit_scalar(args, value, args.mode, elapsed)
@@ -153,7 +138,7 @@ def _cmd_next(args):
     value = next_semiprime(args.number, mode=args.mode)
     elapsed = time.perf_counter() - begin
     if args.verify:
-        check = _oracle_next(args.number)
+        check = oracle.next_semiprime_oracle(args.number)
         if check != value:
             return _mismatch(f"next({args.number})={value} but oracle scan gives {check}")
     _emit_scalar(args, value, args.mode, elapsed)
@@ -235,8 +220,19 @@ def _build_parser():
     _add_format(p)
     p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("nth", help="the nth semiprime in ascending order")
-    p.add_argument("number", metavar="n", type=_natural_arg, help="ordinal index >= 1")
+    p = sub.add_parser(
+        "nth",
+        help="the nth semiprime in ascending order",
+        description="The nth semiprime in ascending order.  Scan mode counts "
+        "whole blocks of integers until one reaches n, halves that block down "
+        "to a few dozen integers, and settles those one at a time.",
+    )
+    p.add_argument(
+        "number",
+        metavar="n",
+        type=_natural_arg,
+        help=f"ordinal index, 1 .. {MAX_NTH_INPUT} (the semiprimes up to {MAX_COUNT_INPUT})",
+    )
     p.add_argument("--mode", choices=("scan", "literal"), default="scan", help="evaluation mode")
     _add_verify(p, "a trial-division scan")
     _add_format(p)

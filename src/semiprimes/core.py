@@ -21,7 +21,6 @@ generated by t and grown on demand.
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple, Optional
 
@@ -165,7 +164,6 @@ def _triple_bits(x: int) -> IndicatorTriple:
     return IndicatorTriple(t(x), 1, 0)
 
 
-@lru_cache(maxsize=1 << 18)
 def semiprime_indicator(x: int) -> int:
     """1 exactly when x is a semiprime, else 0, for x >= 8.
 

@@ -18,6 +18,11 @@ MAX_CLASSIFY_INPUT = 10**12
 #: Largest range endpoint accepted by the counting functions.
 MAX_COUNT_INPUT = 10**9
 
+#: Largest index accepted by nth_semiprime: the number of semiprimes
+#: <= MAX_COUNT_INPUT (OEIS A066265), so every answer lies in the counting
+#: range.
+MAX_NTH_INPUT = 160_788_536
+
 
 class DomainError(ValueError):
     """Input lies outside an operation's stated domain."""

@@ -6,6 +6,7 @@ the indicator formulas they validate.
 """
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -14,7 +15,7 @@ from .primality import PrimeTable
 
 #: bytearray memory budget for the prime sieve.
 SIEVE_LIMIT = 10**8
-#: list-of-int memory budget for the factor-counting sieve.
+#: memory budget for the factor-counting sieve (one machine word per integer).
 FACTOR_SIEVE_LIMIT = 10**7
 
 
@@ -78,6 +79,27 @@ def is_semiprime_oracle(x: int) -> int:
     return 1 if factor_profile(x).omega == 2 else 0
 
 
+def nth_semiprime_oracle(n: int) -> int:
+    """The nth semiprime (n >= 1), by trial division of every integer from 4."""
+    n = as_natural(n, "n")
+    if n < 1:
+        raise DomainError("semiprime indices start at 1")
+    found = 0
+    x = 3
+    while found < n:
+        x += 1
+        found += is_semiprime_oracle(x)
+    return x
+
+
+def next_semiprime_oracle(n: int) -> int:
+    """Smallest semiprime > n, by trial division of every integer above n."""
+    x = max(as_natural(n, "n"), 3) + 1
+    while not is_semiprime_oracle(x):
+        x += 1
+    return x
+
+
 def classical_count(n: int) -> int:
     """Semiprimes <= n counted from a prime table up to n/2.
 
@@ -102,30 +124,38 @@ def classical_count(n: int) -> int:
     return total
 
 
-def semiprime_count_by_sieve(n: int) -> int:
-    """Semiprimes <= n counted by factoring every integer with an spf sieve."""
-    n = as_natural(n, "n")
-    if n < 1:
-        raise DomainError(f"semiprime_count_by_sieve requires n >= 1, got {n}")
-    if n > FACTOR_SIEVE_LIMIT:
+def semiprime_flags(limit: int) -> bytearray:
+    """flags[x] == 1 exactly when x is a semiprime, for 0 <= x <= limit.
+
+    Every integer is factored with a smallest-prime-factor sieve, stopping
+    at a third factor.
+    """
+    limit = as_natural(limit, "limit")
+    if limit > FACTOR_SIEVE_LIMIT:
         raise RangeLimitError(
-            f"semiprime_count_by_sieve supports n up to {FACTOR_SIEVE_LIMIT}, got {n}"
+            f"semiprime_flags supports limits up to {FACTOR_SIEVE_LIMIT}, got {limit}"
         )
-    if n < 4:
-        return 0
-    spf = list(range(n + 1))
-    for p in range(2, math.isqrt(n) + 1):
+    spf = array("L", range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == p:
-            for m in range(p * p, n + 1, p):
+            for m in range(p * p, limit + 1, p):
                 if spf[m] == m:
                     spf[m] = p
-    count = 0
-    for x in range(4, n + 1):
+    flags = bytearray(limit + 1)
+    for x in range(4, limit + 1):
         left = x
         parts = 0
         while left > 1 and parts < 3:
             left //= spf[left]
             parts += 1
         if parts == 2 and left == 1:
-            count += 1
-    return count
+            flags[x] = 1
+    return flags
+
+
+def semiprime_count_by_sieve(n: int) -> int:
+    """Semiprimes <= n counted by factoring every integer with an spf sieve."""
+    n = as_natural(n, "n")
+    if n < 1:
+        raise DomainError(f"semiprime_count_by_sieve requires n >= 1, got {n}")
+    return semiprime_flags(n).count(1)

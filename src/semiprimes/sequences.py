@@ -1,20 +1,45 @@
 """Ordinal lookup (nth semiprime), successor search, and streaming.
 
-Both query shapes come in two modes.  'scan' advances through the integers
-consulting the semiprimality indicator and is the production path; 'literal'
-evaluates the closed-form summations directly (a gated sum for the nth query,
-a telescoping sum of products for the successor) and exists as a slow
-reference equivalent.
+The nth semiprime is 8 + sum over x >= 8 of gate(n, pi2(x)): the gate is 1
+exactly while pi2(x) < n, so sp_n is the smallest x with pi2(x) >= n.  Scan
+mode, the production path, finds that x on core's block counter in three
+steps, carrying the running count pi2(a - 1) from one to the next:
+
+- walk: from 8, count whole SEGMENT-wide blocks [a, b] until one would
+  bring the running count to n;
+- halve: count the lower half of that block; keep it if it reaches n, else
+  add its count and keep the upper half; stop at SCAN_WIDTH integers or
+  fewer;
+- scan: settle those integers one at a time with the indicator triple.
+
+Indices run up to MAX_NTH_INPUT, the number of semiprimes <= MAX_COUNT_INPUT,
+so every answer lies in the counting range; n is checked once, before the
+walk.  Successors and streams walk upward one integer at a time with the
+same triple, since semiprime gaps are a handful of integers.
+
+'literal' mode evaluates the closed-form summations directly (a gated sum for
+the nth query, a telescoping sum of products for the successor) and exists as
+a slow reference equivalent.
 """
 
-import math
-import warnings
+from itertools import islice
 
-from .core import k1, k2, semiprime_indicator
-from .intmath import MAX_COUNT_INPUT, DomainError, RangeLimitError, as_natural
+from .core import SEGMENT, _count_range, _triple_bits, k1, k2, semiprime_indicator
+from .intmath import (
+    MAX_CLASSIFY_INPUT,
+    MAX_COUNT_INPUT,
+    MAX_NTH_INPUT,
+    DomainError,
+    RangeLimitError,
+    as_natural,
+)
 from .primality import t
 
 _MODES = ("scan", "literal")
+
+#: The halving stops once its interval holds at most this many integers,
+#: which the exact scan then settles.
+SCAN_WIDTH = 64
 
 
 def gate(n: int, x: int) -> int:
@@ -31,52 +56,76 @@ def gate(n: int, x: int) -> int:
     return (2 * n) // (n + x + 1)
 
 
-def _search_window(n):
-    # Empirical ordinal bound: the nth semiprime sits below 4*n*ln(n) for
-    # n >= 3.  The lone float here only sizes a window; scan mode re-checks
-    # it and keeps going if it were ever short.
-    bound = int(4 * n * math.log(n))
-    if bound > MAX_COUNT_INPUT:
-        raise RangeLimitError(
-            f"nth_semiprime search window {bound} exceeds the supported "
-            f"range {MAX_COUNT_INPUT}"
-        )
-    return bound
-
-
 def nth_semiprime(n: int, mode: str = "scan") -> int:
     """The nth semiprime in ascending order (sp_1 = 4, sp_2 = 6, ...).
 
     n = 1 and n = 2 are answered by lookup; the formulas start at n = 3.
-    Literal mode evaluates 8 + sum over x of gate(n, count(x)) across the
-    whole window, recomputing the count from scratch for every term; it is
-    quadratic in the window size and intended for cross-checks only.
+    Every n up to MAX_NTH_INPUT (160 788 536) is accepted, since its answer
+    is at most MAX_COUNT_INPUT; a larger n raises RangeLimitError at once.
+    Scan mode walks SEGMENT-wide blocks with the block counter, halves the
+    block that reaches n down to SCAN_WIDTH integers, and scans those (see
+    the module docstring); its cost grows with the answer, like
+    semiprime_count's.  Literal mode evaluates 8 + sum over x of
+    gate(n, count(x)) across the window [8, 4*n*n.bit_length()],
+    recomputing the count from scratch for every term; it is quadratic in
+    the window size and intended for cross-checks only.
     """
     n = as_natural(n, "n")
     if n < 1:
         raise DomainError("semiprime indices start at 1")
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected 'scan' or 'literal'")
+    if n > MAX_NTH_INPUT:
+        raise RangeLimitError(
+            f"nth_semiprime accepts indices up to {MAX_NTH_INPUT} "
+            f"(answers up to {MAX_COUNT_INPUT}), got {n}"
+        )
     if n <= 2:
         return (4, 6)[n - 1]
-    bound = _search_window(n)
     if mode == "literal":
-        return _nth_literal(n, bound)
-    running = 2
-    x = 7
+        return _nth_literal(n)
+    return _nth_scan(n)
+
+
+def _nth_scan(n):
+    # running is pi2(a - 1) throughout: 2 below 8 (the semiprimes 4 and 6)
+    running, a = 2, 8
+    while True:
+        b = min(a + SEGMENT - 1, MAX_COUNT_INPUT)
+        block = _count_range(a, b)
+        if running + block >= n:
+            break
+        running += block
+        a = b + 1
+    while b - a >= SCAN_WIDTH:
+        mid = (a + b) // 2
+        low = _count_range(a, mid)
+        if running + low >= n:
+            b = mid
+        else:
+            running += low
+            a = mid + 1
+    x = a - 1
     while running < n:
         x += 1
-        running += semiprime_indicator(x)
-    if x > bound:
-        warnings.warn(
-            f"4*n*ln(n) window fell short for n={n}; result found by widening the scan",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        tb, k1b, k2b = _triple_bits(x)
+        running += k1b + k2b - tb
     return x
 
 
-def _nth_literal(n, bound):
+def _literal_window(n):
+    # Empirical ordinal bound: sp_n <= 4*n*ln(n) for n >= 3, and
+    # n.bit_length() > log2(n) > ln(n), so this integer bound is wider.
+    return 4 * n * n.bit_length()
+
+
+def _nth_literal(n):
+    bound = _literal_window(n)
+    if bound > MAX_COUNT_INPUT:
+        raise RangeLimitError(
+            f"nth_semiprime literal window {bound} exceeds the supported "
+            f"range {MAX_COUNT_INPUT}"
+        )
     ind = [semiprime_indicator(m) for m in range(8, bound + 1)]
     total = 8
     pi2 = 2
@@ -85,15 +134,30 @@ def _nth_literal(n, bound):
         total += (2 * n) // (n + 1 + pi2)
     if pi2 < n:
         raise RuntimeError(
-            f"window 4*n*ln(n) = {bound} holds only {pi2} semiprimes, fewer than n={n}"
+            f"window 4*n*bit_length(n) = {bound} holds only {pi2} semiprimes, fewer than n={n}"
         )
     return total
+
+
+def _semiprimes_after(n):
+    # Every semiprime > n (n >= 4), ascending, up to the classification
+    # limit; the triple is unchecked, so the range bounds the walk.
+    for x in range(n + 1, 8):
+        if x in (4, 6):
+            yield x
+    for x in range(max(n + 1, 8), MAX_CLASSIFY_INPUT + 1):
+        tb, k1b, k2b = _triple_bits(x)
+        if k1b + k2b - tb:
+            yield x
+    raise RangeLimitError(
+        f"the semiprime search from {n} passed the classification limit {MAX_CLASSIFY_INPUT}"
+    )
 
 
 def next_semiprime(n: int, mode: str = "scan") -> int:
     """Smallest semiprime strictly greater than n.
 
-    Scan mode (n >= 4) walks upward consulting the indicator, with the
+    Scan mode (n >= 4) walks upward with the indicator triple, with the
     below-8 stretch answered by lookup.  Literal mode (n >= 9) evaluates
     n + 1 + sum over i of the product of (1 + t - k1 - k2) across (n, n+i]:
     every product is 1 until the window first covers a semiprime and 0 from
@@ -107,14 +171,7 @@ def next_semiprime(n: int, mode: str = "scan") -> int:
         return _next_literal(n)
     if n < 4:
         raise DomainError(f"next_semiprime scan mode requires n >= 4, got {n}")
-    x = n
-    while True:
-        x += 1
-        if x >= 8:
-            if semiprime_indicator(x):
-                return x
-        elif x in (4, 6):
-            return x
+    return next(_semiprimes_after(n))
 
 
 def _next_literal(n):
@@ -134,14 +191,13 @@ def _next_literal(n):
 
 
 def semiprime_stream(start: int, count: int) -> list:
-    """The first `count` semiprimes strictly greater than start, ascending."""
+    """The first `count` semiprimes strictly greater than start, ascending.
+
+    One upward walk from start, the same as next_semiprime's scan, with the
+    arguments checked once.
+    """
     start = as_natural(start, "start")
     if start < 4:
         raise DomainError(f"semiprime_stream requires start >= 4, got {start}")
     count = as_natural(count, "count")
-    out = []
-    current = start
-    for _ in range(count):
-        current = next_semiprime(current)
-        out.append(current)
-    return out
+    return list(islice(_semiprimes_after(start), count))

@@ -1,7 +1,7 @@
-import math
-
 import pytest
 from hypothesis import HealthCheck, settings
+
+from semiprimes.oracle import semiprime_flags
 
 settings.register_profile(
     "package-default",
@@ -11,32 +11,18 @@ settings.register_profile(
 settings.load_profile("package-default")
 
 
-def _spf_semiprime_flags(limit):
-    """flags[x] == 1 iff x is a semiprime, via a smallest-prime-factor sieve."""
-    spf = list(range(limit + 1))
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            for m in range(p * p, limit + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    flags = bytearray(limit + 1)
-    for x in range(4, limit + 1):
-        left = x
-        parts = 0
-        while left > 1 and parts < 3:
-            left //= spf[left]
-            parts += 1
-        if parts == 2 and left == 1:
-            flags[x] = 1
-    return flags
-
-
 @pytest.fixture(scope="session")
 def semi_flags_10k():
     # margin past 10^4 so successor scans near the top stay in range
-    return _spf_semiprime_flags(10**4 + 200)
+    return semiprime_flags(10**4 + 200)
 
 
 @pytest.fixture(scope="session")
 def semis_10k(semi_flags_10k):
     return [x for x in range(10**4 + 1) if semi_flags_10k[x]]
+
+
+@pytest.fixture(scope="session")
+def semi_flags_2m():
+    # past fifteen SEGMENT-wide blocks of the nth walk and the cubes to 125^3
+    return semiprime_flags(2 * 10**6)

@@ -110,6 +110,24 @@ def test_usage_errors_exit_2(capsys):
         assert len(err.strip().splitlines()) == 1, argv
 
 
+def test_non_ascii_digits_exit_2(capsys):
+    # str.isdecimal accepts these; the CLI takes ASCII digits only
+    for text in ("\u0663", "\u00b2", "\uff11\uff12"):  # Arabic-Indic 3, superscript 2, fullwidth 12
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["count", text])
+        assert excinfo.value.code == 2, text
+        _, err = capsys.readouterr()
+        assert len(err.strip().splitlines()) == 1, text
+    result = subprocess.run(
+        [sys.executable, "-m", "semiprimes", "count", "\u0663"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.strip().splitlines()) == 1
+
+
 def test_domain_errors_exit_2(capsys):
     for argv in (["count", "0"], ["classify", "1"], ["nth", "0"], ["next", "3"],
                  ["stream", "3", "1"], ["count", "10000000000"],
@@ -134,6 +152,16 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "verification failed" in err
+
+
+def test_verify_nth_next_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli.oracle, "nth_semiprime_oracle", lambda n: 0)
+    monkeypatch.setattr(cli.oracle, "next_semiprime_oracle", lambda n: 0)
+    for argv in (["nth", "100", "--verify"], ["next", "100", "--verify"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "verification failed" in err
 
 
 def test_output_is_deterministic(capsys):

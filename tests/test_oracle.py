@@ -7,7 +7,10 @@ from semiprimes.oracle import (
     classical_count,
     factor_profile,
     is_semiprime_oracle,
+    next_semiprime_oracle,
+    nth_semiprime_oracle,
     semiprime_count_by_sieve,
+    semiprime_flags,
     sieve,
 )
 
@@ -54,6 +57,28 @@ def test_is_semiprime_examples():
     assert is_semiprime_oracle(4) == 1
     assert is_semiprime_oracle(12) == 0
     assert is_semiprime_oracle(9991) == 1  # 97 * 103
+
+
+def test_semiprime_flags_match_trial_division():
+    flags = semiprime_flags(3000)
+    assert len(flags) == 3001
+    assert [x for x in range(3001) if flags[x]] == [
+        x for x in range(2, 3001) if is_semiprime_oracle(x)
+    ]
+    assert semiprime_flags(3) == bytearray(4)
+    with pytest.raises(RangeLimitError):
+        semiprime_flags(10**7 + 1)
+
+
+def test_nth_and_next_oracle_scans():
+    semis = [x for x in range(2, 2001) if is_semiprime_oracle(x)]
+    for n in (1, 2, 3, 5, 100, len(semis)):
+        assert nth_semiprime_oracle(n) == semis[n - 1], n
+    for n in range(0, semis[-1]):
+        assert next_semiprime_oracle(n) == next(x for x in semis if x > n), n
+    assert next_semiprime_oracle(10000) == 10001
+    with pytest.raises(DomainError):
+        nth_semiprime_oracle(0)
 
 
 def test_classical_count_examples():

@@ -1,16 +1,24 @@
-import math
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semiprimes import (
+    MAX_CLASSIFY_INPUT,
+    MAX_NTH_INPUT,
     DomainError,
     RangeLimitError,
+    count_range,
     gate,
     next_semiprime,
     nth_semiprime,
+    semiprime_count,
     semiprime_stream,
+    sequences,
 )
+from semiprimes.core import SEGMENT
+from semiprimes.sequences import SCAN_WIDTH
 
 
 def test_gate_examples():
@@ -48,7 +56,7 @@ def test_nth_domain_and_range():
     with pytest.raises(DomainError):
         nth_semiprime(0)
     with pytest.raises(RangeLimitError):
-        nth_semiprime(10**8)  # window 4*n*ln(n) overflows the counting range
+        nth_semiprime(160_788_537)  # pi2(10^9) + 1: its answer passes the counting range
     with pytest.raises(ValueError):
         nth_semiprime(5, mode="guess")
 
@@ -71,9 +79,96 @@ def test_nth_window_is_not_short_in_practice():
 
 
 def test_nth_ordinal_bound_to_1e4(semis_10k):
-    # sp_n stays below 4*n*ln(n) across the whole table
+    # sp_n stays inside literal mode's window across the whole table
     for n in range(3, len(semis_10k) + 1):
-        assert semis_10k[n - 1] <= int(4 * n * math.log(n)), n
+        assert semis_10k[n - 1] <= sequences._literal_window(n), n
+
+
+def _round_trip(flags, x):
+    n = semiprime_count(x)
+    assert n == flags.count(1, 0, x + 1), x
+    assert nth_semiprime(n) == x, (x, n)
+
+
+def _semiprimes_beside(flags, edge):
+    """The last semiprime below edge and the first one at or above it."""
+    below = edge - 1
+    while not flags[below]:
+        below -= 1
+    above = edge
+    while not flags[above]:
+        above += 1
+    return below, above
+
+
+def test_nth_range_limit_is_checked_before_the_walk(monkeypatch):
+    def no_walk(lo, hi):
+        raise AssertionError(f"counted [{lo}, {hi}]")
+
+    monkeypatch.setattr(sequences, "_count_range", no_walk)
+    for mode in ("scan", "literal"):
+        with pytest.raises(RangeLimitError):
+            nth_semiprime(MAX_NTH_INPUT + 1, mode=mode)
+    with pytest.raises(RangeLimitError):
+        nth_semiprime(MAX_NTH_INPUT, mode="literal")  # its window passes 10^9
+
+
+def test_nth_past_the_old_float_window():
+    # 4*n*ln(n) for this n is 1.34e9, above the counting range; the answer is not
+    n = 2 * 10**7
+    x = nth_semiprime(n)
+    assert count_range(x, x) == 1
+    assert semiprime_count(x) == n
+
+
+def test_nth_round_trip_beside_block_seams(semi_flags_2m):
+    # The semiprime below a seam has n = pi2(seam - 1), reached at the end of
+    # a walked block; the one above it is reached in the next block.  The
+    # seam itself is even and never a semiprime; seam - 1 is one for some k.
+    seams = range(8 + SEGMENT, len(semi_flags_2m), SEGMENT)
+    assert len(seams) == 15
+    assert any(semi_flags_2m[seam - 1] for seam in seams)
+    for seam in seams:
+        for x in _semiprimes_beside(semi_flags_2m, seam):
+            _round_trip(semi_flags_2m, x)
+
+
+def test_nth_round_trip_beside_cubes(semi_flags_2m):
+    # the block sums split every count at cubes
+    for c in [*range(2, 51), 63, 64, 99, 100, 101, 125]:
+        for x in _semiprimes_beside(semi_flags_2m, c**3):
+            _round_trip(semi_flags_2m, x)
+
+
+def test_nth_round_trip_at_halving_ends(semi_flags_2m):
+    # SEGMENT is a power-of-two multiple of SCAN_WIDTH, so halving the block
+    # that starts at 8 + k*SEGMENT ends on one of the intervals
+    # [8 + j*SCAN_WIDTH, 8 + (j + 1)*SCAN_WIDTH - 1], and the scan settles it
+    per_block = SEGMENT // SCAN_WIDTH
+    assert SEGMENT % SCAN_WIDTH == 0 and per_block & (per_block - 1) == 0
+    exact = 0
+    for k in (0, 1, 7, 14):
+        for j in (0, 1, per_block // 2 - 1, per_block // 2, per_block - 1):
+            first = 8 + k * SEGMENT + j * SCAN_WIDTH
+            last = first + SCAN_WIDTH - 1
+            for x in (_semiprimes_beside(semi_flags_2m, first)[1],
+                      _semiprimes_beside(semi_flags_2m, last + 1)[0]):
+                exact += x in (first, last)
+                _round_trip(semi_flags_2m, x)
+    assert exact >= 4  # some answers sit on an interval's first or last integer
+
+
+@given(st.integers(min_value=3, max_value=407_284))  # pi2(2*10^6)
+@example(3).via("the first formula index")
+@example(30_256).via("pi2 at the end of the first block")
+@example(30_257).via("the first index past the first block")
+@example(407_284).via("the top of the oracle flags")
+@settings(max_examples=25)
+def test_nth_matches_spf_oracle_to_2e6(semi_flags_2m, n):
+    assert semi_flags_2m.count(1) == 407_284
+    x = nth_semiprime(n)
+    assert semi_flags_2m[x] == 1
+    assert semi_flags_2m.count(1, 0, x + 1) == n
 
 
 def test_next_examples():
@@ -122,3 +217,16 @@ def test_stream_empty_and_domain():
     assert semiprime_stream(4, 0) == []
     with pytest.raises(DomainError):
         semiprime_stream(3, 1)
+
+
+def test_stream_matches_oracle(semis_10k):
+    assert semiprime_stream(4, len(semis_10k) - 1) == semis_10k[1:]
+    assert semiprime_stream(5, 3) == semis_10k[1:4]
+
+
+def test_successor_search_stops_at_classification_limit():
+    with pytest.raises(RangeLimitError):
+        next_semiprime(MAX_CLASSIFY_INPUT)
+    with pytest.raises(RangeLimitError):
+        semiprime_stream(MAX_CLASSIFY_INPUT - 100, 50)  # about a dozen are left
+    assert semiprime_stream(MAX_CLASSIFY_INPUT - 100, 1) == [999_999_999_901]
