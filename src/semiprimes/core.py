@@ -14,8 +14,11 @@ k1(x) + k2(x) - t(x) = 1 exactly for semiprimes.
 Counting sums that identity over a range, and since the sum is linear each
 of its three parts is summed over whole blocks with bytearray slice marking
 (see count_range) rather than one indicator call per integer.  Both the
-block sums and the per-number scans draw their primes from one shared table,
-generated by t and grown on demand.
+block sums and the per-number scans draw their primes from the one shared
+table in primality, which the wheel scan generates and which grows on demand,
+and every sieve here is primality's segment sieve.  The public functions
+check their arguments once; the scans under them (_triple_bits,
+_count_range, and the _t and _icbrt they call) take them unchecked.
 """
 
 import enum
@@ -29,10 +32,10 @@ from .intmath import (
     MAX_COUNT_INPUT,
     DomainError,
     RangeLimitError,
+    _icbrt,
     as_natural,
-    icbrt,
 )
-from .primality import PrimeTable, t
+from .primality import SEGMENT, _mark, _primes, _t
 
 
 class IndicatorTriple(NamedTuple):
@@ -93,34 +96,6 @@ def _indicator_arg(x, name):
     return x
 
 
-#: Largest prime the shared table is ever asked for: the sieving primes of a
-#: count up to MAX_COUNT_INPUT and the cube-root primes of a classification
-#: up to MAX_CLASSIFY_INPUT.
-TABLE_CAP = max(isqrt(MAX_COUNT_INPUT), icbrt(MAX_CLASSIFY_INPUT))
-
-# Self-contained divisor table: the primality indicator generates its own
-# primes, so the formula path never consults the oracle sieve.  It only ever
-# grows, from its previous limit, and each growth binds a new PrimeTable, so
-# a reader (in any thread) holds either the old table or the new one, never a
-# partial one.  Two threads growing it at once each get a complete table;
-# the later binding wins.
-_table = PrimeTable(1, ())
-
-
-def _primes(limit: int) -> tuple:
-    """Every prime <= limit (limit <= TABLE_CAP), ascending."""
-    global _table
-    table = _table
-    if limit > table.limit:
-        if limit > TABLE_CAP:
-            raise RangeLimitError(f"the prime table stops at {TABLE_CAP}, asked for {limit}")
-        # t decides 2, 3 and every 6k+-1 candidate; the rest are multiples of 2 or 3
-        candidates = range(table.limit + 1, limit + 1)
-        grown = tuple(x for x in candidates if (x < 5 or x % 6 in (1, 5)) and t(x))
-        _table = table = PrimeTable(limit, table.primes + grown)
-    return table.primes[: bisect_right(table.primes, limit)]
-
-
 def k1(x: int) -> int:
     """1 if no prime p <= icbrt(x) divides x, else 0 (x >= 8).
 
@@ -129,7 +104,7 @@ def k1(x: int) -> int:
     table is nonempty for every x >= 8 since icbrt(8) = 2.
     """
     x = _indicator_arg(x, "k1")
-    for p in _primes(icbrt(x)):
+    for p in _primes(_icbrt(x)):
         if x % p == 0:
             return 0
     return 1
@@ -143,25 +118,25 @@ def k2(x: int) -> int:
     consulted at exact integer quotients; non-divisors contribute 0 outright.
     """
     x = _indicator_arg(x, "k2")
-    for p in _primes(icbrt(x)):
-        if x % p == 0 and t(x // p) == 1:
+    for p in _primes(_icbrt(x)):
+        if x % p == 0 and _t(x // p) == 1:
             return 1
     return 0
 
 
 def _triple_bits(x: int) -> IndicatorTriple:
     # Fused evaluation of (t, k1, k2) sharing one divisor scan.  A prime
-    # divisor p <= icbrt(x) <= sqrt(x) is always one of the wheel's own
-    # divisors, so finding one already settles t(x) = 0.
+    # divisor p <= icbrt(x) < x makes x composite, so finding one already
+    # settles t(x) = 0.
     has_small_factor = False
-    for p in _primes(icbrt(x)):
+    for p in _primes(_icbrt(x)):
         if x % p == 0:
             has_small_factor = True
-            if t(x // p) == 1:
+            if _t(x // p) == 1:
                 return IndicatorTriple(0, 0, 1)
     if has_small_factor:
         return IndicatorTriple(0, 0, 0)
-    return IndicatorTriple(t(x), 1, 0)
+    return IndicatorTriple(_t(x), 1, 0)
 
 
 def semiprime_indicator(x: int) -> int:
@@ -188,36 +163,6 @@ def classify(x: int) -> Classification:
     return Classification(_TRIPLE_CATEGORY[trip], trip)
 
 
-#: Width of every sieve segment in the counting engine.  No bytearray it
-#: allocates is longer, whatever the range, which bounds its memory.
-SEGMENT = 1 << 17
-
-_ONES = memoryview(b"\x01" * SEGMENT)
-
-#: A prime with at most about this many multiples in a segment marks them
-#: one by one: a few item stores cost less than a strided slice assignment,
-#: and in a narrow range nearly every sieving prime marks one position or
-#: none.
-FEW_MARKS = 16
-
-
-def _mark(flags, a, primes):
-    # Set flags[m - a] for every multiple m >= p*p of each p, where flags
-    # covers a .. a + len(flags) - 1.  (p*p - a) % p == (-a) % p.
-    size = len(flags)
-    for p in primes:
-        s = p * p - a
-        if s < 0:
-            s %= p
-        if s < size:
-            if size - s > FEW_MARKS * p:
-                flags[s::p] = _ONES[: (size - 1 - s) // p + 1]
-            else:
-                while s < size:
-                    flags[s] = 1
-                    s += p
-
-
 def _count_primes(a: int, b: int) -> int:
     """Number of primes in [a, b] (2 <= a), one segment at a time."""
     total = 0
@@ -239,7 +184,7 @@ def _k1_t_sums(lo: int, hi: int) -> tuple:
     k1_sum = t_sum = 0
     a = lo
     while a <= hi:
-        c = icbrt(a)
+        c = _icbrt(a)
         b = min(hi, a + SEGMENT - 1, (c + 1) ** 3 - 1)
         flags = bytearray(b - a + 1)
         primes = _primes(isqrt(b))
@@ -256,7 +201,7 @@ def _k2_sum(lo: int, hi: int) -> int:
     # x = p*q with p prime, q prime and p <= icbrt(x), i.e. q >= p*p; the
     # semiprime fixes p, so the terms over p never overlap.
     total = 0
-    for p in _primes(icbrt(hi)):
+    for p in _primes(_icbrt(hi)):
         a = max(p * p, -(-lo // p))
         b = hi // p
         if a <= b:

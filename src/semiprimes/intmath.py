@@ -58,7 +58,11 @@ def icbrt(n: int) -> int:
     with exact integer comparisons, so boundary cubes never round the wrong
     way (icbrt(8) is 2 even though 8 ** (1/3) < 2 in binary floating point).
     """
-    n = as_natural(n, "icbrt argument")
+    return _icbrt(as_natural(n, "icbrt argument"))
+
+
+def _icbrt(n):
+    # icbrt without the argument check (n >= 0)
     if n < (1 << 52):
         c = round(n**_THIRD)
     else:

@@ -1,12 +1,31 @@
-"""Wheel-based primality indicator, prime counting, and prime-table construction.
+"""Primality indicator, prime counting, and the shared prime tables.
 
-The indicator needs no stored primes at all: a number x >= 8 is prime exactly
-when it is divisible by neither 2 nor 3 nor any integer of the form 6k-1 or
-6k+1 for k = 1 .. wheel_limit(x).  Each helper below is one piece of that
-statement, returns 0 or 1, and is exact integer arithmetic throughout.
+The paper's indicator is t(x) = floor((t0 + t1 + t2) / 3): a number x >= 8 is
+prime exactly when it is divisible by neither 2 nor 3 nor any integer of the
+form 6k-1 or 6k+1 for k = 1 .. wheel_limit(x).  t0, t1 and t2 are each one
+piece of that statement, return 0 or 1, and are exact integer arithmetic.
+
+t itself takes one of two routes to the same value, chosen by the size of x:
+
+- x <= WHEEL_TOP = isqrt(MAX_CLASSIFY_INPUT) = 10^6: one early-exit scan
+  over 2, 3 and the 6k+-1 pairs, which needs no stored primes;
+- x > WHEEL_TOP: the gcd of x with the product of each block of BLOCK_PRIMES
+  consecutive primes, in ascending order, up to the first block whose top
+  prime reaches isqrt(x).  A composite x has a prime factor <= isqrt(x) <=
+  10^6, which some scanned block holds; a prime x > 10^6 divides no product
+  of smaller primes.
+
+This module also holds the segment sieve (_mark) and the one shared table of
+small primes (_primes) that the block products, the counting engine and the
+per-number scans in core all draw on.  The wheel scan generates that table,
+and the table's primes sieve the segments the block products are taken from.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress, islice
+from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 from .intmath import (
     MAX_CLASSIFY_INPUT,
@@ -14,6 +33,7 @@ from .intmath import (
     DomainError,
     RangeLimitError,
     as_natural,
+    icbrt,
     wheel_limit,
 )
 
@@ -21,6 +41,14 @@ from .intmath import (
 # with fewer than two (6k+-1) pairs available below 8, these are pinned by
 # lookup so that every caller receives a correct indicator at any argument.
 _SMALL_PRIMALITY = {1: 0, 2: 1, 3: 1, 4: 0, 5: 1, 6: 0, 7: 1}
+
+#: Largest argument t settles by the wheel scan; above it t uses the block
+#: products.  Every prime a larger argument can need lies at or below it.
+WHEEL_TOP = isqrt(MAX_CLASSIFY_INPUT)
+
+#: Primes per block product.  A product of 128 primes near 10^6 has about
+#: 2 600 bits, so each gcd with x stays one short C-level call.
+BLOCK_PRIMES = 128
 
 
 def _classification_arg(x, low, name):
@@ -63,24 +91,160 @@ def t2(x: int) -> int:
     return 1
 
 
-def t(x: int) -> int:
-    """Primality indicator: 1 exactly when x is prime.
+@dataclass(frozen=True)
+class PrimeTable:
+    """Ascending tuple of exactly the primes <= limit."""
 
-    For x >= 8 this is floor((t0 + t1 + t2) / 3), i.e. the conjunction of the
-    three wheel indicators, evaluated here as one early-exit divisor scan.
-    For 1 <= x <= 7 the value comes from the lookup extension, so t is a
-    correct primality indicator at every argument it can receive (the
-    semiprime test applies t to quotients as small as 4).
-    """
-    x = _classification_arg(x, 1, "t")
+    limit: int
+    primes: tuple
+
+    def __iter__(self):
+        return iter(self.primes)
+
+    def __len__(self):
+        return len(self.primes)
+
+
+#: Width of every sieve segment, here and in core's counting engine.  No
+#: bytearray a sieve allocates is longer, whatever the range, which bounds
+#: its memory.
+SEGMENT = 1 << 17
+
+_ONES = memoryview(b"\x01" * SEGMENT)
+
+#: A prime with at most about this many multiples in a segment marks them
+#: one by one: a few item stores cost less than a strided slice assignment,
+#: and in a narrow range nearly every sieving prime marks one position or
+#: none.
+FEW_MARKS = 16
+
+
+def _mark(flags, a, primes):
+    # Set flags[m - a] for every multiple m >= p*p of each p, where flags
+    # covers a .. a + len(flags) - 1.  (p*p - a) % p == (-a) % p.
+    size = len(flags)
+    for p in primes:
+        s = p * p - a
+        if s < 0:
+            s %= p
+        if s < size:
+            if size - s > FEW_MARKS * p:
+                flags[s::p] = _ONES[: (size - 1 - s) // p + 1]
+            else:
+                while s < size:
+                    flags[s] = 1
+                    s += p
+
+
+#: Largest prime the shared table is ever asked for: the sieving primes of a
+#: count up to MAX_COUNT_INPUT and the cube-root primes of a classification
+#: up to MAX_CLASSIFY_INPUT.
+TABLE_CAP = max(isqrt(MAX_COUNT_INPUT), icbrt(MAX_CLASSIFY_INPUT))
+
+# Self-contained divisor table: the wheel scan generates its primes, so the
+# formula path never consults the oracle sieve.  It only ever grows, from its
+# previous limit, and each growth binds a new PrimeTable, so a reader (in any
+# thread) holds either the old table or the new one, never a partial one.
+# Two threads growing it at once each get a complete table; the later
+# binding wins.
+_table = PrimeTable(1, ())
+
+
+def _primes(limit: int) -> tuple:
+    """Every prime <= limit (limit <= TABLE_CAP), ascending."""
+    global _table
+    table = _table
+    if limit > table.limit:
+        if limit > TABLE_CAP:
+            raise RangeLimitError(f"the prime table stops at {TABLE_CAP}, asked for {limit}")
+        # _t decides 2, 3 and every 6k+-1 candidate, all <= WHEEL_TOP, by the
+        # wheel scan; the rest are multiples of 2 or 3
+        candidates = range(table.limit + 1, limit + 1)
+        grown = tuple(x for x in candidates if (x < 5 or x % 6 in (1, 5)) and _t(x))
+        _table = table = PrimeTable(limit, table.primes + grown)
+    return table.primes[: bisect_right(table.primes, limit)]
+
+
+class _Blocks(NamedTuple):
+    limit: int  # every prime <= limit lies in some block
+    tops: tuple  # the largest prime of each block, ascending
+    products: tuple  # the product of each block's primes
+
+
+# Grown like _table: whole segments past the last limit, one new binding per
+# growth.  Only the products are kept, never the primes themselves.  The
+# first block is the even prime alone, so every segment starts on an odd
+# integer and only its odd integers are read.
+_blocks = _Blocks(2, (2,), (2,))
+
+# bytes.translate table: an unmarked flag (0, a prime) becomes 1, a marked
+# one 0, so compress() keeps exactly the primes.
+_UNMARKED = b"\x01" + bytes(255)
+
+
+def _grow_blocks(root):
+    # Sieve one segment at a time from the last limit until the limit reaches
+    # root; each segment's primes, BLOCK_PRIMES at a time, make its blocks
+    # (the segment's last block may be shorter).  One block's primes are the
+    # only ones held at once.
+    global _blocks
+    limit, tops, products = _blocks
+    tops, products = list(tops), list(products)
+    while limit < root:
+        a = limit + 1
+        limit += SEGMENT
+        flags = bytearray(SEGMENT)
+        _mark(flags, a, _primes(isqrt(limit)))
+        primes = compress(range(a, limit + 1, 2), flags.translate(_UNMARKED)[::2])
+        while block := tuple(islice(primes, BLOCK_PRIMES)):
+            tops.append(block[-1])
+            products.append(prod(block))
+    _blocks = blocks = _Blocks(limit, tuple(tops), tuple(products))
+    return blocks
+
+
+def _t_blocks(x):
+    # t for WHEEL_TOP < x <= MAX_CLASSIFY_INPUT.  The blocks past the first
+    # one whose top reaches isqrt(x) may hold x itself (the last segment runs
+    # past 10^6), so the scan must stop there.
+    root = isqrt(x)
+    blocks = _blocks
+    if blocks.limit < root:
+        blocks = _grow_blocks(root)
+    needed = bisect_left(blocks.tops, root) + 1
+    for product in islice(blocks.products, needed):
+        if gcd(x, product) != 1:
+            return 0
+    return 1
+
+
+def _t(x):
+    # t without the argument check (1 <= x <= MAX_CLASSIFY_INPUT)
     if x < 8:
         return _SMALL_PRIMALITY[x]
+    if x > WHEEL_TOP:
+        return _t_blocks(x)
     if x % 2 == 0 or x % 3 == 0:
         return 0
     for d in range(5, 6 * wheel_limit(x) + 1, 6):
         if x % d == 0 or x % (d + 2) == 0:
             return 0
     return 1
+
+
+def t(x: int) -> int:
+    """Primality indicator: 1 exactly when x is prime (1 <= x <= 10^12).
+
+    For 8 <= x <= WHEEL_TOP (10^6) this is floor((t0 + t1 + t2) / 3), the
+    conjunction of the three wheel indicators, evaluated as one early-exit
+    divisor scan.  Above 10^6 it is the same value from the prime block
+    products: 0 at the first block sharing a factor with x, 1 at the first
+    block whose top prime is >= isqrt(x).  For 1 <= x <= 7 the value comes
+    from the lookup extension, so t is a correct primality indicator at
+    every argument it can receive (the semiprime test applies t to
+    quotients as small as 4).
+    """
+    return _t(_classification_arg(x, 1, "t"))
 
 
 def prime_count_formula(x: int) -> int:
@@ -99,24 +263,10 @@ def prime_count_formula(x: int) -> int:
         )
     total = 4
     for v in range(11, x + 1, 6):  # 6j+5, j >= 1
-        total += t(v)
+        total += _t(v)
     for v in range(13, x + 1, 6):  # 6j+7, j >= 1
-        total += t(v)
+        total += _t(v)
     return total
-
-
-@dataclass(frozen=True)
-class PrimeTable:
-    """Ascending tuple of exactly the primes <= limit."""
-
-    limit: int
-    primes: tuple
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __len__(self):
-        return len(self.primes)
 
 
 def build_prime_table(limit: int, mode: str = "formula") -> PrimeTable:

@@ -5,8 +5,9 @@ exactly while pi2(x) < n, so sp_n is the smallest x with pi2(x) >= n.  Scan
 mode, the production path, finds that x on core's block counter in three
 steps, carrying the running count pi2(a - 1) from one to the next:
 
-- walk: from 8, count whole SEGMENT-wide blocks [a, b] until one would
-  bring the running count to n;
+- walk: from 8, count blocks [a, b] until one would bring the running
+  count to n; the first block is min(2n, SEGMENT) integers wide and each
+  later one twice the last, up to SEGMENT;
 - halve: count the lower half of that block; keep it if it reaches n, else
   add its count and keep the upper half; stop at SCAN_WIDTH integers or
   fewer;
@@ -24,7 +25,7 @@ a slow reference equivalent.
 
 from itertools import islice
 
-from .core import SEGMENT, _count_range, _triple_bits, k1, k2, semiprime_indicator
+from .core import _count_range, _triple_bits, k1, k2, semiprime_indicator
 from .intmath import (
     MAX_CLASSIFY_INPUT,
     MAX_COUNT_INPUT,
@@ -33,7 +34,7 @@ from .intmath import (
     RangeLimitError,
     as_natural,
 )
-from .primality import t
+from .primality import SEGMENT, t
 
 _MODES = ("scan", "literal")
 
@@ -62,10 +63,10 @@ def nth_semiprime(n: int, mode: str = "scan") -> int:
     n = 1 and n = 2 are answered by lookup; the formulas start at n = 3.
     Every n up to MAX_NTH_INPUT (160 788 536) is accepted, since its answer
     is at most MAX_COUNT_INPUT; a larger n raises RangeLimitError at once.
-    Scan mode walks SEGMENT-wide blocks with the block counter, halves the
-    block that reaches n down to SCAN_WIDTH integers, and scans those (see
-    the module docstring); its cost grows with the answer, like
-    semiprime_count's.  Literal mode evaluates 8 + sum over x of
+    Scan mode walks blocks of up to SEGMENT integers with the block
+    counter, halves the block that reaches n down to SCAN_WIDTH integers,
+    and scans those (see the module docstring); its cost grows with the
+    answer, like semiprime_count's.  Literal mode evaluates 8 + sum over x of
     gate(n, count(x)) across the window [8, 4*n*n.bit_length()],
     recomputing the count from scratch for every term; it is quadratic in
     the window size and intended for cross-checks only.
@@ -88,15 +89,21 @@ def nth_semiprime(n: int, mode: str = "scan") -> int:
 
 
 def _nth_scan(n):
-    # running is pi2(a - 1) throughout: 2 below 8 (the semiprimes 4 and 6)
-    running, a = 2, 8
+    # running is pi2(a - 1) throughout: 2 below 8 (the semiprimes 4 and 6).
+    # sp_n >= 2.5*n (the ratio is least at n = 4 and 6 and grows with n), so
+    # a block from 8 narrower than 2n holds the answer only for n < 14 and is
+    # overhead for the rest.  The first block is 2n wide (at most SEGMENT)
+    # and each later one doubles up to SEGMENT; any width keeps the walk
+    # exact.
+    running, a, width = 2, 8, min(SEGMENT, 2 * n)
     while True:
-        b = min(a + SEGMENT - 1, MAX_COUNT_INPUT)
+        b = min(a + width - 1, MAX_COUNT_INPUT)
         block = _count_range(a, b)
         if running + block >= n:
             break
         running += block
         a = b + 1
+        width = min(2 * width, SEGMENT)
     while b - a >= SCAN_WIDTH:
         mid = (a + b) // 2
         low = _count_range(a, mid)

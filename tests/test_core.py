@@ -206,30 +206,31 @@ def test_count_range_composition_over_random_splits(cuts):
 # Primes through the first prime past 1000^2: every p with p^2 <= 10^9, and
 # the primes q nearest p^2 for every p with p^3 <= 10^9.
 _PRIMES = oracle.sieve(1000**2 + 200).primes
-_ROOT_PRIMES = _PRIMES[: bisect_right(_PRIMES, isqrt(MAX_COUNT_INPUT))]
-_CUBE_ROOT_PRIMES = _PRIMES[: bisect_right(_PRIMES, icbrt(MAX_COUNT_INPUT))]
 
 
 @st.composite
-def _edge_windows(draw):
+def _edge_windows(draw, top=MAX_COUNT_INPUT):
     """A window [lo, hi] holding edge - 1 and edge, where the construction
     changes at edge: a cube c^3 (icbrt steps up), a prime square p^2, a prime
     cube p^3, or x = p*q with q the prime just below or above p^2 (where the
-    semiprime moves from the k1 term to the k2 term)."""
+    semiprime moves from the k1 term to the k2 term).  Edges and hi stay at
+    or below top (at most MAX_COUNT_INPUT)."""
+    root_primes = _PRIMES[: bisect_right(_PRIMES, isqrt(top))]
+    cube_root_primes = _PRIMES[: bisect_right(_PRIMES, icbrt(top))]
     kind = draw(st.sampled_from(("cube", "prime square", "prime cube", "p*q, q near p^2")))
     if kind == "cube":
-        edge = draw(st.integers(min_value=2, max_value=icbrt(MAX_COUNT_INPUT))) ** 3
+        edge = draw(st.integers(min_value=2, max_value=icbrt(top))) ** 3
     elif kind == "prime square":
-        edge = draw(st.sampled_from(_ROOT_PRIMES)) ** 2
+        edge = draw(st.sampled_from(root_primes)) ** 2
     elif kind == "prime cube":
-        edge = draw(st.sampled_from(_CUBE_ROOT_PRIMES)) ** 3
+        edge = draw(st.sampled_from(cube_root_primes)) ** 3
     else:
-        p = draw(st.sampled_from(_CUBE_ROOT_PRIMES))
+        p = draw(st.sampled_from(cube_root_primes))
         i = bisect_left(_PRIMES, p * p)
         q = _PRIMES[i - draw(st.integers(min_value=0, max_value=1))]
         edge = p * q
     lo = max(8, edge - draw(st.integers(min_value=1, max_value=300)))
-    hi = min(MAX_COUNT_INPUT, max(edge, lo) + draw(st.integers(min_value=0, max_value=300)))
+    hi = min(top, max(edge, lo) + draw(st.integers(min_value=0, max_value=300)))
     return lo, hi
 
 
@@ -240,6 +241,17 @@ def _edge_windows(draw):
 def test_count_range_matches_indicator_sum_across_edges(window):
     lo, hi = window
     assert count_range(lo, hi) == sum(semiprime_indicator(x) for x in range(lo, hi + 1))
+
+
+@given(_edge_windows(top=2 * 10**6))
+@example((8, 8))
+@example((2 * 10**6 - 600, 2 * 10**6))
+@settings(max_examples=200)
+def test_count_range_matches_spf_oracle_across_edges(semi_flags_2m, window):
+    # the same edges, against flags from a smallest-prime-factor sieve, which
+    # shares no code with the indicators
+    lo, hi = window
+    assert count_range(lo, hi) == sum(semi_flags_2m[lo : hi + 1])
 
 
 def test_count_memory_is_bounded_by_segments():

@@ -1,13 +1,19 @@
+import tracemalloc
+from bisect import bisect_right
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiprimes import (
+    MAX_CLASSIFY_INPUT,
     DomainError,
     RangeLimitError,
     build_prime_table,
     oracle,
     prime_count_formula,
+    primality,
     t,
     t0,
     t1,
@@ -77,6 +83,51 @@ def test_t_equals_conjunction_of_parts():
 @settings(max_examples=120)
 def test_t_equals_conjunction_property(x):
     assert t(x) == t0(x) * t1(x) * t2(x)
+
+
+def _check_against_wheel_and_trial_division(x):
+    expected = t0(x) * t1(x) * t2(x)
+    assert expected == (oracle.factor_profile(x).omega == 1), x
+    assert t(x) == expected, x
+
+
+def test_t_block_path_at_its_edges():
+    # Above WHEEL_TOP t scans the block products up to the first block whose
+    # top prime is >= isqrt(x).  The largest prime below 10^12 comes first:
+    # it grows the blocks to their end, past 10^6, so that the blocks beyond
+    # the stop hold primes such as 1000003 that the scan must not reach.
+    _check_against_wheel_and_trial_division(999_999_999_989)
+    tops = primality._blocks.tops
+    assert tops[-1] > 1_000_003
+    primes = oracle.sieve(tops[-1] + 200).primes
+    cases = {10**12, 999_983**2, 999_979 * 999_983, 999_983 * 1_000_003, 1_000_003}
+    cases.update(range(10**6 - 2, 10**6 + 4))
+    # the first two blocks past the even prime, the last two whose top is at
+    # most 10^6, and the one that runs past 10^6
+    last = bisect_right(tops, 10**6)
+    for top in (tops[1], tops[2], tops[last - 2], tops[last - 1], tops[last]):
+        after = primes[bisect_right(primes, top)]  # the first prime of the next block
+        cases.update(x for x in (top, after, top * top, top * after, after * after)
+                     if x <= MAX_CLASSIFY_INPUT)
+    assert any(x > primality.WHEEL_TOP and t(x) for x in cases)
+    for x in sorted(cases):
+        _check_against_wheel_and_trial_division(x)
+
+
+def test_block_products_grow_lazily_within_bounded_memory(monkeypatch):
+    # A list of the 78 498 primes <= 10^6 alone would take about 2.8 MB.
+    monkeypatch.setattr(primality, "_blocks", primality._Blocks(2, (2,), (2,)))
+    assert t(100_000_000_003) == 1
+    limit = primality._blocks.limit
+    assert isqrt(100_000_000_003) <= limit < isqrt(100_000_000_003) + primality.SEGMENT
+    tracemalloc.start()
+    try:
+        assert t(999_999_999_989) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert primality._blocks.limit >= 10**6
+    assert peak < 1_000_000, peak
 
 
 def test_prime_count_examples():

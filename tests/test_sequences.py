@@ -122,9 +122,12 @@ def test_nth_past_the_old_float_window():
 
 
 def test_nth_round_trip_beside_block_seams(semi_flags_2m):
-    # The semiprime below a seam has n = pi2(seam - 1), reached at the end of
-    # a walked block; the one above it is reached in the next block.  The
-    # seam itself is even and never a semiprime; seam - 1 is one for some k.
+    # For 2n >= SEGMENT the walk's blocks are the SEGMENT-wide
+    # [8 + k*SEGMENT, 7 + (k + 1)*SEGMENT], which holds for the seams with
+    # k >= 3 here (the first two stay as plain round trips).  The semiprime
+    # below a seam has n = pi2(seam - 1), reached at the end of a walked
+    # block; the one above it is reached in the next block.  The seam itself
+    # is even and never a semiprime; seam - 1 is one for some k.
     seams = range(8 + SEGMENT, len(semi_flags_2m), SEGMENT)
     assert len(seams) == 15
     assert any(semi_flags_2m[seam - 1] for seam in seams)
@@ -141,13 +144,16 @@ def test_nth_round_trip_beside_cubes(semi_flags_2m):
 
 
 def test_nth_round_trip_at_halving_ends(semi_flags_2m):
-    # SEGMENT is a power-of-two multiple of SCAN_WIDTH, so halving the block
-    # that starts at 8 + k*SEGMENT ends on one of the intervals
-    # [8 + j*SCAN_WIDTH, 8 + (j + 1)*SCAN_WIDTH - 1], and the scan settles it
+    # SEGMENT is a power-of-two multiple of SCAN_WIDTH, so halving a
+    # SEGMENT-wide block of the walk, which starts at 8 + k*SEGMENT for k >= 3
+    # below 2*10^6, ends on one of the intervals
+    # [8 + j*SCAN_WIDTH, 8 + (j + 1)*SCAN_WIDTH - 1], and the scan settles
+    # it.  For k = 0 and 1 the answers' 2n is below SEGMENT and the walk's
+    # blocks are narrower; those stay as plain round trips.
     per_block = SEGMENT // SCAN_WIDTH
     assert SEGMENT % SCAN_WIDTH == 0 and per_block & (per_block - 1) == 0
     exact = 0
-    for k in (0, 1, 7, 14):
+    for k in (0, 1, 3, 7, 14):
         for j in (0, 1, per_block // 2 - 1, per_block // 2, per_block - 1):
             first = 8 + k * SEGMENT + j * SCAN_WIDTH
             last = first + SCAN_WIDTH - 1
@@ -160,8 +166,11 @@ def test_nth_round_trip_at_halving_ends(semi_flags_2m):
 
 @given(st.integers(min_value=3, max_value=407_284))  # pi2(2*10^6)
 @example(3).via("the first formula index")
-@example(30_256).via("pi2 at the end of the first block")
-@example(30_257).via("the first index past the first block")
+@example(7).via("the answer 21 closes the walk's first block, [8, 21]")
+@example(9).via("the answer 25 closes the walk's first block, [8, 25]")
+@example(86_135).via("the answer is 7 + 3*SEGMENT, the end of the third block")
+@example(86_136).via("the first index past it")
+@example(140_279).via("pi2 at the end of the fifth SEGMENT-wide block, 7 + 5*SEGMENT")
 @example(407_284).via("the top of the oracle flags")
 @settings(max_examples=25)
 def test_nth_matches_spf_oracle_to_2e6(semi_flags_2m, n):
