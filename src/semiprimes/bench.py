@@ -22,10 +22,6 @@ GOLDEN_SEMIPRIME_COUNTS = {
     10**4: 2625,
     10**5: 23378,
     10**6: 210035,
-}
-
-#: The largest rows (10^8 takes seconds); only included when long_run is requested.
-LONG_RUN_SEMIPRIME_COUNTS = {
     10**7: 1904324,
     10**8: 17427258,
 }
@@ -80,14 +76,14 @@ def _timed_row(value, expected, fn):
     return TableRow(value, expected, computed, elapsed, computed == expected)
 
 
-def reproduce_table(table_id: int, max_input: int = 10**6, long_run: bool = False) -> list:
+def reproduce_table(table_id: int, max_input: int = 10**6) -> list:
     """Recompute one golden table, skipping rows whose input exceeds max_input.
 
     Table 1 is the fifth-semiprime derivation: the gate column for x = 8..14
     plus a final row checking the ordinal query itself (input 5, expected 14).
-    Table 2 is semiprime counts at powers of ten (the 10^7 and 10^8 rows only
-    with long_run=True), table 3 the nth-semiprime values, table 4 the
-    next-semiprime values.
+    Table 2 is semiprime counts at powers of ten (the 10^7 and 10^8 rows,
+    which take seconds, only when max_input reaches them), table 3 the
+    nth-semiprime values, table 4 the next-semiprime values.
     """
     max_input = as_natural(max_input, "max_input")
     if table_id == 1:
@@ -100,11 +96,10 @@ def reproduce_table(table_id: int, max_input: int = 10**6, long_run: bool = Fals
             rows.append(_timed_row(5, GOLDEN_FIFTH_SEMIPRIME, nth_semiprime))
         return rows
     if table_id == 2:
-        table = dict(GOLDEN_SEMIPRIME_COUNTS)
-        if long_run:
-            table.update(LONG_RUN_SEMIPRIME_COUNTS)
         return [
-            _timed_row(v, e, semiprime_count) for v, e in sorted(table.items()) if v <= max_input
+            _timed_row(v, e, semiprime_count)
+            for v, e in sorted(GOLDEN_SEMIPRIME_COUNTS.items())
+            if v <= max_input
         ]
     if table_id == 3:
         return [
@@ -122,7 +117,7 @@ def reproduce_table(table_id: int, max_input: int = 10**6, long_run: bool = Fals
 
 
 _SWEEP_OPS = {
-    "count": (semiprime_count, GOLDEN_SEMIPRIME_COUNTS | LONG_RUN_SEMIPRIME_COUNTS),
+    "count": (semiprime_count, GOLDEN_SEMIPRIME_COUNTS),
     "nth": (nth_semiprime, GOLDEN_NTH_SEMIPRIMES),
     "next": (next_semiprime, GOLDEN_NEXT_SEMIPRIMES),
 }

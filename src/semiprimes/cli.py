@@ -53,9 +53,9 @@ def _emit_scalar(args, value, method, elapsed):
         print(f"{n},{value},{method},{elapsed!r}")
 
 
-def _count_via(method, n, threads):
+def _count_via(method, n):
     if method == "formula":
-        return semiprime_count(n, threads=threads)
+        return semiprime_count(n)
     if method == "classical":
         return oracle.classical_count(n)
     return oracle.semiprime_count_by_sieve(n)
@@ -71,7 +71,7 @@ def _count_check(method, n):
 
 def _cmd_count(args):
     begin = time.perf_counter()
-    value = _count_via(args.method, args.number, args.threads)
+    value = _count_via(args.method, args.number)
     elapsed = time.perf_counter() - begin
     if args.verify:
         name, check = _count_check(args.method, args.number)
@@ -166,7 +166,7 @@ def _cmd_stream(args):
 
 
 def _cmd_table(args):
-    rows = bench.reproduce_table(args.table_id, max_input=args.max_input, long_run=args.long_run)
+    rows = bench.reproduce_table(args.table_id, max_input=args.max_input)
     if args.format == "plain":
         print(f"{'input':>12} {'expected':>12} {'computed':>12} {'elapsed_s':>12} match")
         for r in rows:
@@ -210,12 +210,6 @@ def _build_parser():
         default="formula",
         help="counting route (default: formula)",
     )
-    p.add_argument(
-        "--threads",
-        type=_natural_arg,
-        default=1,
-        help="consecutive range partitions, counted in turn (formula method)",
-    )
     _add_verify(p, "an independent counting route")
     _add_format(p)
     p.set_defaults(handler=_cmd_count)
@@ -257,12 +251,8 @@ def _build_parser():
         "--max-input",
         type=_natural_arg,
         default=10**6,
-        help="skip rows whose input exceeds this (default 10^6)",
-    )
-    p.add_argument(
-        "--long-run",
-        action="store_true",
-        help="include the 10^7 and 10^8 counting rows (seconds)",
+        help="skip rows whose input exceeds this (default 10^6; table 2's "
+        "10^7 and 10^8 rows take seconds)",
     )
     _add_format(p)
     p.set_defaults(handler=_cmd_table)

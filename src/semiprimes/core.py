@@ -27,15 +27,8 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple, Optional
 
-from .intmath import (
-    MAX_CLASSIFY_INPUT,
-    MAX_COUNT_INPUT,
-    DomainError,
-    RangeLimitError,
-    _icbrt,
-    as_natural,
-)
-from .primality import SEGMENT, _mark, _primes, _t
+from .intmath import MAX_COUNT_INPUT, DomainError, RangeLimitError, _icbrt, as_natural
+from .primality import SEGMENT, _classification_arg, _mark, _primes, _t
 
 
 class IndicatorTriple(NamedTuple):
@@ -87,15 +80,6 @@ _SMALL_CATEGORY = {
 _SMALL_PI2 = (0, 0, 0, 0, 1, 1, 2, 2)
 
 
-def _indicator_arg(x, name):
-    x = as_natural(x, "x")
-    if x > MAX_CLASSIFY_INPUT:
-        raise RangeLimitError(f"{name} accepts inputs up to {MAX_CLASSIFY_INPUT}, got {x}")
-    if x < 8:
-        raise DomainError(f"{name} requires x >= 8, got {x}")
-    return x
-
-
 def k1(x: int) -> int:
     """1 if no prime p <= icbrt(x) divides x, else 0 (x >= 8).
 
@@ -103,7 +87,7 @@ def k1(x: int) -> int:
     all-ones test; the scan stops at the first dividing prime.  The prime
     table is nonempty for every x >= 8 since icbrt(8) = 2.
     """
-    x = _indicator_arg(x, "k1")
+    x = _classification_arg(x, 8, "k1")
     for p in _primes(_icbrt(x)):
         if x % p == 0:
             return 0
@@ -117,7 +101,7 @@ def k2(x: int) -> int:
     multiplies a divisibility factor by t at the quotient, so t is only ever
     consulted at exact integer quotients; non-divisors contribute 0 outright.
     """
-    x = _indicator_arg(x, "k2")
+    x = _classification_arg(x, 8, "k2")
     for p in _primes(_icbrt(x)):
         if x % p == 0 and _t(x // p) == 1:
             return 1
@@ -145,18 +129,14 @@ def semiprime_indicator(x: int) -> int:
     Computed as k1(x) + k2(x) - t(x).  Callers needing 4 <= x <= 7 should use
     classify, which handles the small domain by lookup.
     """
-    x = _indicator_arg(x, "semiprime_indicator")
+    x = _classification_arg(x, 8, "semiprime_indicator")
     tb, k1b, k2b = _triple_bits(x)
     return k1b + k2b - tb
 
 
 def classify(x: int) -> Classification:
     """Categorize x >= 2 as prime, semiprime, or >= 3 prime factors."""
-    x = as_natural(x, "x")
-    if x > MAX_CLASSIFY_INPUT:
-        raise RangeLimitError(f"classify accepts inputs up to {MAX_CLASSIFY_INPUT}, got {x}")
-    if x < 2:
-        raise DomainError(f"classify requires x >= 2, got {x}")
+    x = _classification_arg(x, 2, "classify")
     if x < 8:
         return Classification(_SMALL_CATEGORY[x], None)
     trip = _triple_bits(x)
@@ -245,36 +225,17 @@ def count_range(lo: int, hi: int) -> int:
     return _count_range(lo, hi)
 
 
-def _partitions(lo, hi, pieces):
-    # yielded one at a time, so a huge partition count costs time, not memory
-    size = hi - lo + 1
-    pieces = min(pieces, size)
-    step, extra = divmod(size, pieces)
-    start = lo
-    for i in range(pieces):
-        end = start + step - 1 + (1 if i < extra else 0)
-        yield start, end
-        start = end + 1
-
-
-def semiprime_count(n: int, threads: int = 1) -> int:
+def semiprime_count(n: int) -> int:
     """Number of semiprimes <= n, for n >= 1.
 
     For n >= 8 this is 2 + count_range(8, n) (the constant 2 covers the
-    semiprimes 4 and 6); below 8 a lookup applies.  ``threads`` is the
-    number of consecutive partitions of [8, n]: they are counted one after
-    another and added in partition order, so the result is identical for
-    every partition count.  (The block sums hold the interpreter lock, so
-    running partitions on threads would only add start-up cost.)
+    semiprimes 4 and 6); below 8 a lookup applies.
     """
     n = as_natural(n, "n")
-    threads = as_natural(threads, "threads")
     if n < 1:
         raise DomainError("semiprime_count requires n >= 1")
     if n > MAX_COUNT_INPUT:
         raise RangeLimitError(f"semiprime_count accepts inputs up to {MAX_COUNT_INPUT}, got {n}")
-    if threads < 1:
-        raise DomainError("threads must be >= 1")
     if n < 8:
         return _SMALL_PI2[n]
-    return 2 + sum(_count_range(a, b) for a, b in _partitions(8, n, threads))
+    return 2 + _count_range(8, n)

@@ -110,5 +110,10 @@ def wheel_limit(x: int) -> int:
     x = as_natural(x, "wheel_limit argument")
     if x < 1:
         raise DomainError("wheel_limit requires x >= 1")
+    return _wheel_limit(x)
+
+
+def _wheel_limit(x):
+    # wheel_limit without the argument check (x >= 1)
     root_up = math.isqrt(x - 1) + 1
     return -(-root_up // 6)

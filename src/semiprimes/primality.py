@@ -32,6 +32,7 @@ from .intmath import (
     MAX_COUNT_INPUT,
     DomainError,
     RangeLimitError,
+    _wheel_limit,
     as_natural,
     icbrt,
     wheel_limit,
@@ -226,7 +227,7 @@ def _t(x):
         return _t_blocks(x)
     if x % 2 == 0 or x % 3 == 0:
         return 0
-    for d in range(5, 6 * wheel_limit(x) + 1, 6):
+    for d in range(5, 6 * _wheel_limit(x) + 1, 6):
         if x % d == 0 or x % (d + 2) == 0:
             return 0
     return 1
@@ -269,19 +270,17 @@ def prime_count_formula(x: int) -> int:
     return total
 
 
-def build_prime_table(limit: int, mode: str = "formula") -> PrimeTable:
-    """All primes <= limit, either by the t indicator or by the oracle sieve.
+def build_prime_table(limit: int) -> PrimeTable:
+    """All primes <= limit (2 <= limit <= WHEEL_TOP), found by the t indicator.
 
-    Both modes must return identical tables; 'sieve' is much faster for large
-    limits, 'formula' needs no mutable state at all.
+    Every integer 2 .. limit is tested with t's wheel scan, so the table is
+    generated from the paper's indicator alone and touches no mutable state.
+    WHEEL_TOP (10^6) is the largest prime any indicator ever needs; for a
+    fast sieve of any size use oracle.sieve.
     """
     limit = as_natural(limit, "limit")
     if limit < 2:
         raise DomainError(f"build_prime_table requires limit >= 2, got {limit}")
-    if mode == "formula":
-        return PrimeTable(limit, tuple(x for x in range(2, limit + 1) if t(x)))
-    if mode == "sieve":
-        from . import oracle
-
-        return oracle.sieve(limit)
-    raise ValueError(f"unknown mode {mode!r}; expected 'formula' or 'sieve'")
+    if limit > WHEEL_TOP:
+        raise RangeLimitError(f"build_prime_table accepts limits up to {WHEEL_TOP}, got {limit}")
+    return PrimeTable(limit, tuple(x for x in range(2, limit + 1) if _t(x)))

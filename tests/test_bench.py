@@ -60,17 +60,14 @@ def test_long_run_rows_are_gated(monkeypatch):
 
     def fake_count(n):
         requested.append(n)
-        return bench.GOLDEN_SEMIPRIME_COUNTS.get(n) or bench.LONG_RUN_SEMIPRIME_COUNTS[n]
+        return bench.GOLDEN_SEMIPRIME_COUNTS[n]
 
     monkeypatch.setattr(bench, "semiprime_count", fake_count)
-    reproduce_table(2, max_input=10**8)
-    assert max(requested) == 10**6  # long rows absent without the flag
-    requested.clear()
-    reproduce_table(2, max_input=10**8, long_run=True)
-    assert requested[-2:] == [10**7, 10**8]
-    requested.clear()
-    reproduce_table(2, max_input=10**4, long_run=True)
-    assert max(requested) == 10**4  # max_input still caps long rows
+    # max_input alone decides: the default skips the 10^7 and 10^8 rows
+    for kwargs, top in (({}, 6), ({"max_input": 10**8 - 1}, 7), ({"max_input": 10**8}, 8)):
+        requested.clear()
+        assert all(r.match for r in reproduce_table(2, **kwargs))
+        assert requested == [10**k for k in range(1, top + 1)], kwargs
 
 
 def test_timing_sweep_monotone_elapsed():

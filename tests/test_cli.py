@@ -74,10 +74,13 @@ def test_count_csv(capsys):
     assert row.startswith("100,34,formula,")
 
 
-def test_threads_flag_is_value_neutral(capsys):
-    baseline = run_cli(capsys, "count", "10000")[1]
-    for threads in ("2", "4", "8"):
-        assert run_cli(capsys, "count", "10000", "--threads", threads)[1] == baseline
+def test_removed_flags_are_usage_errors(capsys):
+    for argv in (["count", "10", "--threads", "2"], ["table", "2", "--long-run"]):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        _, err = capsys.readouterr()
+        assert len(err.strip().splitlines()) == 1, argv
 
 
 def test_table_command(capsys):

@@ -156,9 +156,6 @@ def test_count_domain_and_range():
         semiprime_count(0)
     with pytest.raises(RangeLimitError):
         semiprime_count(10**9 + 1)
-    for n in (100, 5):  # 5: threads is checked before the below-8 lookup
-        with pytest.raises(DomainError):
-            semiprime_count(n, threads=0)
 
 
 def test_count_range_examples():
@@ -184,12 +181,6 @@ def test_count_steps_match_classification():
         assert (step == 1) == (classify(x).category is Category.SEMIPRIME), x
         acc += step
     assert acc == semiprime_count(3000)
-
-
-def test_threads_do_not_change_counts():
-    expected = semiprime_count(10**4)
-    for threads in (2, 3, 4, 8, 64):
-        assert semiprime_count(10**4, threads=threads) == expected
 
 
 @given(st.lists(st.integers(min_value=9, max_value=5000), max_size=6))

@@ -112,4 +112,4 @@ def test_count_by_sieve_small_and_bounds():
 
 
 def test_sieve_matches_formula_table():
-    assert sieve(10**4).primes == build_prime_table(10**4, "formula").primes
+    assert sieve(10**4).primes == build_prime_table(10**4).primes

@@ -177,11 +177,21 @@ def test_build_prime_table_is_iterable():
 
 
 def test_build_prime_table_modes_agree_to_1e5():
-    assert build_prime_table(10**5, "formula").primes == build_prime_table(10**5, "sieve").primes
+    assert build_prime_table(10**5).primes == oracle.sieve(10**5).primes
 
 
 def test_build_prime_table_bad_args():
     with pytest.raises(DomainError):
         build_prime_table(1)
-    with pytest.raises(ValueError):
-        build_prime_table(10, "guesswork")
+
+
+def test_build_prime_table_stops_at_wheel_top():
+    # the largest prime any indicator needs; past it the t route would take
+    # time and memory without bound, so the limit is refused up front
+    top = primality.WHEEL_TOP
+    table = build_prime_table(top)
+    assert len(table) == 78498
+    assert table.primes == oracle.sieve(top).primes
+    for limit in (top + 1, 10**13):
+        with pytest.raises(RangeLimitError):
+            build_prime_table(limit)
