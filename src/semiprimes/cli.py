@@ -53,31 +53,23 @@ def _emit_scalar(args, value, method, elapsed):
         print(f"{n},{value},{method},{elapsed!r}")
 
 
-def _count_via(method, n):
-    if method == "formula":
-        return semiprime_count(n)
-    if method == "classical":
-        return oracle.classical_count(n)
-    return oracle.semiprime_count_by_sieve(n)
-
-
-def _count_check(method, n):
-    # one independent route: the classical prime-table count when available,
-    # the factoring sieve otherwise (and for the classical method itself)
-    if method != "classical" and n >= 4:
+def _count_check(n):
+    # one independent route: the classical prime-table count from 4 up, the
+    # factoring sieve below
+    if n >= 4:
         return "classical", oracle.classical_count(n)
     return "sieve", oracle.semiprime_count_by_sieve(n)
 
 
 def _cmd_count(args):
     begin = time.perf_counter()
-    value = _count_via(args.method, args.number)
+    value = semiprime_count(args.number)
     elapsed = time.perf_counter() - begin
     if args.verify:
-        name, check = _count_check(args.method, args.number)
+        name, check = _count_check(args.number)
         if check != value:
-            return _mismatch(f"count({args.number}): {args.method}={value} but {name}={check}")
-    _emit_scalar(args, value, args.method, elapsed)
+            return _mismatch(f"count({args.number}): formula={value} but {name}={check}")
+    _emit_scalar(args, value, "formula", elapsed)
     return OK
 
 
@@ -123,25 +115,25 @@ def _cmd_classify(args):
 
 def _cmd_nth(args):
     begin = time.perf_counter()
-    value = nth_semiprime(args.number, mode=args.mode)
+    value = nth_semiprime(args.number)
     elapsed = time.perf_counter() - begin
     if args.verify:
         check = oracle.nth_semiprime_oracle(args.number)
         if check != value:
             return _mismatch(f"nth({args.number})={value} but oracle scan gives {check}")
-    _emit_scalar(args, value, args.mode, elapsed)
+    _emit_scalar(args, value, "scan", elapsed)
     return OK
 
 
 def _cmd_next(args):
     begin = time.perf_counter()
-    value = next_semiprime(args.number, mode=args.mode)
+    value = next_semiprime(args.number)
     elapsed = time.perf_counter() - begin
     if args.verify:
         check = oracle.next_semiprime_oracle(args.number)
         if check != value:
             return _mismatch(f"next({args.number})={value} but oracle scan gives {check}")
-    _emit_scalar(args, value, args.mode, elapsed)
+    _emit_scalar(args, value, "scan", elapsed)
     return OK
 
 
@@ -204,12 +196,6 @@ def _build_parser():
 
     p = sub.add_parser("count", help="number of semiprimes <= N")
     p.add_argument("number", metavar="N", type=_natural_arg, help="upper bound >= 1")
-    p.add_argument(
-        "--method",
-        choices=("formula", "classical", "sieve"),
-        default="formula",
-        help="counting route (default: formula)",
-    )
     _add_verify(p, "an independent counting route")
     _add_format(p)
     p.set_defaults(handler=_cmd_count)
@@ -217,7 +203,7 @@ def _build_parser():
     p = sub.add_parser(
         "nth",
         help="the nth semiprime in ascending order",
-        description="The nth semiprime in ascending order.  Scan mode counts "
+        description="The nth semiprime in ascending order.  It counts "
         "whole blocks of integers until one reaches n, halves that block down "
         "to a few dozen integers, and settles those one at a time.",
     )
@@ -227,14 +213,12 @@ def _build_parser():
         type=_natural_arg,
         help=f"ordinal index, 1 .. {MAX_NTH_INPUT} (the semiprimes up to {MAX_COUNT_INPUT})",
     )
-    p.add_argument("--mode", choices=("scan", "literal"), default="scan", help="evaluation mode")
     _add_verify(p, "a trial-division scan")
     _add_format(p)
     p.set_defaults(handler=_cmd_nth)
 
     p = sub.add_parser("next", help="smallest semiprime strictly greater than N")
     p.add_argument("number", metavar="N", type=_natural_arg, help="starting point")
-    p.add_argument("--mode", choices=("scan", "literal"), default="scan", help="evaluation mode")
     _add_verify(p, "a trial-division scan")
     _add_format(p)
     p.set_defaults(handler=_cmd_next)
@@ -246,7 +230,7 @@ def _build_parser():
     p.set_defaults(handler=_cmd_stream)
 
     p = sub.add_parser("table", help="recompute a golden result table")
-    p.add_argument("table_id", metavar="id", type=int, choices=(1, 2, 3, 4), help="table number")
+    p.add_argument("table_id", metavar="id", type=_natural_arg, choices=(1, 2, 3, 4), help="table number")
     p.add_argument(
         "--max-input",
         type=_natural_arg,
@@ -265,7 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:  # DomainError, RangeLimitError, bad mode/table
+    except ValueError as exc:  # DomainError, RangeLimitError, bad table
         _fail(str(exc))
         return USAGE
 

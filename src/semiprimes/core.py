@@ -67,17 +67,10 @@ _TRIPLE_CATEGORY = {
     IndicatorTriple(0, 0, 0): Category.COMPOSITE_MANY_FACTORS,
 }
 
-_SMALL_CATEGORY = {
-    2: Category.PRIME,
-    3: Category.PRIME,
-    4: Category.SEMIPRIME,
-    5: Category.PRIME,
-    6: Category.SEMIPRIME,
-    7: Category.PRIME,
-}
-
-# Semiprime counts for arguments below 8 (index by N): semiprimes 4 and 6.
-_SMALL_PI2 = (0, 0, 0, 0, 1, 1, 2, 2)
+# The semiprimes below 8, where the indicator formulas do not apply; every
+# other integer in 2..7 is prime.  Classification, counting, the nth lookup
+# and the successor walk below 8 all read this one tuple.
+_SMALL_SEMIPRIMES = (4, 6)
 
 
 def k1(x: int) -> int:
@@ -138,7 +131,8 @@ def classify(x: int) -> Classification:
     """Categorize x >= 2 as prime, semiprime, or >= 3 prime factors."""
     x = _classification_arg(x, 2, "classify")
     if x < 8:
-        return Classification(_SMALL_CATEGORY[x], None)
+        small = Category.SEMIPRIME if x in _SMALL_SEMIPRIMES else Category.PRIME
+        return Classification(small, None)
     trip = _triple_bits(x)
     return Classification(_TRIPLE_CATEGORY[trip], trip)
 
@@ -229,7 +223,7 @@ def semiprime_count(n: int) -> int:
     """Number of semiprimes <= n, for n >= 1.
 
     For n >= 8 this is 2 + count_range(8, n) (the constant 2 covers the
-    semiprimes 4 and 6); below 8 a lookup applies.
+    semiprimes 4 and 6); below 8 the count is read off those two.
     """
     n = as_natural(n, "n")
     if n < 1:
@@ -237,5 +231,5 @@ def semiprime_count(n: int) -> int:
     if n > MAX_COUNT_INPUT:
         raise RangeLimitError(f"semiprime_count accepts inputs up to {MAX_COUNT_INPUT}, got {n}")
     if n < 8:
-        return _SMALL_PI2[n]
-    return 2 + _count_range(8, n)
+        return bisect_right(_SMALL_SEMIPRIMES, n)
+    return len(_SMALL_SEMIPRIMES) + _count_range(8, n)

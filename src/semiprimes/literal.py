@@ -1,18 +1,34 @@
-"""Floor/ceiling transcriptions of the indicator definitions, over exact rationals.
+"""Direct transcriptions of the paper's formulas: the indicators and the sums.
 
-Production code never calls these.  They evaluate the defining expressions
-with none of the shortcuts the fast paths take: per-argument prime tables, no
-early exits, and aggregate floor-of-mean / ceiling-of-mean forms instead of
-all/any tests.  Quotients are fractions.Fraction values, so the floors and
-ceilings are exact by construction rather than by integer identity, which
-makes these useful as an independent reference route in the tests.
+Production code never calls these.  The indicator transcriptions evaluate
+the defining expressions with none of the shortcuts the fast paths take:
+per-argument prime tables, no early exits, and aggregate floor-of-mean /
+ceiling-of-mean forms instead of all/any tests.  Quotients are
+fractions.Fraction values, so the floors and ceilings are exact by
+construction rather than by integer identity, which makes these useful as an
+independent reference route in the tests.
+
+The ordinal and successor sums are evaluated term by term over the
+production indicators: nth_semiprime_literal re-evaluates the count for
+every term of its gated sum, so it is quadratic in its window, and
+next_semiprime_literal multiplies out the telescoping products.
 """
 
 import math
 from fractions import Fraction
 
-from .intmath import DomainError, as_natural, ceil_div, icbrt, wheel_limit
+from .core import _SMALL_SEMIPRIMES, k1, k2, semiprime_indicator
+from .intmath import (
+    MAX_COUNT_INPUT,
+    DomainError,
+    RangeLimitError,
+    as_natural,
+    ceil_div,
+    icbrt,
+    wheel_limit,
+)
 from .primality import t
+from .sequences import gate
 
 
 def _require(x, low, name):
@@ -85,3 +101,65 @@ def k2_literal(x: int) -> int:
 def semiprime_indicator_literal(x: int) -> int:
     """k1 + k2 - t with every constituent evaluated in literal form."""
     return k1_literal(x) + k2_literal(x) - t_literal(x)
+
+
+def _literal_window(n):
+    # Empirical ordinal bound: sp_n <= 4*n*ln(n) for n >= 3, and
+    # n.bit_length() > log2(n) > ln(n), so this integer bound is wider.
+    return 4 * n * n.bit_length()
+
+
+def nth_semiprime_literal(n: int) -> int:
+    """8 + sum over x in [8, 4*n*n.bit_length()] of gate(n, pi2(x)) (n >= 1).
+
+    n = 1 and n = 2 are answered by lookup.  pi2(x) is recomputed from
+    scratch for every term, so the cost is quadratic in the window; a window
+    past MAX_COUNT_INPUT raises RangeLimitError before any term is evaluated,
+    which covers every n above MAX_NTH_INPUT.
+    """
+    n = as_natural(n, "n")
+    if n < 1:
+        raise DomainError("semiprime indices start at 1")
+    if n <= len(_SMALL_SEMIPRIMES):
+        return _SMALL_SEMIPRIMES[n - 1]
+    bound = _literal_window(n)
+    if bound > MAX_COUNT_INPUT:
+        raise RangeLimitError(
+            f"nth_semiprime literal window {bound} exceeds the supported "
+            f"range {MAX_COUNT_INPUT}"
+        )
+    ind = [semiprime_indicator(m) for m in range(8, bound + 1)]
+    total = 8
+    pi2 = len(_SMALL_SEMIPRIMES)
+    for i in range(1, len(ind) + 1):
+        # the counting function, re-evaluated from scratch for every term
+        pi2 = len(_SMALL_SEMIPRIMES) + sum(ind[:i])
+        total += gate(n, pi2)
+    if pi2 < n:
+        raise RuntimeError(
+            f"window 4*n*bit_length(n) = {bound} holds only {pi2} semiprimes, fewer than n={n}"
+        )
+    return total
+
+
+def next_semiprime_literal(n: int) -> int:
+    """n + 1 + sum over i of the product of (1 + t - k1 - k2) across (n, n+i] (n >= 9).
+
+    Every product is 1 until the window first covers a semiprime and 0 from
+    then on, so the products are accumulated incrementally and the loop
+    stops at the first zero factor, which changes nothing in the total.
+    """
+    n = as_natural(n, "n")
+    if n < 9:
+        raise DomainError(f"next_semiprime literal form requires n >= 9, got {n}")
+    total = 0
+    prod = 1
+    for i in range(1, n + 1):
+        x = n + i
+        prod *= 1 + t(x) - k1(x) - k2(x)
+        if prod == 0:
+            return n + 1 + total
+        total += prod
+    # The sum's window implicitly assumes a semiprime within (n, 2n]; at any
+    # practical scale the nearest semiprime is a handful of steps away.
+    raise RuntimeError(f"no semiprime found in ({n}, {2 * n}]; window exhausted")

@@ -1,9 +1,9 @@
 """Ordinal lookup (nth semiprime), successor search, and streaming.
 
 The nth semiprime is 8 + sum over x >= 8 of gate(n, pi2(x)): the gate is 1
-exactly while pi2(x) < n, so sp_n is the smallest x with pi2(x) >= n.  Scan
-mode, the production path, finds that x on core's block counter in three
-steps, carrying the running count pi2(a - 1) from one to the next:
+exactly while pi2(x) < n, so sp_n is the smallest x with pi2(x) >= n.
+nth_semiprime finds that x on core's block counter in three steps, carrying
+the running count pi2(a - 1) from one to the next:
 
 - walk: from 8, count blocks [a, b] until one would bring the running
   count to n; the first block is min(2n, SEGMENT) integers wide and each
@@ -18,14 +18,14 @@ so every answer lies in the counting range; n is checked once, before the
 walk.  Successors and streams walk upward one integer at a time with the
 same triple, since semiprime gaps are a handful of integers.
 
-'literal' mode evaluates the closed-form summations directly (a gated sum for
-the nth query, a telescoping sum of products for the successor) and exists as
-a slow reference equivalent.
+The closed-form summations themselves (the gated sum for the nth query, the
+telescoping sum of products for the successor) are transcribed in literal,
+as slow references for the tests.
 """
 
 from itertools import islice
 
-from .core import _count_range, _triple_bits, k1, k2, semiprime_indicator
+from .core import _SMALL_SEMIPRIMES, _count_range, _triple_bits
 from .intmath import (
     MAX_CLASSIFY_INPUT,
     MAX_COUNT_INPUT,
@@ -34,9 +34,7 @@ from .intmath import (
     RangeLimitError,
     as_natural,
 )
-from .primality import SEGMENT, t
-
-_MODES = ("scan", "literal")
+from .primality import SEGMENT
 
 #: The halving stops once its interval holds at most this many integers,
 #: which the exact scan then settles.
@@ -57,45 +55,39 @@ def gate(n: int, x: int) -> int:
     return (2 * n) // (n + x + 1)
 
 
-def nth_semiprime(n: int, mode: str = "scan") -> int:
+def nth_semiprime(n: int) -> int:
     """The nth semiprime in ascending order (sp_1 = 4, sp_2 = 6, ...).
 
     n = 1 and n = 2 are answered by lookup; the formulas start at n = 3.
     Every n up to MAX_NTH_INPUT (160 788 536) is accepted, since its answer
     is at most MAX_COUNT_INPUT; a larger n raises RangeLimitError at once.
-    Scan mode walks blocks of up to SEGMENT integers with the block
+    The search walks blocks of up to SEGMENT integers with the block
     counter, halves the block that reaches n down to SCAN_WIDTH integers,
     and scans those (see the module docstring); its cost grows with the
-    answer, like semiprime_count's.  Literal mode evaluates 8 + sum over x of
-    gate(n, count(x)) across the window [8, 4*n*n.bit_length()],
-    recomputing the count from scratch for every term; it is quadratic in
-    the window size and intended for cross-checks only.
+    answer, like semiprime_count's.  literal.nth_semiprime_literal
+    evaluates the gated sum itself, as a slow reference.
     """
     n = as_natural(n, "n")
     if n < 1:
         raise DomainError("semiprime indices start at 1")
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected 'scan' or 'literal'")
     if n > MAX_NTH_INPUT:
         raise RangeLimitError(
             f"nth_semiprime accepts indices up to {MAX_NTH_INPUT} "
             f"(answers up to {MAX_COUNT_INPUT}), got {n}"
         )
-    if n <= 2:
-        return (4, 6)[n - 1]
-    if mode == "literal":
-        return _nth_literal(n)
+    if n <= len(_SMALL_SEMIPRIMES):
+        return _SMALL_SEMIPRIMES[n - 1]
     return _nth_scan(n)
 
 
 def _nth_scan(n):
-    # running is pi2(a - 1) throughout: 2 below 8 (the semiprimes 4 and 6).
+    # running is pi2(a - 1) throughout, starting from the semiprimes below 8.
     # sp_n >= 2.5*n (the ratio is least at n = 4 and 6 and grows with n), so
     # a block from 8 narrower than 2n holds the answer only for n < 14 and is
     # overhead for the rest.  The first block is 2n wide (at most SEGMENT)
     # and each later one doubles up to SEGMENT; any width keeps the walk
     # exact.
-    running, a, width = 2, 8, min(SEGMENT, 2 * n)
+    running, a, width = len(_SMALL_SEMIPRIMES), 8, min(SEGMENT, 2 * n)
     while True:
         b = min(a + width - 1, MAX_COUNT_INPUT)
         block = _count_range(a, b)
@@ -120,38 +112,10 @@ def _nth_scan(n):
     return x
 
 
-def _literal_window(n):
-    # Empirical ordinal bound: sp_n <= 4*n*ln(n) for n >= 3, and
-    # n.bit_length() > log2(n) > ln(n), so this integer bound is wider.
-    return 4 * n * n.bit_length()
-
-
-def _nth_literal(n):
-    bound = _literal_window(n)
-    if bound > MAX_COUNT_INPUT:
-        raise RangeLimitError(
-            f"nth_semiprime literal window {bound} exceeds the supported "
-            f"range {MAX_COUNT_INPUT}"
-        )
-    ind = [semiprime_indicator(m) for m in range(8, bound + 1)]
-    total = 8
-    pi2 = 2
-    for i in range(1, len(ind) + 1):
-        pi2 = 2 + sum(ind[:i])  # counting function re-evaluated per term
-        total += (2 * n) // (n + 1 + pi2)
-    if pi2 < n:
-        raise RuntimeError(
-            f"window 4*n*bit_length(n) = {bound} holds only {pi2} semiprimes, fewer than n={n}"
-        )
-    return total
-
-
 def _semiprimes_after(n):
     # Every semiprime > n (n >= 4), ascending, up to the classification
     # limit; the triple is unchecked, so the range bounds the walk.
-    for x in range(n + 1, 8):
-        if x in (4, 6):
-            yield x
+    yield from (x for x in _SMALL_SEMIPRIMES if x > n)
     for x in range(max(n + 1, 8), MAX_CLASSIFY_INPUT + 1):
         tb, k1b, k2b = _triple_bits(x)
         if k1b + k2b - tb:
@@ -161,40 +125,17 @@ def _semiprimes_after(n):
     )
 
 
-def next_semiprime(n: int, mode: str = "scan") -> int:
-    """Smallest semiprime strictly greater than n.
+def next_semiprime(n: int) -> int:
+    """Smallest semiprime strictly greater than n (n >= 4).
 
-    Scan mode (n >= 4) walks upward with the indicator triple, with the
-    below-8 stretch answered by lookup.  Literal mode (n >= 9) evaluates
-    n + 1 + sum over i of the product of (1 + t - k1 - k2) across (n, n+i]:
-    every product is 1 until the window first covers a semiprime and 0 from
-    then on, so the products are accumulated incrementally and the loop stops
-    at the first zero factor, which changes nothing in the total.
+    Walks upward with the indicator triple, with the below-8 stretch
+    answered by lookup.  literal.next_semiprime_literal evaluates the
+    telescoping sum of products itself, as a slow reference.
     """
     n = as_natural(n, "n")
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected 'scan' or 'literal'")
-    if mode == "literal":
-        return _next_literal(n)
     if n < 4:
-        raise DomainError(f"next_semiprime scan mode requires n >= 4, got {n}")
+        raise DomainError(f"next_semiprime requires n >= 4, got {n}")
     return next(_semiprimes_after(n))
-
-
-def _next_literal(n):
-    if n < 9:
-        raise DomainError(f"next_semiprime literal mode requires n >= 9, got {n}")
-    total = 0
-    prod = 1
-    for i in range(1, n + 1):
-        x = n + i
-        prod *= 1 + t(x) - k1(x) - k2(x)
-        if prod == 0:
-            return n + 1 + total
-        total += prod
-    # The sum's window implicitly assumes a semiprime within (n, 2n]; at any
-    # practical scale the nearest semiprime is a handful of steps away.
-    raise RuntimeError(f"no semiprime found in ({n}, {2 * n}]; window exhausted")
 
 
 def semiprime_stream(start: int, count: int) -> list:

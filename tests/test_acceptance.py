@@ -179,11 +179,11 @@ def test_c09_literal_evaluations_match_production():
         if literal.semiprime_indicator_literal(x) != sp.semiprime_indicator(x):
             mismatches += 1
     for n in range(9, 2001):
-        if sp.next_semiprime(n, mode="literal") != sp.next_semiprime(n):
+        if literal.next_semiprime_literal(n) != sp.next_semiprime(n):
             mismatches += 1
     # the quadratic nested sum: dense coverage to 120, then a grid to 300
     for n in [*range(3, 121), 150, 200, 250, 300]:
-        if sp.nth_semiprime(n, mode="literal") != sp.nth_semiprime(n):
+        if literal.nth_semiprime_literal(n) != sp.nth_semiprime(n):
             mismatches += 1
     _report(
         "criterion 9: literal indicator / nth / next equal the production paths",

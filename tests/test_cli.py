@@ -27,7 +27,6 @@ def test_classify_plain(capsys):
 def test_nth_next_plain(capsys):
     assert run_cli(capsys, "nth", "5") == (0, "14\n", "")
     assert run_cli(capsys, "next", "10000") == (0, "10001\n", "")
-    assert run_cli(capsys, "next", "100", "--mode", "literal") == (0, "106\n", "")
 
 
 def test_stream_plain(capsys):
@@ -35,12 +34,9 @@ def test_stream_plain(capsys):
 
 
 def test_count_methods_agree(capsys):
+    # the formula's count against the independent --verify route
     for n in ("50", "100", "777", "5000"):
-        outputs = {
-            run_cli(capsys, "count", n, "--method", method)[1]
-            for method in ("formula", "classical", "sieve")
-        }
-        assert len(outputs) == 1, n
+        assert run_cli(capsys, "count", n, "--verify")[0] == 0, n
 
 
 def test_count_json(capsys):
@@ -75,7 +71,9 @@ def test_count_csv(capsys):
 
 
 def test_removed_flags_are_usage_errors(capsys):
-    for argv in (["count", "10", "--threads", "2"], ["table", "2", "--long-run"]):
+    for argv in (["count", "10", "--threads", "2"], ["table", "2", "--long-run"],
+                 ["nth", "5", "--mode", "scan"], ["next", "100", "--mode", "literal"],
+                 ["count", "10", "--method", "classical"]):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
@@ -104,7 +102,7 @@ def test_table_json(capsys):
 
 def test_usage_errors_exit_2(capsys):
     for argv in (["count", "abc"], ["count", "-5"], ["count"], ["frobnicate", "3"],
-                 ["table", "9"], ["count", "10", "--method", "magic"], []):
+                 ["table", "9"], []):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
@@ -121,6 +119,12 @@ def test_non_ascii_digits_exit_2(capsys):
         assert excinfo.value.code == 2, text
         _, err = capsys.readouterr()
         assert len(err.strip().splitlines()) == 1, text
+    for text in ("\u0663", " +4"):  # int() would read these as tables 3 and 4
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["table", text])
+        assert excinfo.value.code == 2, text
+        _, err = capsys.readouterr()
+        assert len(err.strip().splitlines()) == 1, text
     result = subprocess.run(
         [sys.executable, "-m", "semiprimes", "count", "\u0663"],
         capture_output=True,
@@ -133,8 +137,7 @@ def test_non_ascii_digits_exit_2(capsys):
 
 def test_domain_errors_exit_2(capsys):
     for argv in (["count", "0"], ["classify", "1"], ["nth", "0"], ["next", "3"],
-                 ["stream", "3", "1"], ["count", "10000000000"],
-                 ["next", "8", "--mode", "literal"]):
+                 ["stream", "3", "1"], ["count", "10000000000"]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""

@@ -11,6 +11,7 @@ from semiprimes import (
     RangeLimitError,
     count_range,
     gate,
+    literal,
     next_semiprime,
     nth_semiprime,
     semiprime_count,
@@ -47,9 +48,9 @@ def test_nth_examples():
 
 
 def test_nth_lookup_cases():
-    for mode in ("scan", "literal"):
-        assert nth_semiprime(1, mode=mode) == 4
-        assert nth_semiprime(2, mode=mode) == 6
+    for nth in (nth_semiprime, literal.nth_semiprime_literal):
+        assert nth(1) == 4
+        assert nth(2) == 6
 
 
 def test_nth_domain_and_range():
@@ -57,8 +58,6 @@ def test_nth_domain_and_range():
         nth_semiprime(0)
     with pytest.raises(RangeLimitError):
         nth_semiprime(160_788_537)  # pi2(10^9) + 1: its answer passes the counting range
-    with pytest.raises(ValueError):
-        nth_semiprime(5, mode="guess")
 
 
 def test_nth_against_oracle_list(semis_10k):
@@ -68,7 +67,7 @@ def test_nth_against_oracle_list(semis_10k):
 
 def test_nth_modes_agree_small():
     for n in list(range(3, 51)) + [75, 100]:
-        assert nth_semiprime(n, mode="literal") == nth_semiprime(n), n
+        assert literal.nth_semiprime_literal(n) == nth_semiprime(n), n
 
 
 def test_nth_window_is_not_short_in_practice():
@@ -79,9 +78,9 @@ def test_nth_window_is_not_short_in_practice():
 
 
 def test_nth_ordinal_bound_to_1e4(semis_10k):
-    # sp_n stays inside literal mode's window across the whole table
+    # sp_n stays inside the literal sum's window across the whole table
     for n in range(3, len(semis_10k) + 1):
-        assert semis_10k[n - 1] <= sequences._literal_window(n), n
+        assert semis_10k[n - 1] <= literal._literal_window(n), n
 
 
 def _round_trip(flags, x):
@@ -106,11 +105,12 @@ def test_nth_range_limit_is_checked_before_the_walk(monkeypatch):
         raise AssertionError(f"counted [{lo}, {hi}]")
 
     monkeypatch.setattr(sequences, "_count_range", no_walk)
-    for mode in ("scan", "literal"):
+    monkeypatch.setattr(literal, "semiprime_indicator", no_walk)
+    for nth in (nth_semiprime, literal.nth_semiprime_literal):
         with pytest.raises(RangeLimitError):
-            nth_semiprime(MAX_NTH_INPUT + 1, mode=mode)
+            nth(MAX_NTH_INPUT + 1)
     with pytest.raises(RangeLimitError):
-        nth_semiprime(MAX_NTH_INPUT, mode="literal")  # its window passes 10^9
+        literal.nth_semiprime_literal(MAX_NTH_INPUT)  # its window passes 10^9
 
 
 def test_nth_past_the_old_float_window():
@@ -198,14 +198,12 @@ def test_next_domain():
     with pytest.raises(DomainError):
         next_semiprime(3)
     with pytest.raises(DomainError):
-        next_semiprime(8, mode="literal")  # literal form starts at 9
-    with pytest.raises(ValueError):
-        next_semiprime(100, mode="guess")
+        literal.next_semiprime_literal(8)  # literal form starts at 9
 
 
 def test_next_modes_agree():
     for n in range(9, 801):
-        assert next_semiprime(n, mode="literal") == next_semiprime(n), n
+        assert literal.next_semiprime_literal(n) == next_semiprime(n), n
 
 
 def test_next_oracle_sweep_to_1e4(semi_flags_10k):
