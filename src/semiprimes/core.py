@@ -11,6 +11,11 @@ prime factor not exceeding its cube root.  So for x >= 8,
 and combining them with the primality indicator t gives
 k1(x) + k2(x) - t(x) = 1 exactly for semiprimes.
 
+Per number, one scan finds the least prime p <= icbrt(x) dividing x.  With
+none, k1 = 1 and k2 = 0.  With one, k1 = t = 0 and k2 = t(x/p): since
+x/p >= x^(2/3) >= 4, x is a semiprime exactly when x/p is prime, and a
+composite x/p means three or more prime factors.
+
 Counting sums that identity over a range, and since the sum is linear each
 of its three parts is summed over whole blocks with bytearray slice marking
 (see count_range) rather than one indicator call per integer.  Both the
@@ -73,46 +78,44 @@ _TRIPLE_CATEGORY = {
 _SMALL_SEMIPRIMES = (4, 6)
 
 
+def _least_small_factor(x):
+    # the least prime p <= icbrt(x) dividing x, or 0 if there is none (the
+    # table is nonempty for every x >= 8 since icbrt(8) = 2)
+    for p in _primes(_icbrt(x)):
+        if x % p == 0:
+            return p
+    return 0
+
+
 def k1(x: int) -> int:
     """1 if no prime p <= icbrt(x) divides x, else 0 (x >= 8).
 
-    Floor of the mean of the per-prime nondivisibility indicators, i.e. the
-    all-ones test; the scan stops at the first dividing prime.  The prime
-    table is nonempty for every x >= 8 since icbrt(8) = 2.
+    The scan stops at the least small factor; literal.k1_literal keeps the
+    paper's floor of the mean of the per-prime nondivisibility indicators.
     """
     x = _classification_arg(x, 8, "k1")
-    for p in _primes(_icbrt(x)):
-        if x % p == 0:
-            return 0
-    return 1
+    return 0 if _least_small_factor(x) else 1
 
 
 def k2(x: int) -> int:
     """1 if some prime p <= icbrt(x) divides x with x/p prime, else 0 (x >= 8).
 
-    Ceiling of the mean of the per-prime terms, i.e. the any-test.  Each term
-    multiplies a divisibility factor by t at the quotient, so t is only ever
-    consulted at exact integer quotients; non-divisors contribute 0 outright.
+    Only the least small factor p can pass (see the module docstring), so
+    the scan stops there and t is consulted once, at x/p; literal.k2_literal
+    keeps the paper's ceiling of the mean of the per-prime terms.
     """
     x = _classification_arg(x, 8, "k2")
-    for p in _primes(_icbrt(x)):
-        if x % p == 0 and _t(x // p) == 1:
-            return 1
-    return 0
+    p = _least_small_factor(x)
+    return _t(x // p) if p else 0
 
 
 def _triple_bits(x: int) -> IndicatorTriple:
-    # Fused evaluation of (t, k1, k2) sharing one divisor scan.  A prime
-    # divisor p <= icbrt(x) < x makes x composite, so finding one already
-    # settles t(x) = 0.
-    has_small_factor = False
-    for p in _primes(_icbrt(x)):
-        if x % p == 0:
-            has_small_factor = True
-            if _t(x // p) == 1:
-                return IndicatorTriple(0, 0, 1)
-    if has_small_factor:
-        return IndicatorTriple(0, 0, 0)
+    # (t, k1, k2) from one scan.  A small factor p <= icbrt(x) < x settles
+    # t(x) = k1(x) = 0 and leaves k2(x) = t(x/p); without one, k1(x) = 1,
+    # k2(x) = 0 and t is decided on x itself.
+    p = _least_small_factor(x)
+    if p:
+        return IndicatorTriple(0, 0, _t(x // p))
     return IndicatorTriple(_t(x), 1, 0)
 
 
@@ -175,7 +178,8 @@ def _k2_sum(lo: int, hi: int) -> int:
     # x = p*q with p prime, q prime and p <= icbrt(x), i.e. q >= p*p; the
     # semiprime fixes p, so the terms over p never overlap.
     total = 0
-    for p in _primes(_icbrt(hi)):
+    top = _icbrt(hi)  # p > top has p*p > hi // p, so no q
+    for p in _primes(top):
         a = max(p * p, -(-lo // p))
         b = hi // p
         if a <= b:

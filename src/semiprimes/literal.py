@@ -18,17 +18,13 @@ import math
 from fractions import Fraction
 
 from .core import _SMALL_SEMIPRIMES, k1, k2, semiprime_indicator
-from .intmath import (
-    MAX_COUNT_INPUT,
-    DomainError,
-    RangeLimitError,
-    as_natural,
-    ceil_div,
-    icbrt,
-    wheel_limit,
-)
+from .intmath import DomainError, RangeLimitError, as_natural, ceil_div, icbrt, wheel_limit
 from .primality import t
 from .sequences import gate
+
+#: The widest window nth_semiprime_literal evaluates.  Its time is quadratic
+#: in the window: 1 << 15 admits n <= 819 and takes about 9 s there.
+_MAX_LITERAL_WINDOW = 1 << 15
 
 
 def _require(x, low, name):
@@ -114,8 +110,8 @@ def nth_semiprime_literal(n: int) -> int:
 
     n = 1 and n = 2 are answered by lookup.  pi2(x) is recomputed from
     scratch for every term, so the cost is quadratic in the window; a window
-    past MAX_COUNT_INPUT raises RangeLimitError before any term is evaluated,
-    which covers every n above MAX_NTH_INPUT.
+    past _MAX_LITERAL_WINDOW (n > 819) raises RangeLimitError before any
+    term is evaluated.
     """
     n = as_natural(n, "n")
     if n < 1:
@@ -123,10 +119,9 @@ def nth_semiprime_literal(n: int) -> int:
     if n <= len(_SMALL_SEMIPRIMES):
         return _SMALL_SEMIPRIMES[n - 1]
     bound = _literal_window(n)
-    if bound > MAX_COUNT_INPUT:
+    if bound > _MAX_LITERAL_WINDOW:
         raise RangeLimitError(
-            f"nth_semiprime literal window {bound} exceeds the supported "
-            f"range {MAX_COUNT_INPUT}"
+            f"nth_semiprime literal window {bound} exceeds {_MAX_LITERAL_WINDOW}"
         )
     ind = [semiprime_indicator(m) for m in range(8, bound + 1)]
     total = 8

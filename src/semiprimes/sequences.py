@@ -147,5 +147,9 @@ def semiprime_stream(start: int, count: int) -> list:
     start = as_natural(start, "start")
     if start < 4:
         raise DomainError(f"semiprime_stream requires start >= 4, got {start}")
+    if start > MAX_CLASSIFY_INPUT:
+        raise RangeLimitError(
+            f"semiprime_stream accepts starts up to {MAX_CLASSIFY_INPUT}, got {start}"
+        )
     count = as_natural(count, "count")
     return list(islice(_semiprimes_after(start), count))

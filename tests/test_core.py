@@ -116,6 +116,53 @@ def test_fused_triple_matches_standalone_property(x):
     assert classify(x).triple == (t(x), k1(x), k2(x))
 
 
+def _oracle_triple(x):
+    # (t, k1, k2) read off a trial-division factorization, which shares no
+    # code with the indicators' prime table or divisor scan
+    profile = oracle.factor_profile(x)
+    small = profile.factors[0] <= icbrt(x)
+    return (int(profile.omega == 1), int(not small), int(profile.omega == 2 and small))
+
+
+_PRIMES_TO_1E4 = oracle.sieve(10**4).primes
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        999_999_999_906,  # 2 * 3 * 166666666651
+        999_999_999_892,  # 2^2 * 249999999973
+        999_470_696_429,  # 9967^2 * 10061, the least factor just below icbrt
+        999_977_991_602,  # 2 * 707099^2
+        1_067,  # 11 * 97, where icbrt(x) + 1 = 11 is a prime factor
+        991_921_850_317,  # 9973^3, where the least factor is icbrt(x)
+        999_999_999_997,  # 5507 * 181587071, the largest semiprime <= 10^12
+        999_962_000_357,  # 999979 * 999983
+        999_999_999_989,  # prime
+        10**12,
+    ],
+)
+def test_triple_matches_factorization(x):
+    assert classify(x).triple == _oracle_triple(x)
+
+
+@st.composite
+def _products_of_small_primes(draw):
+    """x <= 10^10: one to three primes <= 10^4 times a positive integer (a
+    third prime that would pass 10^10 is left out)."""
+    x = 1
+    for p in draw(st.lists(st.sampled_from(_PRIMES_TO_1E4), min_size=1, max_size=3)):
+        if x * p <= 10**10:
+            x *= p
+    return max(8, x * draw(st.integers(min_value=1, max_value=10**10 // x)))
+
+
+@given(_products_of_small_primes())
+@settings(max_examples=200)
+def test_triple_matches_factorization_property(x):
+    assert classify(x).triple == _oracle_triple(x)
+
+
 def test_k1_equals_small_divisor_existence_to_1e5():
     # k1 = 0 exactly when some prime <= icbrt(x) divides x
     primes = oracle.sieve(icbrt(10**5)).primes

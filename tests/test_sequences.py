@@ -109,8 +109,9 @@ def test_nth_range_limit_is_checked_before_the_walk(monkeypatch):
     for nth in (nth_semiprime, literal.nth_semiprime_literal):
         with pytest.raises(RangeLimitError):
             nth(MAX_NTH_INPUT + 1)
-    with pytest.raises(RangeLimitError):
-        literal.nth_semiprime_literal(MAX_NTH_INPUT)  # its window passes 10^9
+    for n in (MAX_NTH_INPUT, 820):  # their windows pass 1 << 15
+        with pytest.raises(RangeLimitError):
+            literal.nth_semiprime_literal(n)
 
 
 def test_nth_past_the_old_float_window():
@@ -237,3 +238,11 @@ def test_successor_search_stops_at_classification_limit():
     with pytest.raises(RangeLimitError):
         semiprime_stream(MAX_CLASSIFY_INPUT - 100, 50)  # about a dozen are left
     assert semiprime_stream(MAX_CLASSIFY_INPUT - 100, 1) == [999_999_999_901]
+    # 5507 * 181587071, the largest semiprime <= 10^12
+    assert next_semiprime(999_999_999_996) == 999_999_999_997
+    for n in (999_999_999_997, MAX_CLASSIFY_INPUT + 1):
+        with pytest.raises(RangeLimitError):
+            next_semiprime(n)
+    with pytest.raises(RangeLimitError):
+        semiprime_stream(MAX_CLASSIFY_INPUT + 1, 0)
+    assert semiprime_stream(MAX_CLASSIFY_INPUT, 0) == []
