@@ -24,6 +24,7 @@ GOLDEN_SEMIPRIME_COUNTS = {
     10**6: 210035,
     10**7: 1904324,
     10**8: 17427258,
+    10**9: 160788536,
 }
 
 GOLDEN_NTH_SEMIPRIMES = {
@@ -81,9 +82,9 @@ def reproduce_table(table_id: int, max_input: int = 10**6) -> list:
 
     Table 1 is the fifth-semiprime derivation: the gate column for x = 8..14
     plus a final row checking the ordinal query itself (input 5, expected 14).
-    Table 2 is semiprime counts at powers of ten (the 10^7 and 10^8 rows,
-    which take seconds, only when max_input reaches them), table 3 the
-    nth-semiprime values, table 4 the next-semiprime values.
+    Table 2 is semiprime counts at powers of ten (the 10^7, 10^8 and 10^9
+    rows only when max_input reaches them), table 3 the nth-semiprime
+    values, table 4 the next-semiprime values.
     """
     max_input = as_natural(max_input, "max_input")
     if table_id == 1:

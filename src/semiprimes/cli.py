@@ -62,6 +62,10 @@ def _count_check(n):
 
 
 def _cmd_count(args):
+    if args.verify and args.number > oracle.CLASSICAL_COUNT_LIMIT:
+        # checked first: the oracle would refuse it only after the count
+        _fail(f"count --verify accepts N up to {oracle.CLASSICAL_COUNT_LIMIT}, got {args.number}")
+        return USAGE
     begin = time.perf_counter()
     value = semiprime_count(args.number)
     elapsed = time.perf_counter() - begin
@@ -196,15 +200,16 @@ def _build_parser():
 
     p = sub.add_parser("count", help="number of semiprimes <= N")
     p.add_argument("number", metavar="N", type=_natural_arg, help="upper bound >= 1")
-    _add_verify(p, "an independent counting route")
+    _add_verify(p, f"an independent counting route (N up to {oracle.CLASSICAL_COUNT_LIMIT})")
     _add_format(p)
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser(
         "nth",
         help="the nth semiprime in ascending order",
-        description="The nth semiprime in ascending order.  It counts "
-        "whole blocks of integers until one reaches n, halves that block down "
+        description="The nth semiprime in ascending order.  It counts the "
+        "semiprimes up to an estimate of the answer exactly, counts blocks "
+        "of integers from there until one reaches n, halves that block down "
         "to a few dozen integers, and settles those one at a time.",
     )
     p.add_argument(
@@ -235,8 +240,8 @@ def _build_parser():
         "--max-input",
         type=_natural_arg,
         default=10**6,
-        help="skip rows whose input exceeds this (default 10^6; table 2's "
-        "10^7 and 10^8 rows take seconds)",
+        help="skip rows whose input exceeds this (default 10^6; table 2 "
+        "has rows up to 10^9)",
     )
     _add_format(p)
     p.set_defaults(handler=_cmd_table)

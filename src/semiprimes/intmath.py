@@ -2,8 +2,9 @@
 
 Every floor/ceiling expression used elsewhere in this package reduces to one
 of the integer identities implemented here; no value-bearing computation goes
-through floating point.  (A float appears once, as a seed for the cube-root
-search, and is always corrected by exact comparisons.)
+through floating point.  (Here a float only seeds the cube-root search,
+and is always corrected by exact comparisons; in sequences one only picks
+where the nth search starts counting.)
 """
 
 import math
@@ -20,7 +21,7 @@ MAX_COUNT_INPUT = 10**9
 
 #: Largest index accepted by nth_semiprime: the number of semiprimes
 #: <= MAX_COUNT_INPUT (OEIS A066265), so every answer lies in the counting
-#: range.
+#: range.  semiprime_count(MAX_COUNT_INPUT) reproduces it in under a second.
 MAX_NTH_INPUT = 160_788_536
 
 

@@ -17,6 +17,8 @@ from .primality import PrimeTable
 SIEVE_LIMIT = 10**8
 #: memory budget for the factor-counting sieve (one machine word per integer).
 FACTOR_SIEVE_LIMIT = 10**7
+#: Largest n classical_count accepts: its prime table reaches n/2.
+CLASSICAL_COUNT_LIMIT = 2 * SIEVE_LIMIT
 
 
 def _composite_flags(limit):
@@ -111,9 +113,9 @@ def classical_count(n: int) -> int:
     n = as_natural(n, "n")
     if n < 4:
         raise DomainError(f"classical_count requires n >= 4, got {n}")
-    if n // 2 > SIEVE_LIMIT:
+    if n > CLASSICAL_COUNT_LIMIT:
         raise RangeLimitError(
-            f"classical_count needs a sieve to n/2; supported up to n = {2 * SIEVE_LIMIT}"
+            f"classical_count needs a sieve to n/2; supported up to n = {CLASSICAL_COUNT_LIMIT}"
         )
     primes = _prime_list(max(2, n // 2))
     total = 0

@@ -24,5 +24,5 @@ def semis_10k(semi_flags_10k):
 
 @pytest.fixture(scope="session")
 def semi_flags_2m():
-    # past fifteen SEGMENT-wide blocks of the nth walk and the cubes to 125^3
+    # past fifteen SEGMENT widths from 8 and the cubes to 125^3
     return semiprime_flags(2 * 10**6)

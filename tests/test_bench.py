@@ -63,8 +63,9 @@ def test_long_run_rows_are_gated(monkeypatch):
         return bench.GOLDEN_SEMIPRIME_COUNTS[n]
 
     monkeypatch.setattr(bench, "semiprime_count", fake_count)
-    # max_input alone decides: the default skips the 10^7 and 10^8 rows
-    for kwargs, top in (({}, 6), ({"max_input": 10**8 - 1}, 7), ({"max_input": 10**8}, 8)):
+    # max_input alone decides: the default skips the 10^7, 10^8 and 10^9 rows
+    for kwargs, top in (({}, 6), ({"max_input": 10**8 - 1}, 7), ({"max_input": 10**8}, 8),
+                        ({"max_input": 10**9}, 9)):
         requested.clear()
         assert all(r.match for r in reproduce_table(2, **kwargs))
         assert requested == [10**k for k in range(1, top + 1)], kwargs

@@ -152,6 +152,19 @@ def test_verify_passes_when_routes_agree(capsys):
     assert run_cli(capsys, "next", "100", "--verify")[0] == 0
 
 
+def test_count_verify_past_its_oracle_fails_first(capsys, monkeypatch):
+    # the classical oracle stops at 2*10^8; the CLI refuses before counting
+    def no_count(n):
+        raise AssertionError(f"counted {n}")
+
+    monkeypatch.setattr(cli, "semiprime_count", no_count)
+    code, out, err = run_cli(capsys, "count", "300000000", "--verify")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "--verify" in err and "200000000" in err
+
+
 def test_verify_mismatch_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli.oracle, "classical_count", lambda n: 0)
     code, out, err = run_cli(capsys, "count", "100", "--verify")

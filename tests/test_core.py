@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 from bisect import bisect_left, bisect_right
 from math import isqrt
@@ -21,6 +23,7 @@ from semiprimes import (
     semiprime_indicator,
     t,
 )
+from semiprimes.core import _SMALL_SEMIPRIMES, _k1_t_sums, _k2_sum, _prefix_parts
 
 VALID_TRIPLES = {(1, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)}
 
@@ -304,6 +307,67 @@ def test_count_memory_is_bounded_by_segments():
         tracemalloc.stop()
     assert value == 1904324
     assert peak < 1_000_000, peak
+
+
+_RSS_GROWTH = """
+import resource, sys
+from semiprimes import semiprime_count
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+value = semiprime_count(10**9)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(value, (after - before) * (1 if sys.platform == "darwin" else 1024))
+"""
+
+
+def test_count_memory_at_the_top_of_the_range():
+    # The prefix count keeps two tables of isqrt(n) + 1 integers (31 623 each
+    # at 10^9) and one sieve segment; a flat table of pi up to 10^9 would
+    # take gigabytes.  The bound is on the growth of the peak resident set
+    # of a fresh interpreter (ru_maxrss, kB on Linux, bytes on macOS):
+    # under tracemalloc, which allocates a record for every int the table
+    # updates make, this one call would take about 20 s instead of 0.4 s.
+    result = subprocess.run(
+        [sys.executable, "-c", _RSS_GROWTH], capture_output=True, text=True, check=True
+    )
+    value, growth = map(int, result.stdout.split())
+    assert value == 160_788_536
+    assert growth < 4_000_000, growth
+
+
+@given(st.integers(min_value=8, max_value=2 * 10**6))
+@example(8)
+@example(9)
+@example(125**3 - 1).via("c^3 - 1: icbrt is 124")
+@example(125**3).via("c^3: icbrt steps up to 125")
+@example(1409**2 - 1).via("p^2 - 1: isqrt is 1408")
+@example(1409**2).via("p^2: isqrt steps up to the prime 1409")
+@example(113**3).via("p^3: icbrt steps up to the prime 113")
+@example(113 * 12781).via("p*q with q = 12781, the prime after p^2 = 12769")
+@example(97 * 9413).via("p*q with q = 9413, the prime after p^2 = 9409")
+@example(2 * 10**6)
+@settings(max_examples=60)
+def test_count_matches_spf_oracle(semi_flags_2m, n):
+    # the prefix route against flags from a smallest-prime-factor sieve
+    assert semiprime_count(n) == semi_flags_2m.count(1, 0, n + 1)
+
+
+@given(st.integers(min_value=8, max_value=10**7))
+@example(8)
+@example(211**3 - 1).via("icbrt is 210")
+@example(211**3).via("icbrt is the prime 211, the last p in the sum of k2")
+@example(212**3 - 1).via("icbrt is still 211, now with the primes q in [211^2, n/211]")
+@example(10**7)
+@settings(max_examples=5)
+def test_prefix_parts_match_block_sums(n):
+    # Each of the paper's parts on its own against the block engine: the
+    # total alone would not see a semiprime counted in the wrong part.  The
+    # prefix's sum of k1 - t holds 4 and 6, which the blocks from 8 do not.
+    k2_sum, k1_t_sum = _prefix_parts(n)
+    k1_sum, t_sum = _k1_t_sums(8, n)
+    k2_blocks = _k2_sum(8, n)
+    assert k2_sum == k2_blocks
+    assert k1_t_sum == len(_SMALL_SEMIPRIMES) + k1_sum - t_sum
+    assert semiprime_count(n) == len(_SMALL_SEMIPRIMES) + k1_sum + k2_blocks - t_sum
 
 
 def test_large_inputs_within_contract():

@@ -1,4 +1,5 @@
 import warnings
+from itertools import compress, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from semiprimes import (
     MAX_CLASSIFY_INPUT,
+    MAX_COUNT_INPUT,
     MAX_NTH_INPUT,
     DomainError,
     RangeLimitError,
@@ -123,12 +125,10 @@ def test_nth_past_the_old_float_window():
 
 
 def test_nth_round_trip_beside_block_seams(semi_flags_2m):
-    # For 2n >= SEGMENT the walk's blocks are the SEGMENT-wide
-    # [8 + k*SEGMENT, 7 + (k + 1)*SEGMENT], which holds for the seams with
-    # k >= 3 here (the first two stay as plain round trips).  The semiprime
-    # below a seam has n = pi2(seam - 1), reached at the end of a walked
-    # block; the one above it is reached in the next block.  The seam itself
-    # is even and never a semiprime; seam - 1 is one for some k.
+    # Round trips on both sides of each seam 8 + k*SEGMENT, k = 1..15: fixed
+    # places across [8, 2*10^6], one SEGMENT apart.  The semiprime below a
+    # seam has n = pi2(seam - 1); the seam itself is even and never a
+    # semiprime; seam - 1 is one for some k.
     seams = range(8 + SEGMENT, len(semi_flags_2m), SEGMENT)
     assert len(seams) == 15
     assert any(semi_flags_2m[seam - 1] for seam in seams)
@@ -145,12 +145,12 @@ def test_nth_round_trip_beside_cubes(semi_flags_2m):
 
 
 def test_nth_round_trip_at_halving_ends(semi_flags_2m):
-    # SEGMENT is a power-of-two multiple of SCAN_WIDTH, so halving a
-    # SEGMENT-wide block of the walk, which starts at 8 + k*SEGMENT for k >= 3
-    # below 2*10^6, ends on one of the intervals
-    # [8 + j*SCAN_WIDTH, 8 + (j + 1)*SCAN_WIDTH - 1], and the scan settles
-    # it.  For k = 0 and 1 the answers' 2n is below SEGMENT and the walk's
-    # blocks are narrower; those stay as plain round trips.
+    # Round trips at the first and last semiprimes of SCAN_WIDTH-wide
+    # intervals [8 + k*SEGMENT + j*SCAN_WIDTH, 8 + k*SEGMENT + (j + 1)*SCAN_WIDTH - 1]:
+    # since SEGMENT is a power-of-two multiple of SCAN_WIDTH, these are
+    # where halving a SEGMENT-wide block that starts at 8 + k*SEGMENT ends,
+    # the widest block the search counts.  Some of the answers sit on an
+    # interval's first or last integer.
     per_block = SEGMENT // SCAN_WIDTH
     assert SEGMENT % SCAN_WIDTH == 0 and per_block & (per_block - 1) == 0
     exact = 0
@@ -166,12 +166,12 @@ def test_nth_round_trip_at_halving_ends(semi_flags_2m):
 
 
 @given(st.integers(min_value=3, max_value=407_284))  # pi2(2*10^6)
-@example(3).via("the first formula index")
-@example(7).via("the answer 21 closes the walk's first block, [8, 21]")
-@example(9).via("the answer 25 closes the walk's first block, [8, 25]")
-@example(86_135).via("the answer is 7 + 3*SEGMENT, the end of the third block")
+@example(3).via("the first formula index; its anchor is clamped to 8")
+@example(7).via("the answer 21 lies 6 past its anchor 15")
+@example(9).via("the answer 25 lies 6 past its anchor 19")
+@example(86_135).via("the answer is 7 + 3*SEGMENT, below its anchor")
 @example(86_136).via("the first index past it")
-@example(140_279).via("pi2 at the end of the fifth SEGMENT-wide block, 7 + 5*SEGMENT")
+@example(140_279).via("pi2(7 + 5*SEGMENT); the answer is below its anchor")
 @example(407_284).via("the top of the oracle flags")
 @settings(max_examples=25)
 def test_nth_matches_spf_oracle_to_2e6(semi_flags_2m, n):
@@ -179,6 +179,53 @@ def test_nth_matches_spf_oracle_to_2e6(semi_flags_2m, n):
     x = nth_semiprime(n)
     assert semi_flags_2m[x] == 1
     assert semi_flags_2m.count(1, 0, x + 1) == n
+
+
+def _nth_from_flags(flags, n):
+    return next(islice(compress(range(len(flags)), flags), n - 1, None))
+
+
+# n from the first formula index to the top of the 2*10^6 flags, with small
+# answers, answers far past SEGMENT and answers on both sides of the anchor
+_ANCHOR_SAMPLE = (3, 4, 9, 1000, 86_135, 140_279, 407_284)
+
+
+@pytest.mark.parametrize(
+    "anchor",
+    [
+        lambda n, x: 8,
+        lambda n, x: MAX_COUNT_INPUT,
+        lambda n, x: x,
+        lambda n, x: x - 1,
+        lambda n, x: next_semiprime(x) - 1,  # the last x with pi2(x) = n
+    ],
+    ids=["8", "MAX_COUNT_INPUT", "the answer", "the answer - 1", "the next semiprime - 1"],
+)
+def test_nth_does_not_depend_on_the_anchor(semi_flags_2m, monkeypatch, anchor):
+    # The anchor only decides where the exact counts start: from below, from
+    # above, at the answer, just below it, or past it on a count of exactly n.
+    answers = {n: _nth_from_flags(semi_flags_2m, n) for n in _ANCHOR_SAMPLE}
+    monkeypatch.setattr(sequences, "_nth_anchor", lambda n: anchor(n, answers[n]))
+    for n, x in answers.items():
+        assert nth_semiprime(n) == x, n
+
+
+def test_nth_steps_down_until_the_count_is_below_n(semi_flags_2m, monkeypatch):
+    # From the last x with pi2(x) = n, with blocks and halving one integer
+    # wide: the downward step must go on past every x with pi2(x - 1) = n,
+    # not stop at the first one (n = 4: pi2(13) = pi2(10) = 4, sp_4 = 10).
+    answers = {n: _nth_from_flags(semi_flags_2m, n) for n in _ANCHOR_SAMPLE}
+    monkeypatch.setattr(sequences, "SCAN_WIDTH", 1)
+    monkeypatch.setattr(sequences, "_nth_anchor", lambda n: next_semiprime(answers[n]) - 1)
+    for n, x in answers.items():
+        assert nth_semiprime(n) == x, n
+
+
+def test_nth_at_the_top_of_the_range():
+    # 999 999 991 = 67 * 14 925 373 is the last semiprime <= 10^9
+    assert semiprime_count(10**9) == MAX_NTH_INPUT
+    assert nth_semiprime(MAX_NTH_INPUT) == 999_999_991
+    assert count_range(999_999_992, 10**9) == 0
 
 
 def test_next_examples():
