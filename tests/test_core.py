@@ -14,6 +14,7 @@ from semiprimes import (
     DomainError,
     RangeLimitError,
     classify,
+    core,
     count_range,
     icbrt,
     k1,
@@ -23,7 +24,15 @@ from semiprimes import (
     semiprime_indicator,
     t,
 )
-from semiprimes.core import _SMALL_SEMIPRIMES, _k1_t_sums, _k2_sum, _prefix_parts
+from semiprimes.core import (
+    _REJECT,
+    _SMALL_SEMIPRIMES,
+    _k1_t_sums,
+    _k2_sum,
+    _k2_window,
+    _prefix_parts,
+)
+from semiprimes.primality import _primes
 
 VALID_TRIPLES = {(1, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)}
 
@@ -293,6 +302,42 @@ def test_count_range_matches_spf_oracle_across_edges(semi_flags_2m, window):
     # shares no code with the indicators
     lo, hi = window
     assert count_range(lo, hi) == sum(semi_flags_2m[lo : hi + 1])
+
+
+@given(_edge_windows())
+@example((10**9 - 600, 10**9))
+@example((8, 8))
+@example((997**3 - 300, 997**3 + 300)).via("icbrt steps up to the prime 997 at 997^3")
+@example((991**3 - 200, 991**3 + 200)).via("p^3 for the prime 991")
+@example((997 * 994013 - 300, 997 * 994013 + 300)).via("p*q, q = 994013 the prime after 997^2")
+@example((10**9 - isqrt(10**9) + 1, 10**9)).via("hi - lo = isqrt(hi) - 1: the window route")
+@example((10**9 - isqrt(10**9), 10**9)).via("hi - lo = isqrt(hi): the quotient route")
+@settings(max_examples=200)
+def test_k2_window_matches_quotient_sums(window):
+    # The window route's sum of k2 on its own against the quotient route: a
+    # total alone would not see an error in it that another part cancels.
+    lo, hi = window
+    assert _k2_window(lo, hi) == _k2_sum(lo, hi)
+
+
+def test_window_marks_fit_a_byte():
+    # _k2_window stores the index of each x's prime <= icbrt(x) in a byte
+    assert len(_primes(icbrt(MAX_COUNT_INPUT))) < _REJECT <= 255
+
+
+def test_count_range_route_follows_the_width(monkeypatch):
+    # A window with hi - lo < isqrt(hi) takes the window route for the sum
+    # of k2, a wider one the quotient route; each side against the prefix
+    # route at the top of the range.
+    def unused(lo, hi):
+        raise AssertionError(f"wrong route for [{lo}, {hi}]")
+
+    hi = MAX_COUNT_INPUT
+    up_to_hi = semiprime_count(hi)
+    for lo, other in ((hi - isqrt(hi) + 1, "_k2_sum"), (hi - isqrt(hi), "_k2_window")):
+        with monkeypatch.context() as patch:
+            patch.setattr(core, other, unused)
+            assert count_range(lo, hi) == up_to_hi - semiprime_count(lo - 1)
 
 
 def test_count_memory_is_bounded_by_segments():
