@@ -322,20 +322,19 @@ def count_range(lo: int, hi: int) -> int:
     - sum(k2) takes one of two routes, chosen by the width alone.  A window
       with hi - lo < isqrt(hi) is sieved itself, in the same pieces as
       sum(k1): each x is marked with its one prime p <= c, or rejected when
-      two such primes or p*p divide it, and each prime r in
-      (c, isqrt(b // 2)] then rejects the marked x it divides with
-      r*r*p <= x (x/p is composite).  A wider range adds, over the primes
-      p <= icbrt(hi), the number of primes q with
-      max(p*p, ceil(lo/p)) <= q <= floor(hi/p), by the same sieve as sum(t).
-      The quotient route's ranges are only (hi - lo)/p wide, and below
-      about isqrt(hi) almost none of their sieving primes hits them.
+      two such primes or p*p divide it, and each prime r > c up to the
+      square root of half the piece's end then rejects the marked x it
+      divides with r*r*p <= x (x/p is composite).  A wider range adds,
+      over the primes p <= icbrt(hi), the number of primes q with
+      max(p*p, ceil(lo/p)) <= q <= floor(hi/p), by the same sieve as
+      sum(t).  The quotient route's ranges are only (hi - lo)/p wide, and
+      below about isqrt(hi) almost none of their sieving primes hits them.
 
     Every sieve runs in segments of SEGMENT integers, and the window route's
     one bytearray holds at most isqrt(hi) bytes, so memory stays bounded for
     every range; the primes come from the shared table that the per-number
-    indicators use.  Consecutive ranges compose exactly:
-    splitting [8, N] anywhere and adding the pieces always reproduces
-    semiprime_count(N) - 2.
+    indicators use.  Consecutive ranges compose exactly: splitting [8, N]
+    anywhere and adding the pieces always reproduces semiprime_count(N) - 2.
     """
     lo = as_natural(lo, "lo")
     hi = as_natural(hi, "hi")
