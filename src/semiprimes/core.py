@@ -19,10 +19,10 @@ composite x/p means three or more prime factors.
 Counting sums that identity, and since the sum is linear it takes two
 routes, one per query kind:
 
-- count_range sums each of its three parts over whole blocks of a window
-  with bytearray marking, rather than one indicator call per integer; its
-  sum(k2) sieves the window itself when hi - lo < isqrt(hi), and else the
-  quotient range [lo/p, hi/p] of each small prime p;
+- count_range sums its three parts over whole blocks with bytearray
+  marking, not one indicator call per integer: one pass over a window with
+  hi - lo < isqrt(hi), else sieves of the range for sum(k1) and sum(t) and
+  of the quotient range [lo/p, hi/p] of each small prime p for sum(k2);
 - semiprime_count (a prefix from 1) groups each semiprime p*q by its smaller
   prime p, so that sum(k2) and sum(k1 - t) become prime counts pi at n // p
   and at p^2 - 1 and p - 1; a Lucy-style table gives every pi(n // k) in
@@ -199,58 +199,60 @@ def _k2_sum(lo: int, hi: int) -> int:
     return total
 
 
-#: Mark of an x in _k2_window with two prime factors <= icbrt(x), or with the
-#: square of one: x has three or more prime factors.  The other marks are
-#: prime indices 1 .. pi(icbrt(MAX_COUNT_INPUT)) = 168, so they fit a byte.
+#: Marks of _window_parts above its prime indices, at most pi(1000) = 168, so
+#: that all fit a byte.  _REJECT: x has three or more prime factors.
+_LARGE = 254
 _REJECT = 255
 
 
-def _k2_window(lo: int, hi: int) -> int:
-    # The sum of k2 over [lo, hi] from one sieve of the window itself, for
-    # windows narrower than isqrt(hi).  Pieces never straddle a cube, so
-    # c = icbrt is constant in each.  Each prime p <= c marks its multiples
-    # with its index, or with _REJECT where one is already marked or p^2
-    # divides x.  A marked x has exactly one prime factor p <= c, so x/p has
-    # none, and x/p is composite exactly when some prime r > c divides it
-    # with r^2 <= x/p <= b/2.  Those r reject x: r^2 * p <= x.  A prime x/p
-    # is never rejected, since r = x/p gives r^2 > x/p.
-    total = 0
+def _window_parts(lo: int, hi: int) -> tuple:
+    # (sum of k1, sum of k2, sum of t) over a window narrower than isqrt(hi),
+    # by count_range's window route.  An x marked with its one prime p <= c
+    # has x/p composite exactly when some prime r > c divides it with
+    # r^2 * p <= x.  An unmarked x that some r > c divides is composite (r
+    # <= isqrt(b) < c^3 <= x), so a product of two primes above c: _LARGE.
+    k1_sum = k2_sum = t_sum = 0
     a = lo
     while a <= hi:
         c = _icbrt(a)
         b = min(hi, (c + 1) ** 3 - 1)
-        size = b - a + 1
-        primes = _primes(isqrt(b // 2))
+        size, na = b - a + 1, -a
+        primes = _primes(isqrt(b))
         cut = bisect_right(primes, c)
         marks = bytearray(size)
         for i, p in enumerate(primes[:cut], 1):
-            s = -a % p
+            s = na % p
             while s < size:
                 marks[s] = _REJECT if marks[s] else i
                 s += p
             p2 = p * p
-            s = -a % p2
+            s = na % p2
             while s < size:
                 marks[s] = _REJECT
                 s += p2
-        for r in primes[cut:]:
-            s = -a % r
+        k1 = marks.count(0)
+        for r, s in [(r, s) for r in primes[cut:] if (s := na % r) < size]:
+            r2 = r * r
             while s < size:
                 i = marks[s]
-                if i and i != _REJECT and r * r * primes[i - 1] <= a + s:
+                if not i:
+                    marks[s] = _LARGE
+                elif i < _LARGE and r2 * primes[i - 1] <= a + s:
                     marks[s] = _REJECT
                 s += r
-        total += size - marks.count(0) - marks.count(_REJECT)
+        k1_sum += k1
+        k2_sum += size - k1 - marks.count(_REJECT)
+        t_sum += marks.count(0)
         a = b + 1
-    return total
+    return k1_sum, k2_sum, t_sum
 
 
 def _count_range(lo: int, hi: int) -> int:
-    # count_range without the argument checks.  The sum of k2 sieves the
-    # window itself when it is narrower than isqrt(hi), else the quotient
-    # ranges, whichever costs less at that width.
-    k1_sum, t_sum = _k1_t_sums(lo, hi)
-    k2_sum = _k2_window(lo, hi) if hi - lo < isqrt(hi) else _k2_sum(lo, hi)
+    # count_range without the argument checks; see there for the width rule
+    if hi - lo < isqrt(hi):
+        k1_sum, k2_sum, t_sum = _window_parts(lo, hi)
+    else:
+        (k1_sum, t_sum), k2_sum = _k1_t_sums(lo, hi), _k2_sum(lo, hi)
     return k1_sum + k2_sum - t_sum
 
 
@@ -313,21 +315,19 @@ def count_range(lo: int, hi: int) -> int:
     """Sum of semiprime_indicator over lo..hi inclusive (8 <= lo <= hi).
 
     The sum is linear, so it is computed as sum(k1) + sum(k2) - sum(t), each
-    part over whole blocks rather than integer by integer:
+    part over whole blocks rather than integer by integer, in pieces split
+    at consecutive cubes so that icbrt is a constant c within each:
 
-    - sum(t) is the number of primes in [lo, hi], from a segmented sieve
-      with the primes <= isqrt(hi), each marking from its square;
-    - sum(k1) splits [lo, hi] at consecutive cubes, so icbrt is a constant
-      c within each piece, and counts what the primes <= c leave unmarked;
-    - sum(k2) takes one of two routes, chosen by the width alone.  A window
-      with hi - lo < isqrt(hi) is sieved itself, in the same pieces as
-      sum(k1): each x is marked with its one prime p <= c, or rejected when
-      two such primes or p*p divide it, and each prime r > c up to the
-      square root of half the piece's end then rejects the marked x it
-      divides with r*r*p <= x (x/p is composite).  A wider range adds,
-      over the primes p <= icbrt(hi), the number of primes q with
-      max(p*p, ceil(lo/p)) <= q <= floor(hi/p), by the same sieve as
-      sum(t).  The quotient route's ranges are only (hi - lo)/p wide, and
+    - a window with hi - lo < isqrt(hi) is sieved itself, in one pass per
+      piece.  Each x is marked with its one prime p <= c, or rejected when
+      two such primes or p*p divide it; the unmarked x are sum(k1).  Each
+      prime r in (c, isqrt(hi)] then rejects the marked x it divides with
+      r*r*p <= x (x/p is composite) and marks every unmarked x it divides
+      (a semiprime); what is left unmarked is sum(t), and marked p, sum(k2);
+    - a wider range counts what the primes <= c leave unmarked for sum(k1),
+      sieves its primes for sum(t), and adds for sum(k2), over the primes
+      p <= icbrt(hi), the number of primes q with max(p*p, ceil(lo/p)) <= q
+      <= floor(hi/p).  These quotient ranges are only (hi - lo)/p wide, and
       below about isqrt(hi) almost none of their sieving primes hits them.
 
     Every sieve runs in segments of SEGMENT integers, and the window route's

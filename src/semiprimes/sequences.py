@@ -5,8 +5,9 @@ exactly while pi2(x) < n, so sp_n is the smallest x with pi2(x) >= n.
 nth_semiprime finds that x with core's two counters in four steps, every
 count exact:
 
-- anchor: invert x (ln ln x + B) / ln x = n in floating point (B is
-  Mertens' constant, 0.2615) and take pi2 there with the prefix count;
+- anchor: invert x / ln x * (ln ln x + B + (D ln ln x + C) / ln x) = n in
+  floating point (Landau's asymptotic with a fitted second-order term) and
+  take pi2 there with the prefix count;
 - close: step from the anchor toward sp_n by the gap divided by the local
   density; a step wider than SEGMENT recounts pi2 at its end with the
   prefix count, a shorter one counts the block it crosses with the block
@@ -17,9 +18,10 @@ count exact:
 - scan: settle those integers one at a time with the indicator triple.
 
 The floats only choose where to count, so any anchor gives the same answer;
-a good one saves counts.  The estimate is within about 1.2 % of sp_n up to
-10^9, so the search costs about one or two prefix counts plus a few narrow
-blocks, well below the cost of counting every integer up to the answer.
+a good one saves counts.  The estimate is within about 0.25 % of sp_n
+from 10^4, and within 0.15 SEGMENT of it from 10^6 to 10^9, so the search
+costs one prefix count plus a few narrow blocks, well below the cost of
+counting every integer up to the answer.
 
 Indices run up to MAX_NTH_INPUT, the number of semiprimes <= MAX_COUNT_INPUT,
 so every answer lies in the counting range; n is checked once, before the
@@ -73,8 +75,8 @@ def nth_semiprime(n: int) -> int:
     The search takes exact prefix counts near a floating-point estimate of
     the answer, counts blocks of at most SEGMENT integers to reach it,
     halves the block that does down to SCAN_WIDTH integers, and scans those
-    (see the module docstring).  Its cost is about that of one or two
-    semiprime_count calls near the answer.  literal.nth_semiprime_literal
+    (see the module docstring).  Its cost is about that of one
+    semiprime_count call near the answer.  literal.nth_semiprime_literal
     evaluates the gated sum itself, as a slow reference.
     """
     n = as_natural(n, "n")
@@ -90,17 +92,38 @@ def nth_semiprime(n: int) -> int:
     return _nth_scan(n)
 
 
-#: Mertens' constant: pi2(x) is about x (ln ln x + MERTENS) / ln x.
-_MERTENS = 0.2615
+#: pi2(x) is about x / ln x * (ln ln x + B + (D ln ln x + C) / ln x).  The
+#: leading term is Landau's asymptotic pi_k(x) ~ x (ln ln x)^(k-1) /
+#: ((k-1)! ln x) for k = 2 (Landau, Handbuch der Lehre von der Verteilung der
+#: Primzahlen, 1909), whose expansion goes on in powers of 1 / ln x with
+#: polynomials in ln ln x.  B, C and D are fitted to exact pi2 at 61
+#: log-spaced points in 10^4..10^9, which puts the estimate's x within
+#: 0.15 SEGMENT of sp_n from 10^6 to 10^9 and within 150 integers of it in
+#: 1.2..2.6 * 10^5.  Mertens' constant B = 0.2615 alone ran up to 94 SEGMENT
+#: high near 10^9; the fitted pair B, C with D = 0 that comes within 0.3
+#: SEGMENT there lands ~2 000 integers low near 2 * 10^5.
+_B, _C, _D = 0.2132, -5.36, 2.367
+
+
+def _estimate_terms(x):
+    # (ln x, g, slope) for the estimate pi2(x) ~ x g / ln x, where slope is
+    # its derivative over its mean pi2(x) / x:
+    #   1 - (1 - (1 + (D - D ln ln x - C) / ln x) / g) / ln x.
+    # Below 100 the second-order term would outweigh the first (g < 0 near
+    # 8), so x is raised to 100 there; any anchor is cheap at that size.
+    lx = log(max(x, 100.0))
+    llx = log(lx)
+    g = llx + _B + (_D * llx + _C) / lx
+    return lx, g, 1 - (1 - (1 + (_D - _D * llx - _C) / lx) / g) / lx
 
 
 def _nth_anchor(n):
-    # The x near which x (ln ln x + MERTENS) / ln x reaches n, by fixed-point
+    # The x near which the estimate of pi2 reaches n, by fixed-point
     # iteration: where the search starts.  Only its cost depends on it.
     x = float(n)
     for _ in range(6):
-        lx = log(max(x, 8.0))
-        x = n * lx / (log(lx) + _MERTENS)
+        lx, g, _ = _estimate_terms(x)
+        x = n * lx / g
     return min(max(8, int(x)), MAX_COUNT_INPUT)
 
 
@@ -109,15 +132,13 @@ def _nth_scan(n):
     # then halve and scan.  count = pi2(x) is exact throughout; the floats
     # only choose the next x or block, so every choice gives the same answer.
     # The step to sp_n divides the gap by the local density: the mean
-    # count / x times the ratio of the estimate's slope to its mean, which
-    # is 1 - (1 - 1 / (ln ln x + MERTENS)) / ln x.  A step wider than SEGMENT
-    # recounts pi2 from scratch at its end; a shorter one counts the block it
-    # crosses, widened so that it usually holds sp_n.
+    # count / x times the ratio of the estimate's slope to its mean.  A step
+    # wider than SEGMENT recounts pi2 from scratch at its end; a shorter one
+    # counts the block it crosses, widened so that it usually holds sp_n.
     x = _nth_anchor(n)
     count = _prefix_count(x)
     while True:
-        lx = log(x)
-        slope = 1 - (1 - 1 / (log(lx) + _MERTENS)) / lx
+        slope = _estimate_terms(x)[2]
         step = (n - count) * x / (count * slope)
         if abs(step) > SEGMENT:
             x = min(max(8, x + int(step)), MAX_COUNT_INPUT)

@@ -25,12 +25,13 @@ from semiprimes import (
     t,
 )
 from semiprimes.core import (
+    _LARGE,
     _REJECT,
     _SMALL_SEMIPRIMES,
     _k1_t_sums,
     _k2_sum,
-    _k2_window,
     _prefix_parts,
+    _window_parts,
 )
 from semiprimes.primality import _primes
 
@@ -304,6 +305,14 @@ def test_count_range_matches_spf_oracle_across_edges(semi_flags_2m, window):
     assert count_range(lo, hi) == sum(semi_flags_2m[lo : hi + 1])
 
 
+def _assert_window_parts_match_block_sums(lo, hi):
+    # The window route's three parts, each on its own, against the wide
+    # route's: a total alone would not see an error in one part that
+    # another cancels.
+    k1_sum, t_sum = _k1_t_sums(lo, hi)
+    assert _window_parts(lo, hi) == (k1_sum, _k2_sum(lo, hi), t_sum)
+
+
 @given(_edge_windows())
 @example((10**9 - 600, 10**9))
 @example((8, 8))
@@ -311,32 +320,44 @@ def test_count_range_matches_spf_oracle_across_edges(semi_flags_2m, window):
 @example((991**3 - 200, 991**3 + 200)).via("p^3 for the prime 991")
 @example((997 * 994013 - 300, 997 * 994013 + 300)).via("p*q, q = 994013 the prime after 997^2")
 @example((10**9 - isqrt(10**9) + 1, 10**9)).via("hi - lo = isqrt(hi) - 1: the window route")
-@example((10**9 - isqrt(10**9), 10**9)).via("hi - lo = isqrt(hi): the quotient route")
+@example((10**9 - isqrt(10**9), 10**9)).via("hi - lo = isqrt(hi): the wide route")
+@example((10**6, 10**6 + 511)).via("c = 100 < the width: each r > c hits several times")
 @settings(max_examples=200)
-def test_k2_window_matches_quotient_sums(window):
-    # The window route's sum of k2 on its own against the quotient route: a
-    # total alone would not see an error in it that another part cancels.
-    lo, hi = window
-    assert _k2_window(lo, hi) == _k2_sum(lo, hi)
+def test_window_parts_match_block_sums(window):
+    _assert_window_parts_match_block_sums(*window)
+
+
+def test_window_parts_match_block_sums_at_every_cube():
+    # Every seam where icbrt steps up, c^3 for c = 2 .. icbrt(MAX_COUNT_INPUT),
+    # with the window split into the pieces on either side of it.
+    for c in range(2, icbrt(MAX_COUNT_INPUT) + 1):
+        _assert_window_parts_match_block_sums(
+            max(8, c**3 - 300), min(MAX_COUNT_INPUT, c**3 + 300)
+        )
 
 
 def test_window_marks_fit_a_byte():
-    # _k2_window stores the index of each x's prime <= icbrt(x) in a byte
-    assert len(_primes(icbrt(MAX_COUNT_INPUT))) < _REJECT <= 255
+    # _window_parts stores the index of each x's prime <= icbrt(x) in a byte,
+    # below its two other marks
+    assert len(_primes(icbrt(MAX_COUNT_INPUT))) < _LARGE < _REJECT <= 255
 
 
 def test_count_range_route_follows_the_width(monkeypatch):
-    # A window with hi - lo < isqrt(hi) takes the window route for the sum
-    # of k2, a wider one the quotient route; each side against the prefix
-    # route at the top of the range.
+    # A window with hi - lo < isqrt(hi) takes the window route for all three
+    # parts, a wider one the block sums and the quotient route; each side
+    # against the prefix route at the top of the range.
     def unused(lo, hi):
         raise AssertionError(f"wrong route for [{lo}, {hi}]")
 
     hi = MAX_COUNT_INPUT
     up_to_hi = semiprime_count(hi)
-    for lo, other in ((hi - isqrt(hi) + 1, "_k2_sum"), (hi - isqrt(hi), "_k2_window")):
+    for lo, others in (
+        (hi - isqrt(hi) + 1, ("_k1_t_sums", "_k2_sum")),
+        (hi - isqrt(hi), ("_window_parts",)),
+    ):
         with monkeypatch.context() as patch:
-            patch.setattr(core, other, unused)
+            for other in others:
+                patch.setattr(core, other, unused)
             assert count_range(lo, hi) == up_to_hi - semiprime_count(lo - 1)
 
 

@@ -166,12 +166,13 @@ def test_nth_round_trip_at_halving_ends(semi_flags_2m):
 
 
 @given(st.integers(min_value=3, max_value=407_284))  # pi2(2*10^6)
-@example(3).via("the first formula index; its anchor is clamped to 8")
-@example(7).via("the answer 21 lies 6 past its anchor 15")
-@example(9).via("the answer 25 lies 6 past its anchor 19")
-@example(86_135).via("the answer is 7 + 3*SEGMENT, below its anchor")
+@example(3).via("the first formula index")
+@example(7).via("the answer 21 lies 2 below its anchor 23")
+@example(9).via("the answer 25 lies 5 below its anchor 30")
+@example(324).via("the answer 1111 lies 6 past its anchor 1105")
+@example(86_135).via("the answer is 7 + 3*SEGMENT, 112 past its anchor")
 @example(86_136).via("the first index past it")
-@example(140_279).via("pi2(7 + 5*SEGMENT); the answer is below its anchor")
+@example(140_279).via("pi2(7 + 5*SEGMENT); the answer is 99 below its anchor")
 @example(407_284).via("the top of the oracle flags")
 @settings(max_examples=25)
 def test_nth_matches_spf_oracle_to_2e6(semi_flags_2m, n):
@@ -219,6 +220,24 @@ def test_nth_steps_down_until_the_count_is_below_n(semi_flags_2m, monkeypatch):
     monkeypatch.setattr(sequences, "_nth_anchor", lambda n: next_semiprime(answers[n]) - 1)
     for n, x in answers.items():
         assert nth_semiprime(n) == x, n
+
+
+@pytest.mark.parametrize("n", [40_000, 10**7, 10**8, MAX_NTH_INPUT])
+def test_nth_takes_one_prefix_count(monkeypatch, n):
+    # The anchor lands close enough to sp_n, in the benchmark's prefix band
+    # (sp_n near 1.8 * 10^5) and up to the top of the range, that the search
+    # closes in by blocks without counting a second prefix.
+    counts = []
+
+    def counted(x):
+        counts.append(x)
+        return prefix_count(x)
+
+    prefix_count = sequences._prefix_count
+    monkeypatch.setattr(sequences, "_prefix_count", counted)
+    x = nth_semiprime(n)
+    assert len(counts) == 1, counts
+    assert count_range(x, x) == 1
 
 
 def test_nth_at_the_top_of_the_range():
