@@ -21,7 +21,10 @@ The floats only choose where to count, so any anchor gives the same answer;
 a good one saves counts.  The estimate is within about 0.25 % of sp_n
 from 10^4, and within 0.15 SEGMENT of it from 10^6 to 10^9, so the search
 costs one prefix count plus a few narrow blocks, well below the cost of
-counting every integer up to the answer.
+counting every integer up to the answer.  Counters that disagree raise
+RuntimeError: a block walk that strays more than SEGMENT from its last
+prefix count and does not match a new one, a block walk that would leave
+[8, MAX_COUNT_INPUT], or a scan that does not reach n by its block's end.
 
 Indices run up to MAX_NTH_INPUT, the number of semiprimes <= MAX_COUNT_INPUT,
 so every answer lies in the counting range; n is checked once, before the
@@ -135,26 +138,44 @@ def _nth_scan(n):
     # count / x times the ratio of the estimate's slope to its mean.  A step
     # wider than SEGMENT recounts pi2 from scratch at its end; a shorter one
     # counts the block it crosses, widened so that it usually holds sp_n.
-    x = _nth_anchor(n)
+    # Blocks that walk more than SEGMENT from the last prefix count are
+    # checked against a new one.
+    x = counted_at = _nth_anchor(n)
     count = _prefix_count(x)
     while True:
+        if abs(x - counted_at) > SEGMENT:
+            prefix = _prefix_count(x)
+            if prefix != count:
+                raise RuntimeError(
+                    f"nth_semiprime({n}): the block counts give pi2({x}) = {count}, "
+                    f"the prefix count {prefix}"
+                )
+            counted_at = x
         slope = _estimate_terms(x)[2]
         step = (n - count) * x / (count * slope)
         if abs(step) > SEGMENT:
-            x = min(max(8, x + int(step)), MAX_COUNT_INPUT)
+            x = counted_at = min(max(8, x + int(step)), MAX_COUNT_INPUT)
             count = _prefix_count(x)
             continue
         width = min(SEGMENT, int(abs(step) * 1.25) + SCAN_WIDTH)
         if count < n:
             a, b = x + 1, min(x + width, MAX_COUNT_INPUT)
-            block = _count_range(a, b)
+        else:
+            a, b = max(8, x + 1 - width), x
+        if a > b:
+            # pi2(7) = 2 < n <= MAX_NTH_INPUT = pi2(MAX_COUNT_INPUT)
+            raise RuntimeError(
+                f"nth_semiprime({n}): the block counts give pi2({x}) = {count}, "
+                f"which puts it outside [8, {MAX_COUNT_INPUT}]"
+            )
+        block = _count_range(a, b)
+        if count < n:
             if count + block >= n:
                 running = count
                 break
             x, count = b, count + block
         else:
-            a, b = max(8, x + 1 - width), x
-            running = count - _count_range(a, b)
+            running = count - block
             if running < n:
                 break
             x, count = a - 1, running
@@ -166,12 +187,17 @@ def _nth_scan(n):
         else:
             running += low
             a = mid + 1
-    x = a - 1
-    while running < n:
-        x += 1
+    before = running
+    for x in range(a, b + 1):
         tb, k1b, k2b = _triple_bits(x)
         running += k1b + k2b - tb
-    return x
+        if running >= n:
+            return x
+    # the block counter put sp_n in [a, b], and the scan disagrees
+    raise RuntimeError(
+        f"nth_semiprime({n}): the block counts put it in [{a}, {b}] with "
+        f"pi2({a - 1}) = {before}, but the scan of that block reached only {running}"
+    )
 
 
 def _semiprimes_after(n):

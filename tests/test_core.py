@@ -25,6 +25,7 @@ from semiprimes import (
     t,
 )
 from semiprimes.core import (
+    _INDEX,
     _LARGE,
     _REJECT,
     _SMALL_SEMIPRIMES,
@@ -325,6 +326,35 @@ def _assert_window_parts_match_block_sums(lo, hi):
 @settings(max_examples=200)
 def test_window_parts_match_block_sums(window):
     _assert_window_parts_match_block_sums(*window)
+
+
+@st.composite
+def _narrow_windows(draw):
+    """A window [lo, hi] anywhere in [8, MAX_COUNT_INPUT], at any scale, with
+    hi - lo < isqrt(hi): every width that count_range gives the window
+    route."""
+    hi = draw(st.integers(min_value=8, max_value=10 ** draw(st.integers(1, 9))))
+    return max(8, hi - draw(st.integers(min_value=0, max_value=isqrt(hi) - 1))), hi
+
+
+@given(_narrow_windows())
+@example((10**9, 10**9)).via("one integer: every p and p^2 stores at most once")
+@example((10**8, 10**8 + 511)).via("lo a multiple of 4: s = 0 for p = 2 and for p^2 = 4")
+@example((997 * 994013 - 500, 997 * 994013)).via("997's only multiple is hi, a semiprime")
+@example((997 * 994012, 997 * 994013)).via("997's two multiples are lo and hi")
+@example((49 * 20000003 - 30, 49 * 20000003 + 10)).via("49's one multiple, 7 has six")
+@settings(max_examples=200)
+def test_window_parts_match_block_sums_anywhere(window):
+    _assert_window_parts_match_block_sums(*window)
+
+
+def test_window_index_tables_mark_or_reject():
+    # translating by _INDEX[i] marks an unmarked x with i and rejects an x
+    # that already holds any mark
+    every_byte = bytes(range(256))
+    for i in range(_LARGE):
+        marked = every_byte.translate(_INDEX[i])
+        assert marked[0] == i and set(marked[1:]) == {_REJECT}, i
 
 
 def test_window_parts_match_block_sums_at_every_cube():

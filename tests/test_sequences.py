@@ -222,6 +222,46 @@ def test_nth_steps_down_until_the_count_is_below_n(semi_flags_2m, monkeypatch):
         assert nth_semiprime(n) == x, n
 
 
+def test_nth_raises_when_the_scan_disagrees_with_the_counts(monkeypatch):
+    # A scan that finds no semiprime in the block the counters chose must
+    # fail after that block, not walk on without bound.
+    scanned = []
+
+    def no_semiprime(x):
+        scanned.append(x)
+        return 0, 0, 0
+
+    monkeypatch.setattr(sequences, "_triple_bits", no_semiprime)
+    with pytest.raises(RuntimeError, match=r"nth_semiprime\(40000\): the block counts put it in \["):
+        nth_semiprime(40_000)
+    assert 0 < len(scanned) <= SCAN_WIDTH
+    assert scanned == list(range(scanned[0], scanned[-1] + 1))
+
+
+def test_nth_raises_when_the_block_walk_leaves_the_counting_range(monkeypatch):
+    # pi2(100) = 34 from the prefix count, and blocks that count no semiprime
+    # walk down to 7, where pi2(7) = 2 < n: the counts disagree.
+    monkeypatch.setattr(sequences, "_nth_anchor", lambda n: 100)
+    monkeypatch.setattr(sequences, "_count_range", lambda a, b: 0)
+    with pytest.raises(RuntimeError, match=r"nth_semiprime\(3\): the block counts give pi2\(7\) = 34"):
+        nth_semiprime(3)
+
+
+def test_nth_raises_when_the_block_walk_disagrees_with_the_prefix_count(monkeypatch):
+    # Blocks that count no semiprime would walk on toward 10^9 one narrow
+    # block at a time; a prefix count SEGMENT away shows the disagreement.
+    blocks = []
+
+    def no_semiprime(a, b):
+        blocks.append((a, b))
+        return 0
+
+    monkeypatch.setattr(sequences, "_count_range", no_semiprime)
+    with pytest.raises(RuntimeError, match=r"nth_semiprime\(300000\): .* the prefix count \d+$"):
+        nth_semiprime(300_000)
+    assert abs(blocks[-1][0] - blocks[0][0]) <= 2 * SEGMENT
+
+
 @pytest.mark.parametrize("n", [40_000, 10**7, 10**8, MAX_NTH_INPUT])
 def test_nth_takes_one_prefix_count(monkeypatch, n):
     # The anchor lands close enough to sp_n, in the benchmark's prefix band
