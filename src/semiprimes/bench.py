@@ -1,4 +1,4 @@
-"""Golden-table reproduction and a small timing harness.
+"""Golden-table reproduction with CSV/JSON row serialization.
 
 The embedded expected values are reference results for the counting, ordinal
 and successor queries; reproduce_table recomputes each row and records
@@ -7,12 +7,11 @@ asserted anywhere: they depend on the host, the counted values do not.
 """
 
 import json
-import statistics
 import time
 from dataclasses import dataclass
 
 from .core import semiprime_count
-from .intmath import DomainError, as_natural
+from .intmath import as_natural
 from .sequences import gate, next_semiprime, nth_semiprime
 
 GOLDEN_SEMIPRIME_COUNTS = {
@@ -115,40 +114,6 @@ def reproduce_table(table_id: int, max_input: int = 10**6) -> list:
             if n <= max_input
         ]
     raise ValueError(f"unknown table id {table_id!r}; expected 1, 2, 3 or 4")
-
-
-_SWEEP_OPS = {
-    "count": (semiprime_count, GOLDEN_SEMIPRIME_COUNTS),
-    "nth": (nth_semiprime, GOLDEN_NTH_SEMIPRIMES),
-    "next": (next_semiprime, GOLDEN_NEXT_SEMIPRIMES),
-}
-
-
-def timing_sweep(op: str, inputs, repetitions: int = 1) -> list:
-    """Run one operation over the inputs, reporting the median elapsed time.
-
-    Results are reported, never asserted.  When an input has a golden value
-    it is carried into the row's expected column; otherwise expected repeats
-    the computed value.
-    """
-    try:
-        fn, golden = _SWEEP_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}; expected 'count', 'nth' or 'next'") from None
-    repetitions = as_natural(repetitions, "repetitions")
-    if repetitions < 1:
-        raise DomainError("repetitions must be >= 1")
-    rows = []
-    for value in inputs:
-        times = []
-        computed = None
-        for _ in range(repetitions):
-            begin = time.perf_counter()
-            computed = fn(value)
-            times.append(time.perf_counter() - begin)
-        expected = golden.get(value, computed)
-        rows.append(TableRow(value, expected, computed, statistics.median(times), computed == expected))
-    return rows
 
 
 def rows_to_csv(rows) -> str:

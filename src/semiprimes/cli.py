@@ -209,8 +209,8 @@ def _build_parser():
         help="the nth semiprime in ascending order",
         description="The nth semiprime in ascending order.  It counts the "
         "semiprimes up to an estimate of the answer exactly, counts blocks "
-        "of integers from there until one reaches n, halves that block down "
-        "to a few dozen integers, and settles those one at a time.",
+        "of integers from there until one reaches n, and picks the answer "
+        "off that block's semiprime flags.",
     )
     p.add_argument(
         "number",

@@ -21,8 +21,10 @@ routes, one per query kind:
 
 - count_range sums its three parts over whole blocks with bytearray
   marking, not one indicator call per integer: one pass over a window with
-  hi - lo < isqrt(hi), else sieves of the range for sum(k1) and sum(t) and
-  of the quotient range [lo/p, hi/p] of each small prime p for sum(k2);
+  hi - lo < 8 * isqrt(hi), else sieves of the range for sum(k1) and sum(t)
+  and of the quotient range [lo/p, hi/p] of each small prime p for sum(k2).
+  The window pass's final marks decide every integer, so they also give
+  nth_semiprime the semiprime flags of the blocks it walks;
 - semiprime_count (a prefix from 1) groups each semiprime p*q by its smaller
   prime p, so that sum(k2) and sum(k1 - t) become prime counts pi at n // p
   and at p^2 - 1 and p - 1; a Lucy-style table gives every pi(n // k) in
@@ -199,7 +201,7 @@ def _k2_sum(lo: int, hi: int) -> int:
     return total
 
 
-#: Marks of _window_parts above its prime indices, at most pi(1000) = 168, so
+#: Window marks above their prime indices, at most pi(1000) = 168, so
 #: that all fit a byte.  _REJECT: x has three or more prime factors.
 _LARGE = 254
 _REJECT = 255
@@ -208,21 +210,26 @@ _REJECT = 255
 #: an unmarked byte (0) to i and every mark already set to _REJECT.
 _INDEX = [bytes([i]) + bytes([_REJECT]) * 255 for i in range(_LARGE)]
 
+#: Translates the final window marks to semiprime flags: a prime index or
+#: _LARGE to 1, a prime (0) or _REJECT to 0.
+_SEMIPRIME = bytes([0]) + bytes([1]) * _LARGE + bytes([0])
 
-def _window_parts(lo: int, hi: int) -> tuple:
-    # (sum of k1, sum of k2, sum of t) over a window narrower than isqrt(hi),
-    # by count_range's window route.  An x marked with its one prime p <= c
-    # has x/p composite exactly when some prime r > c divides it with
-    # r^2 * p <= x.  An unmarked x that some r > c divides is composite (r
-    # <= isqrt(b) < c^3 <= x), so a product of two primes above c: _LARGE.
-    # A prime p <= c with two or more multiples in the piece marks them all
-    # with one strided translation by _INDEX[p's index], and p^2 rejects its
+
+def _window_marks(lo: int, hi: int):
+    # The final marks of count_range's window route, one bytearray per piece
+    # of [lo, hi]: 0 for a prime, a prime index i for p_i * q with q prime,
+    # _LARGE for a product of two primes above c, _REJECT for three or more
+    # prime factors.  An x marked with its one prime p <= c has x/p composite
+    # exactly when some prime r > c divides it with r^2 * p <= x.  An
+    # unmarked x that some r > c divides is composite (r <= isqrt(b) < c^3
+    # <= x), so a product of two primes above c: _LARGE.  A prime p <= c
+    # with two or more multiples in the piece marks them all with one
+    # strided translation by _INDEX[p's index], and p^2 rejects its
     # multiples with one strided store; with at most one, a single store.
-    k1_sum = k2_sum = t_sum = 0
     a = lo
     while a <= hi:
         c = _icbrt(a)
-        b = min(hi, (c + 1) ** 3 - 1)
+        b = min(hi, a + SEGMENT - 1, (c + 1) ** 3 - 1)
         size, na = b - a + 1, -a
         primes = _primes(isqrt(b))
         cut = bisect_right(primes, c)
@@ -239,7 +246,6 @@ def _window_parts(lo: int, hi: int) -> tuple:
                 marks[s::p2] = bytes([_REJECT]) * ((size - 1 - s) // p2 + 1)
             elif s < size:
                 marks[s] = _REJECT
-        k1 = marks.count(0)
         for r, s in [(r, s) for r in primes[cut:] if (s := na % r) < size]:
             r2 = r * r
             while s < size:
@@ -249,16 +255,31 @@ def _window_parts(lo: int, hi: int) -> tuple:
                 elif i < _LARGE and r2 * primes[i - 1] <= a + s:
                     marks[s] = _REJECT
                 s += r
-        k1_sum += k1
-        k2_sum += size - k1 - marks.count(_REJECT)
-        t_sum += marks.count(0)
+        yield marks
         a = b + 1
+
+
+def _window_parts(lo: int, hi: int) -> tuple:
+    # (sum of k1, sum of k2, sum of t) over [lo, hi] from the window marks:
+    # the large-prime phase only turns 0 into _LARGE, so k1 = t + _LARGE
+    k1_sum = k2_sum = t_sum = 0
+    for marks in _window_marks(lo, hi):
+        t = marks.count(0)
+        k1 = t + marks.count(_LARGE)
+        k1_sum += k1
+        k2_sum += len(marks) - k1 - marks.count(_REJECT)
+        t_sum += t
     return k1_sum, k2_sum, t_sum
+
+
+def _semiprime_flags(lo: int, hi: int) -> bytes:
+    # one byte per x in [lo, hi] (8 <= lo): 1 for a semiprime, else 0
+    return b"".join(marks.translate(_SEMIPRIME) for marks in _window_marks(lo, hi))
 
 
 def _count_range(lo: int, hi: int) -> int:
     # count_range without the argument checks; see there for the width rule
-    if hi - lo < isqrt(hi):
+    if hi - lo < 8 * isqrt(hi):
         k1_sum, k2_sum, t_sum = _window_parts(lo, hi)
     else:
         (k1_sum, t_sum), k2_sum = _k1_t_sums(lo, hi), _k2_sum(lo, hi)
@@ -327,26 +348,29 @@ def count_range(lo: int, hi: int) -> int:
     part over whole blocks rather than integer by integer, in pieces split
     at consecutive cubes so that icbrt is a constant c within each:
 
-    - a window with hi - lo < isqrt(hi) is sieved itself, in one pass per
-      piece.  Each x is marked with its one prime p <= c, or rejected when
-      two such primes or p*p divide it; the unmarked x are sum(k1).  A p
-      with two or more multiples in the piece marks them with one strided
-      bytes.translate, not one store per multiple, and p*p rejects its
-      multiples with one strided store.  Each prime r in (c, isqrt(hi)]
-      then rejects the marked x it divides with r*r*p <= x (x/p is
-      composite) and marks every unmarked x it divides (a semiprime); what
-      is left unmarked is sum(t), and marked p, sum(k2);
+    - a window with hi - lo < 8 * isqrt(hi) is sieved itself, in one pass
+      per piece of at most SEGMENT integers.  Each x is marked with its one
+      prime p <= c, or rejected when two such primes or p*p divide it; the
+      unmarked x are sum(k1).  A p with two or more multiples in the piece
+      marks them with one strided bytes.translate, not one store per
+      multiple, and p*p rejects its multiples with one strided store.  Each
+      prime r in (c, isqrt(hi)] then rejects the marked x it divides with
+      r*r*p <= x (x/p is composite) and marks every unmarked x it divides
+      (a semiprime); what is left unmarked is sum(t), and marked p, sum(k2);
     - a wider range counts what the primes <= c leave unmarked for sum(k1),
       sieves its primes for sum(t), and adds for sum(k2), over the primes
       p <= icbrt(hi), the number of primes q with max(p*p, ceil(lo/p)) <= q
       <= floor(hi/p).  These quotient ranges are only (hi - lo)/p wide, and
-      below about isqrt(hi) almost none of their sieving primes hits them.
+      in a narrow one almost none of their sieving primes hits.  At
+      8 * isqrt(hi) wide the window route takes about half this route's
+      time at every scale from 2 * 10^4 to 10^9, at 16 * isqrt(hi) two
+      thirds to three quarters.
 
-    Every sieve runs in segments of SEGMENT integers, and the window route's
-    one bytearray holds at most isqrt(hi) bytes, so memory stays bounded for
-    every range; the primes come from the shared table that the per-number
-    indicators use.  Consecutive ranges compose exactly: splitting [8, N]
-    anywhere and adding the pieces always reproduces semiprime_count(N) - 2.
+    Every sieve runs in segments of SEGMENT integers, the window route's
+    pieces included, so memory stays bounded for every range; the primes
+    come from the shared table that the per-number indicators use.
+    Consecutive ranges compose exactly: splitting [8, N] anywhere and adding
+    the pieces always reproduces semiprime_count(N) - 2.
     """
     lo = as_natural(lo, "lo")
     hi = as_natural(hi, "hi")

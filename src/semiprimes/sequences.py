@@ -2,7 +2,7 @@
 
 The nth semiprime is 8 + sum over x >= 8 of gate(n, pi2(x)): the gate is 1
 exactly while pi2(x) < n, so sp_n is the smallest x with pi2(x) >= n.
-nth_semiprime finds that x with core's two counters in four steps, every
+nth_semiprime finds that x with core's two counters in three steps, every
 count exact:
 
 - anchor: invert x / ln x * (ln ln x + B + (D ln ln x + C) / ln x) = n in
@@ -10,12 +10,11 @@ count exact:
   take pi2 there with the prefix count;
 - close: step from the anchor toward sp_n by the gap divided by the local
   density; a step wider than SEGMENT recounts pi2 at its end with the
-  prefix count, a shorter one counts the block it crosses with the block
-  counter, until a block [a, b] has pi2(a - 1) < n <= pi2(b);
-- halve: count the lower half of that block; keep it if it reaches n, else
-  add its count and keep the upper half; stop at SCAN_WIDTH integers or
-  fewer;
-- scan: settle those integers one at a time with the indicator triple.
+  prefix count, a shorter one takes the semiprime flags of the block it
+  crosses from count_range's window pass and counts them, until a block
+  [a, b] has pi2(a - 1) < n <= pi2(b);
+- pick: sp_n is that block's (n - pi2(a - 1))th flagged integer, which one
+  indicator triple then confirms is a semiprime.
 
 The floats only choose where to count, so any anchor gives the same answer;
 a good one saves counts.  The estimate is within about 0.25 % of sp_n
@@ -24,7 +23,8 @@ costs one prefix count plus a few narrow blocks, well below the cost of
 counting every integer up to the answer.  Counters that disagree raise
 RuntimeError: a block walk that strays more than SEGMENT from its last
 prefix count and does not match a new one, a block walk that would leave
-[8, MAX_COUNT_INPUT], or a scan that does not reach n by its block's end.
+[8, MAX_COUNT_INPUT], or a picked integer that the triple says is not a
+semiprime.
 
 Indices run up to MAX_NTH_INPUT, the number of semiprimes <= MAX_COUNT_INPUT,
 so every answer lies in the counting range; n is checked once, before the
@@ -36,10 +36,10 @@ telescoping sum of products for the successor) are transcribed in literal,
 as slow references for the tests.
 """
 
-from itertools import islice
+from itertools import compress, islice
 from math import log
 
-from .core import _SMALL_SEMIPRIMES, _count_range, _prefix_count, _triple_bits
+from .core import _SMALL_SEMIPRIMES, _prefix_count, _semiprime_flags, _triple_bits
 from .intmath import (
     MAX_CLASSIFY_INPUT,
     MAX_COUNT_INPUT,
@@ -49,10 +49,6 @@ from .intmath import (
     as_natural,
 )
 from .primality import SEGMENT
-
-#: The halving stops once its interval holds at most this many integers,
-#: which the exact scan then settles.
-SCAN_WIDTH = 64
 
 
 def gate(n: int, x: int) -> int:
@@ -76,9 +72,9 @@ def nth_semiprime(n: int) -> int:
     Every n up to MAX_NTH_INPUT (160 788 536) is accepted, since its answer
     is at most MAX_COUNT_INPUT; a larger n raises RangeLimitError at once.
     The search takes exact prefix counts near a floating-point estimate of
-    the answer, counts blocks of at most SEGMENT integers to reach it,
-    halves the block that does down to SCAN_WIDTH integers, and scans those
-    (see the module docstring).  Its cost is about that of one
+    the answer, counts the semiprime flags of blocks of at most SEGMENT
+    integers to reach it, and picks the answer off the flags of the block
+    that does (see the module docstring).  Its cost is about that of one
     semiprime_count call near the answer.  literal.nth_semiprime_literal
     evaluates the gated sum itself, as a slow reference.
     """
@@ -132,7 +128,7 @@ def _nth_anchor(n):
 
 def _nth_scan(n):
     # Bracket the answer in [a, b] with running = pi2(a - 1) < n <= pi2(b),
-    # then halve and scan.  count = pi2(x) is exact throughout; the floats
+    # then pick it off the block's flags.  count = pi2(x) is exact; the floats
     # only choose the next x or block, so every choice gives the same answer.
     # The step to sp_n divides the gap by the local density: the mean
     # count / x times the ratio of the estimate's slope to its mean.  A step
@@ -157,7 +153,8 @@ def _nth_scan(n):
             x = counted_at = min(max(8, x + int(step)), MAX_COUNT_INPUT)
             count = _prefix_count(x)
             continue
-        width = min(SEGMENT, int(abs(step) * 1.25) + SCAN_WIDTH)
+        # 64 past the step, so that a short or underestimated step holds sp_n
+        width = min(SEGMENT, int(abs(step) * 1.25) + 64)
         if count < n:
             a, b = x + 1, min(x + width, MAX_COUNT_INPUT)
         else:
@@ -168,7 +165,8 @@ def _nth_scan(n):
                 f"nth_semiprime({n}): the block counts give pi2({x}) = {count}, "
                 f"which puts it outside [8, {MAX_COUNT_INPUT}]"
             )
-        block = _count_range(a, b)
+        flags = _semiprime_flags(a, b)
+        block = flags.count(1)
         if count < n:
             if count + block >= n:
                 running = count
@@ -179,25 +177,14 @@ def _nth_scan(n):
             if running < n:
                 break
             x, count = a - 1, running
-    while b - a >= SCAN_WIDTH:
-        mid = (a + b) // 2
-        low = _count_range(a, mid)
-        if running + low >= n:
-            b = mid
-        else:
-            running += low
-            a = mid + 1
-    before = running
-    for x in range(a, b + 1):
-        tb, k1b, k2b = _triple_bits(x)
-        running += k1b + k2b - tb
-        if running >= n:
-            return x
-    # the block counter put sp_n in [a, b], and the scan disagrees
-    raise RuntimeError(
-        f"nth_semiprime({n}): the block counts put it in [{a}, {b}] with "
-        f"pi2({a - 1}) = {before}, but the scan of that block reached only {running}"
-    )
+    x = next(islice(compress(range(a, b + 1), flags), n - running - 1, None))
+    tb, k1b, k2b = _triple_bits(x)
+    if k1b + k2b - tb != 1:
+        raise RuntimeError(
+            f"nth_semiprime({n}): the block counts put it at {x}, "
+            f"which the indicator triple says is not a semiprime"
+        )
+    return x
 
 
 def _semiprimes_after(n):

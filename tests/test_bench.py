@@ -2,14 +2,8 @@ import json
 
 import pytest
 
-from semiprimes import DomainError, bench
-from semiprimes.bench import (
-    CSV_HEADER,
-    reproduce_table,
-    rows_to_csv,
-    rows_to_json,
-    timing_sweep,
-)
+from semiprimes import bench
+from semiprimes.bench import CSV_HEADER, reproduce_table, rows_to_csv, rows_to_json
 
 
 def test_reproduce_table2_capped():
@@ -71,37 +65,15 @@ def test_long_run_rows_are_gated(monkeypatch):
         assert requested == [10**k for k in range(1, top + 1)], kwargs
 
 
-def test_timing_sweep_monotone_elapsed():
-    rows = timing_sweep("count", (10**3, 10**4), repetitions=3)
-    assert [r.computed for r in rows] == [299, 2625]
-    assert all(r.match for r in rows)
-    assert rows[0].elapsed_s <= rows[1].elapsed_s  # larger input, no less work
-
-
-def test_timing_sweep_next_and_nth():
-    (row,) = timing_sweep("next", (100,), repetitions=5)
-    assert row.computed == 106 and row.match
-    (row,) = timing_sweep("nth", (5,), repetitions=1)
-    assert row.computed == 14
-    assert row.expected == 14  # no golden entry for n=5: expected echoes computed
-    assert row.match
-
-
-def test_timing_sweep_errors():
-    with pytest.raises(ValueError):
-        timing_sweep("frobnicate", (10,))
-    with pytest.raises(DomainError):
-        timing_sweep("count", (10,), repetitions=0)
-
-
 def test_row_serialization_schema():
-    rows = timing_sweep("next", (100, 200), repetitions=1)
+    rows = reproduce_table(4, max_input=200)
     csv_text = rows_to_csv(rows)
     lines = csv_text.strip().split("\n")
     assert lines[0] == CSV_HEADER == "input,expected,computed,elapsed_s,match"
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "100" and first[1] == "106" and first[2] == "106" and first[4] == "true"
+    assert lines[2].split(",")[:3] == ["200", "201", "201"]
     decoded = json.loads(rows_to_json(rows))
     assert [set(entry) for entry in decoded] == [
         {"input", "expected", "computed", "elapsed_s", "match"}

@@ -28,13 +28,15 @@ from semiprimes.core import (
     _INDEX,
     _LARGE,
     _REJECT,
+    _SEMIPRIME,
     _SMALL_SEMIPRIMES,
     _k1_t_sums,
     _k2_sum,
     _prefix_parts,
+    _semiprime_flags,
     _window_parts,
 )
-from semiprimes.primality import _primes
+from semiprimes.primality import SEGMENT, _primes
 
 VALID_TRIPLES = {(1, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)}
 
@@ -266,7 +268,9 @@ def _edge_windows(draw, top=MAX_COUNT_INPUT):
     changes at edge: a cube c^3 (icbrt steps up), a prime square p^2, a prime
     cube p^3, or x = p*q with q the prime just below or above p^2 (where the
     semiprime moves from the k1 term to the k2 term).  Edges and hi stay at
-    or below top (at most MAX_COUNT_INPUT)."""
+    or below top (at most MAX_COUNT_INPUT).  Up to 2 400 integers on each
+    side, so that count_range takes both routes, whose cut is at
+    8 * isqrt(hi), for every hi up to about 3.6 * 10^5."""
     root_primes = _PRIMES[: bisect_right(_PRIMES, isqrt(top))]
     cube_root_primes = _PRIMES[: bisect_right(_PRIMES, icbrt(top))]
     kind = draw(st.sampled_from(("cube", "prime square", "prime cube", "p*q, q near p^2")))
@@ -281,8 +285,8 @@ def _edge_windows(draw, top=MAX_COUNT_INPUT):
         i = bisect_left(_PRIMES, p * p)
         q = _PRIMES[i - draw(st.integers(min_value=0, max_value=1))]
         edge = p * q
-    lo = max(8, edge - draw(st.integers(min_value=1, max_value=300)))
-    hi = min(top, max(edge, lo) + draw(st.integers(min_value=0, max_value=300)))
+    lo = max(8, edge - draw(st.integers(min_value=1, max_value=2400)))
+    hi = min(top, max(edge, lo) + draw(st.integers(min_value=0, max_value=2400)))
     return lo, hi
 
 
@@ -320,9 +324,12 @@ def _assert_window_parts_match_block_sums(lo, hi):
 @example((997**3 - 300, 997**3 + 300)).via("icbrt steps up to the prime 997 at 997^3")
 @example((991**3 - 200, 991**3 + 200)).via("p^3 for the prime 991")
 @example((997 * 994013 - 300, 997 * 994013 + 300)).via("p*q, q = 994013 the prime after 997^2")
-@example((10**9 - isqrt(10**9) + 1, 10**9)).via("hi - lo = isqrt(hi) - 1: the window route")
-@example((10**9 - isqrt(10**9), 10**9)).via("hi - lo = isqrt(hi): the wide route")
+@example((10**9 - 8 * isqrt(10**9) + 1, 10**9)).via("hi - lo = 8 isqrt(hi) - 1: the window route")
+@example((10**9 - 8 * isqrt(10**9), 10**9)).via("hi - lo = 8 isqrt(hi): the wide route")
 @example((10**6, 10**6 + 511)).via("c = 100 < the width: each r > c hits several times")
+@example((10**9 - 2 * isqrt(10**9), 10**9)).via("wider than isqrt(hi): r > c hits many times")
+@example((10**9 - 2 * SEGMENT - 10, 10**9)).via("wider than 2 SEGMENT: three pieces")
+@example((997**3 - SEGMENT, 997**3 + SEGMENT)).via("a cube between two SEGMENT joins")
 @settings(max_examples=200)
 def test_window_parts_match_block_sums(window):
     _assert_window_parts_match_block_sums(*window)
@@ -331,10 +338,10 @@ def test_window_parts_match_block_sums(window):
 @st.composite
 def _narrow_windows(draw):
     """A window [lo, hi] anywhere in [8, MAX_COUNT_INPUT], at any scale, with
-    hi - lo < isqrt(hi): every width that count_range gives the window
+    hi - lo < 8 * isqrt(hi): every width that count_range gives the window
     route."""
     hi = draw(st.integers(min_value=8, max_value=10 ** draw(st.integers(1, 9))))
-    return max(8, hi - draw(st.integers(min_value=0, max_value=isqrt(hi) - 1))), hi
+    return max(8, hi - draw(st.integers(min_value=0, max_value=8 * isqrt(hi) - 1))), hi
 
 
 @given(_narrow_windows())
@@ -357,6 +364,50 @@ def test_window_index_tables_mark_or_reject():
         assert marked[0] == i and set(marked[1:]) == {_REJECT}, i
 
 
+def test_semiprime_table_flags_the_semiprime_marks():
+    # a prime index (p * q, q prime) and _LARGE (two primes above c) are
+    # semiprimes; a prime (0) and _REJECT are not
+    flags = bytes(range(256)).translate(_SEMIPRIME)
+    assert flags == bytes([0]) + bytes([1]) * (_LARGE - 1) + bytes([1, 0])
+    assert flags[0] == flags[_REJECT] == 0 and flags[_LARGE] == 1
+
+
+@st.composite
+def _flag_windows(draw, top=2 * 10**6):
+    """A window [lo, hi] in [8, top] of 1 to 2 * SEGMENT + 1 integers."""
+    width = draw(st.integers(min_value=1, max_value=2 * SEGMENT + 1))
+    lo = draw(st.integers(min_value=8, max_value=top - width + 1))
+    return lo, lo + width - 1
+
+
+@given(_flag_windows())
+@example((100**3 - 500, 100**3 + 500)).via("across the cube 100^3: two pieces")
+@example((125**3, 125**3 + 1000)).via("starting on the cube 125^3")
+@example((10**6 + 1, 10**6 + SEGMENT + 1)).via("SEGMENT + 1 integers across the cubes 101^3 .. 104^3")
+@example((1_000_001, 1_000_001)).via("one integer, 101 * 9901, both factors above c")
+@example((999_958, 999_958)).via("one integer, 2 * 499979, a small factor")
+@example((999_983, 999_983)).via("one integer, a prime")
+@settings(max_examples=200)
+def test_semiprime_flags_match_spf_oracle(semi_flags_2m, window):
+    lo, hi = window
+    assert _semiprime_flags(lo, hi) == bytes(semi_flags_2m[lo : hi + 1])
+
+
+def test_semiprime_flags_across_a_segment_join():
+    # Below about 9 * 10^6 the cubes are closer than SEGMENT and cut every
+    # piece first; near 10^9 a piece ends at a + SEGMENT - 1.  The flags on
+    # both sides of that join against the indicator, and in all against the
+    # block sums.
+    lo, hi = 10**9 - SEGMENT - 300, 10**9
+    flags = _semiprime_flags(lo, hi)
+    join = lo + SEGMENT
+    assert flags[SEGMENT - 300 : SEGMENT + 300] == bytes(
+        semiprime_indicator(x) for x in range(join - 300, join + 300)
+    )
+    k1_sum, t_sum = _k1_t_sums(lo, hi)
+    assert flags.count(1) == k1_sum + _k2_sum(lo, hi) - t_sum
+
+
 def test_window_parts_match_block_sums_at_every_cube():
     # Every seam where icbrt steps up, c^3 for c = 2 .. icbrt(MAX_COUNT_INPUT),
     # with the window split into the pieces on either side of it.
@@ -373,7 +424,7 @@ def test_window_marks_fit_a_byte():
 
 
 def test_count_range_route_follows_the_width(monkeypatch):
-    # A window with hi - lo < isqrt(hi) takes the window route for all three
+    # A window with hi - lo < 8 * isqrt(hi) takes the window route for all three
     # parts, a wider one the block sums and the quotient route; each side
     # against the prefix route at the top of the range.
     def unused(lo, hi):
@@ -382,8 +433,8 @@ def test_count_range_route_follows_the_width(monkeypatch):
     hi = MAX_COUNT_INPUT
     up_to_hi = semiprime_count(hi)
     for lo, others in (
-        (hi - isqrt(hi) + 1, ("_k1_t_sums", "_k2_sum")),
-        (hi - isqrt(hi), ("_window_parts",)),
+        (hi - 8 * isqrt(hi) + 1, ("_k1_t_sums", "_k2_sum")),
+        (hi - 8 * isqrt(hi), ("_window_parts",)),
     ):
         with monkeypatch.context() as patch:
             for other in others:

@@ -21,7 +21,6 @@ from semiprimes import (
     sequences,
 )
 from semiprimes.core import SEGMENT
-from semiprimes.sequences import SCAN_WIDTH
 
 
 def test_gate_examples():
@@ -106,7 +105,7 @@ def test_nth_range_limit_is_checked_before_the_walk(monkeypatch):
     def no_walk(lo, hi):
         raise AssertionError(f"counted [{lo}, {hi}]")
 
-    monkeypatch.setattr(sequences, "_count_range", no_walk)
+    monkeypatch.setattr(sequences, "_semiprime_flags", no_walk)
     monkeypatch.setattr(literal, "semiprime_indicator", no_walk)
     for nth in (nth_semiprime, literal.nth_semiprime_literal):
         with pytest.raises(RangeLimitError):
@@ -144,25 +143,60 @@ def test_nth_round_trip_beside_cubes(semi_flags_2m):
             _round_trip(semi_flags_2m, x)
 
 
-def test_nth_round_trip_at_halving_ends(semi_flags_2m):
-    # Round trips at the first and last semiprimes of SCAN_WIDTH-wide
-    # intervals [8 + k*SEGMENT + j*SCAN_WIDTH, 8 + k*SEGMENT + (j + 1)*SCAN_WIDTH - 1]:
-    # since SEGMENT is a power-of-two multiple of SCAN_WIDTH, these are
-    # where halving a SEGMENT-wide block that starts at 8 + k*SEGMENT ends,
-    # the widest block the search counts.  Some of the answers sit on an
-    # interval's first or last integer.
-    per_block = SEGMENT // SCAN_WIDTH
-    assert SEGMENT % SCAN_WIDTH == 0 and per_block & (per_block - 1) == 0
-    exact = 0
-    for k in (0, 1, 3, 7, 14):
-        for j in (0, 1, per_block // 2 - 1, per_block // 2, per_block - 1):
-            first = 8 + k * SEGMENT + j * SCAN_WIDTH
-            last = first + SCAN_WIDTH - 1
-            for x in (_semiprimes_beside(semi_flags_2m, first)[1],
-                      _semiprimes_beside(semi_flags_2m, last + 1)[0]):
-                exact += x in (first, last)
-                _round_trip(semi_flags_2m, x)
-    assert exact >= 4  # some answers sit on an interval's first or last integer
+def _final_block(monkeypatch, n, anchor):
+    """nth_semiprime(n) searched from anchor, and the last block whose flags
+    it took: the block it picked the answer from."""
+    blocks, semiprime_flags = [], sequences._semiprime_flags
+
+    def recorded(a, b):
+        blocks.append((a, b))
+        return semiprime_flags(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sequences, "_semiprime_flags", recorded)
+        patch.setattr(sequences, "_nth_anchor", lambda n: anchor)
+        return nth_semiprime(n), blocks[-1]
+
+
+def test_nth_round_trip_at_final_block_ends(semi_flags_2m, monkeypatch):
+    # From pi2(x - 1) = n - 1 the search takes the block upward from x, and
+    # from pi2(x) = n downward to x: the answer is the final block's first
+    # or last integer, beside seams, cubes and the top of the flags.
+    answers = [_semiprimes_beside(semi_flags_2m, edge)[1]
+               for edge in (9, 8 + SEGMENT, 100**3, 125**3, 2 * 10**6 - 100)]
+    for x in answers:
+        n = semi_flags_2m.count(1, 0, x + 1)
+        _round_trip(semi_flags_2m, x)
+        found, (a, b) = _final_block(monkeypatch, n, x - 1)
+        assert found == x == a, (x, a, b)
+        found, (a, b) = _final_block(monkeypatch, n, x)
+        assert found == x == b, (x, a, b)
+
+
+def test_nth_round_trip_at_a_join_inside_the_final_block(semi_flags_2m, monkeypatch):
+    # The window pass splits a block at each cube, so the flags the answer
+    # is picked from join there: answers on both sides of a cube, from an
+    # anchor just below both.
+    for c in (3, 10, 50, 99, 100, 125):
+        for x in _semiprimes_beside(semi_flags_2m, c**3):
+            n = semi_flags_2m.count(1, 0, x + 1)
+            found, (a, b) = _final_block(monkeypatch, n, min(x, c**3) - 2)
+            assert found == x and a < c**3 <= b, (c, x, a, b)
+
+
+def test_nth_round_trip_at_a_segment_join_inside_the_final_block(monkeypatch):
+    # The window pass also ends a piece at a + SEGMENT - 1, but the search's
+    # blocks are at most SEGMENT wide, and below about 9 * 10^6 the cubes
+    # cut first; so only a wider block limit, near 999 * 10^6 (between 999^3
+    # and 1000^3), puts that join inside the final block.  From an anchor
+    # SEGMENT + 1 below x, x is the first integer after the join; from
+    # SEGMENT below, the last before it.
+    x = next_semiprime(999_000_000)
+    n = semiprime_count(x)
+    monkeypatch.setattr(sequences, "SEGMENT", 3 * SEGMENT)
+    for anchor, join in ((x - SEGMENT - 1, x), (x - SEGMENT, x + 1)):
+        found, (a, b) = _final_block(monkeypatch, n, anchor)
+        assert found == x and a + SEGMENT == join <= b, (anchor, a, b)
 
 
 @given(st.integers(min_value=3, max_value=407_284))  # pi2(2*10^6)
@@ -212,37 +246,36 @@ def test_nth_does_not_depend_on_the_anchor(semi_flags_2m, monkeypatch, anchor):
 
 
 def test_nth_steps_down_until_the_count_is_below_n(semi_flags_2m, monkeypatch):
-    # From the last x with pi2(x) = n, with blocks and halving one integer
-    # wide: the downward step must go on past every x with pi2(x - 1) = n,
-    # not stop at the first one (n = 4: pi2(13) = pi2(10) = 4, sp_4 = 10).
+    # From the last x with pi2(x) = n: the downward step must go on past
+    # every x with pi2(x - 1) = n, not stop at the first one (n = 4:
+    # pi2(13) = pi2(10) = 4, sp_4 = 10).
     answers = {n: _nth_from_flags(semi_flags_2m, n) for n in _ANCHOR_SAMPLE}
-    monkeypatch.setattr(sequences, "SCAN_WIDTH", 1)
     monkeypatch.setattr(sequences, "_nth_anchor", lambda n: next_semiprime(answers[n]) - 1)
     for n, x in answers.items():
         assert nth_semiprime(n) == x, n
 
 
 def test_nth_raises_when_the_scan_disagrees_with_the_counts(monkeypatch):
-    # A scan that finds no semiprime in the block the counters chose must
-    # fail after that block, not walk on without bound.
-    scanned = []
+    # The integer picked off the flags is checked by one indicator triple:
+    # a triple that says it is no semiprime stops the search at once.
+    answer = nth_semiprime(40_000)
+    checked = []
 
     def no_semiprime(x):
-        scanned.append(x)
+        checked.append(x)
         return 0, 0, 0
 
     monkeypatch.setattr(sequences, "_triple_bits", no_semiprime)
-    with pytest.raises(RuntimeError, match=r"nth_semiprime\(40000\): the block counts put it in \["):
+    with pytest.raises(RuntimeError, match=rf"nth_semiprime\(40000\): .* at {answer}, which"):
         nth_semiprime(40_000)
-    assert 0 < len(scanned) <= SCAN_WIDTH
-    assert scanned == list(range(scanned[0], scanned[-1] + 1))
+    assert checked == [answer]
 
 
 def test_nth_raises_when_the_block_walk_leaves_the_counting_range(monkeypatch):
     # pi2(100) = 34 from the prefix count, and blocks that count no semiprime
     # walk down to 7, where pi2(7) = 2 < n: the counts disagree.
     monkeypatch.setattr(sequences, "_nth_anchor", lambda n: 100)
-    monkeypatch.setattr(sequences, "_count_range", lambda a, b: 0)
+    monkeypatch.setattr(sequences, "_semiprime_flags", lambda a, b: bytes(b - a + 1))
     with pytest.raises(RuntimeError, match=r"nth_semiprime\(3\): the block counts give pi2\(7\) = 34"):
         nth_semiprime(3)
 
@@ -254,9 +287,9 @@ def test_nth_raises_when_the_block_walk_disagrees_with_the_prefix_count(monkeypa
 
     def no_semiprime(a, b):
         blocks.append((a, b))
-        return 0
+        return bytes(b - a + 1)
 
-    monkeypatch.setattr(sequences, "_count_range", no_semiprime)
+    monkeypatch.setattr(sequences, "_semiprime_flags", no_semiprime)
     with pytest.raises(RuntimeError, match=r"nth_semiprime\(300000\): .* the prefix count \d+$"):
         nth_semiprime(300_000)
     assert abs(blocks[-1][0] - blocks[0][0]) <= 2 * SEGMENT
