@@ -125,7 +125,7 @@ def _cmd_nth(args):
         check = oracle.nth_semiprime_oracle(args.number)
         if check != value:
             return _mismatch(f"nth({args.number})={value} but oracle scan gives {check}")
-    _emit_scalar(args, value, "scan", elapsed)
+    _emit_scalar(args, value, "formula", elapsed)
     return OK
 
 

@@ -16,27 +16,27 @@ none, k1 = 1 and k2 = 0.  With one, k1 = t = 0 and k2 = t(x/p): since
 x/p >= x^(2/3) >= 4, x is a semiprime exactly when x/p is prime, and a
 composite x/p means three or more prime factors.
 
-Counting sums that identity, and since the sum is linear it takes two
-routes, one per query kind:
+Counting sums that identity over [lo, hi], and since the sum is linear it
+takes one of two routes, one engine each:
 
-- count_range sums its three parts over whole blocks with bytearray
-  marking, not one indicator call per integer: one pass over a window with
-  hi - lo < 8 * isqrt(hi), else sieves of the range for sum(k1) and sum(t)
-  and of the quotient range [lo/p, hi/p] of each small prime p for sum(k2).
-  The window pass's final marks decide every integer, so they also give
-  nth_semiprime the semiprime flags of the blocks it walks;
-- semiprime_count (a prefix from 1) groups each semiprime p*q by its smaller
+- the window pass sieves the integers themselves, one bytearray piece at a
+  time, and its final marks give sum(k1), sum(k2) and sum(t) together.
+  count_range takes it for a window with hi - lo below about 2 * hi^(3/4),
+  and nth_semiprime reads the semiprime flags of the blocks it walks off
+  the same marks;
+- the prefix count (semiprime_count, and count_range over a wider range as
+  the difference of two of them) groups each semiprime p*q by its smaller
   prime p, so that sum(k2) and sum(k1 - t) become prime counts pi at n // p
-  and at p^2 - 1 and p - 1; a Lucy-style table gives every pi(n // k) in
-  O(n^(3/4)) steps and O(sqrt(n)) memory.  count_range, which sees every
-  integer, is the independent route the tests hold it to.
+  and at p^2 - 1 and p - 1; Lucy's table in primality gives every
+  pi(n // k) in O(n^(3/4)) steps and O(sqrt(n)) memory.
 
-Both routes and the per-number scans draw their primes from the one shared
-table in primality, which the wheel scan generates and which grows on demand,
-and every sieve here but count_range's window route is primality's segment
-sieve.  The public functions check their arguments once; the scans under
-them (_triple_bits, _count_range, _prefix_count, and the _t and _icbrt they
-call) take them unchecked.
+The two engines share no step beyond the prime table, and the tests hold
+each part of one to the other and to the per-number scans.  Both and the
+per-number scans draw their primes from the one shared table in primality,
+which the wheel scan generates and which grows on demand.  The public
+functions check their arguments once; the scans under them (_triple_bits,
+_count_range, _prefix_count, and the _t and _icbrt they call) take them
+unchecked.
 """
 
 import enum
@@ -46,7 +46,7 @@ from math import isqrt
 from typing import NamedTuple, Optional
 
 from .intmath import MAX_COUNT_INPUT, DomainError, RangeLimitError, _icbrt, as_natural
-from .primality import SEGMENT, _classification_arg, _mark, _primes, _t
+from .primality import SEGMENT, _classification_arg, _lucy_tables, _mark, _primes, _t
 
 
 class IndicatorTriple(NamedTuple):
@@ -153,54 +153,6 @@ def classify(x: int) -> Classification:
     return Classification(_TRIPLE_CATEGORY[trip], trip)
 
 
-def _count_primes(a: int, b: int) -> int:
-    """Number of primes in [a, b] (2 <= a), one segment at a time."""
-    total = 0
-    while a <= b:
-        end = min(b, a + SEGMENT - 1)
-        flags = bytearray(end - a + 1)
-        _mark(flags, a, _primes(isqrt(end)))
-        total += flags.count(0)
-        a = end + 1
-    return total
-
-
-def _k1_t_sums(lo: int, hi: int) -> tuple:
-    # Pieces never straddle a cube, so c = icbrt is constant in each.  The
-    # primes <= c mark every multiple in the piece (it starts at c^3 >= p^3
-    # > p^2): what they leave is the piece's sum of k1.  The primes up to
-    # sqrt of the piece's end then complete the prime sieve: what is left
-    # after them is the piece's sum of t.
-    k1_sum = t_sum = 0
-    a = lo
-    while a <= hi:
-        c = _icbrt(a)
-        b = min(hi, a + SEGMENT - 1, (c + 1) ** 3 - 1)
-        flags = bytearray(b - a + 1)
-        primes = _primes(isqrt(b))
-        cut = bisect_right(primes, c)
-        _mark(flags, a, primes[:cut])
-        k1_sum += flags.count(0)
-        _mark(flags, a, primes[cut:])
-        t_sum += flags.count(0)
-        a = b + 1
-    return k1_sum, t_sum
-
-
-def _k2_sum(lo: int, hi: int) -> int:
-    # The sum of k2 over [lo, hi] from one sieve of quotients per small
-    # prime: x = p*q with p prime, q prime and p <= icbrt(x), i.e. q >= p*p;
-    # the semiprime fixes p, so the terms over p never overlap.
-    total = 0
-    top = _icbrt(hi)  # p > top has p*p > hi // p, so no q
-    for p in _primes(top):
-        a = max(p * p, -(-lo // p))
-        b = hi // p
-        if a <= b:
-            total += _count_primes(a, b)
-    return total
-
-
 #: Window marks above their prime indices, at most pi(1000) = 168, so
 #: that all fit a byte.  _REJECT: x has three or more prime factors.
 _LARGE = 254
@@ -279,42 +231,35 @@ def _semiprime_flags(lo: int, hi: int) -> bytes:
 
 def _count_range(lo: int, hi: int) -> int:
     # count_range without the argument checks; see there for the width rule
-    if hi - lo < 8 * isqrt(hi):
+    if hi - lo < 2 * isqrt(hi) * isqrt(isqrt(hi)):
         k1_sum, k2_sum, t_sum = _window_parts(lo, hi)
-    else:
-        (k1_sum, t_sum), k2_sum = _k1_t_sums(lo, hi), _k2_sum(lo, hi)
-    return k1_sum + k2_sum - t_sum
+        return k1_sum + k2_sum - t_sum
+    return _prefix_count(hi) - _prefix_count(lo - 1)
+
+
+def _count_primes(a: int, b: int) -> int:
+    """Number of primes in [a, b] (2 <= a), one segment at a time."""
+    total = 0
+    while a <= b:
+        end = min(b, a + SEGMENT - 1)
+        flags = bytearray(end - a + 1)
+        _mark(flags, a, _primes(isqrt(end)))
+        total += flags.count(0)
+        a = end + 1
+    return total
 
 
 def _prefix_parts(n):
-    # (sum of k2, sum of k1 - t) over [1, n] for n >= 8, each semiprime p*q
+    # (sum of k2, sum of k1 - t) over [1, n] for n >= 7, each semiprime p*q
     # (p <= q) grouped by p, every part a prime count pi:
     #   sum k2       = sum over p <= c of pi(n/p) - pi(p^2 - 1)        (q >= p^2)
     #   sum k1 - t   = sum over p <= r of pi(min(n/p, p^2 - 1)) - pi(p - 1)
     # with c = icbrt(n) and r = isqrt(n); the second holds 4 and 6.  For
-    # p > c, n/p < p^2, so its min is n/p.  Lucy's recurrence builds
-    # small[v] = pi(v) for v <= r and large[k] = pi(n // k) for k <= r:
-    # starting from v - 1, each prime p (in turn, with i = pi(p - 1) primes
-    # before it) removes from every value v >= p*p the integers whose least
-    # prime factor is p, S(v // p) - i of them.  Each round reads only values
-    # the round has not yet changed: large[k * p] and small[v // p] lie past
-    # k and below v, and small is updated last.  Item updates in place keep
-    # the peak to the two tables, O(sqrt(n)) integers.
+    # p > c, n/p < p^2, so its min is n/p.  Lucy's table gives small[v] =
+    # pi(v) for v <= r and large[k] = pi(n // k) for k <= r.
     r = isqrt(n)
     primes = _primes(r)
-    small = list(range(-1, r))
-    large = [0] + [n // k - 1 for k in range(1, r + 1)]
-    for i, p in enumerate(primes):
-        p2 = p * p
-        kmax = min(r, n // p2)  # large[k] with n // k >= p*p
-        inner = min(kmax, r // p)  # large[k * p] is still in large
-        for k in range(1, inner + 1):
-            large[k] -= large[k * p] - i
-        m = n // p  # n // (k * p) == m // k
-        for k in range(inner + 1, kmax + 1):
-            large[k] -= small[m // k] - i
-        for v in range(r, p2 - 1, -1):
-            small[v] -= small[v // p] - i
+    small, large = _lucy_tables(n)
     # pi(p^2 - 1) for p <= c: from small while p^2 - 1 <= r, then from one
     # ascending sieve pass past r
     c = _icbrt(n)
@@ -336,7 +281,7 @@ def _prefix_parts(n):
 
 
 def _prefix_count(n):
-    # the number of semiprimes <= n, for n >= 8, in O(n^(3/4)) steps
+    # the number of semiprimes <= n, for n >= 7, in O(n^(3/4)) steps
     k2_sum, k1_t_sum = _prefix_parts(n)
     return k2_sum + k1_t_sum
 
@@ -344,12 +289,13 @@ def _prefix_count(n):
 def count_range(lo: int, hi: int) -> int:
     """Sum of semiprime_indicator over lo..hi inclusive (8 <= lo <= hi).
 
-    The sum is linear, so it is computed as sum(k1) + sum(k2) - sum(t), each
-    part over whole blocks rather than integer by integer, in pieces split
-    at consecutive cubes so that icbrt is a constant c within each:
+    The sum is linear, so it is computed as sum(k1) + sum(k2) - sum(t) by
+    one of two routes, chosen by the width alone:
 
-    - a window with hi - lo < 8 * isqrt(hi) is sieved itself, in one pass
-      per piece of at most SEGMENT integers.  Each x is marked with its one
+    - a window with hi - lo < 2 * isqrt(hi) * isqrt(isqrt(hi)), about
+      2 * hi^(3/4), is sieved itself, in one pass per piece of at most
+      SEGMENT integers, the pieces also split at consecutive cubes so that
+      icbrt is a constant c within each.  Each x is marked with its one
       prime p <= c, or rejected when two such primes or p*p divide it; the
       unmarked x are sum(k1).  A p with two or more multiples in the piece
       marks them with one strided bytes.translate, not one store per
@@ -357,17 +303,16 @@ def count_range(lo: int, hi: int) -> int:
       prime r in (c, isqrt(hi)] then rejects the marked x it divides with
       r*r*p <= x (x/p is composite) and marks every unmarked x it divides
       (a semiprime); what is left unmarked is sum(t), and marked p, sum(k2);
-    - a wider range counts what the primes <= c leave unmarked for sum(k1),
-      sieves its primes for sum(t), and adds for sum(k2), over the primes
-      p <= icbrt(hi), the number of primes q with max(p*p, ceil(lo/p)) <= q
-      <= floor(hi/p).  These quotient ranges are only (hi - lo)/p wide, and
-      in a narrow one almost none of their sieving primes hits.  At
-      8 * isqrt(hi) wide the window route takes about half this route's
-      time at every scale from 2 * 10^4 to 10^9, at 16 * isqrt(hi) two
-      thirds to three quarters.
+    - a wider range is the difference of two prefix counts,
+      semiprime_count(hi) - semiprime_count(lo - 1), whose cost grows as
+      hi^(3/4) rather than with the width.  The window pass and that
+      difference take the same time at 2.1 to 3.2 * hi^(3/4) wide from
+      10^6 to 10^9, so the cut keeps the window pass where it is cheaper.
+      The cut is taken from integer square roots, so no intermediate value
+      leaves 64 bits.
 
-    Every sieve runs in segments of SEGMENT integers, the window route's
-    pieces included, so memory stays bounded for every range; the primes
+    The window pass keeps memory bounded by SEGMENT bytes at any width, and
+    the prefix count by two tables of isqrt(hi) + 1 integers; the primes
     come from the shared table that the per-number indicators use.
     Consecutive ranges compose exactly: splitting [8, N] anywhere and adding
     the pieces always reproduces semiprime_count(N) - 2.
@@ -391,9 +336,10 @@ def semiprime_count(n: int) -> int:
     a prime count pi at n // p or at some value <= n^(2/3).  The pi(n // k)
     come from one Lucy-style table of O(sqrt(n)) entries in O(n^(3/4))
     steps, the rest from one segmented sieve pass, so the cost grows well
-    below n: 10^9 takes about 0.51 s and under 3 MB.  count_range
-    (the block sums over every integer) is the independent route the tests
-    compare it with.  Below 8 the count is read off the semiprimes 4 and 6.
+    below n: 10^9 takes about 0.51 s and under 3 MB.  The window pass
+    under count_range, which sees every integer, is the independent route
+    the tests compare it with.  Below 8 the count is read off the
+    semiprimes 4 and 6.
     """
     n = as_natural(n, "n")
     if n < 1:

@@ -8,10 +8,12 @@ fractions.Fraction values, so the floors and ceilings are exact by
 construction rather than by integer identity, which makes these useful as an
 independent reference route in the tests.
 
-The ordinal and successor sums are evaluated term by term over the
-production indicators: nth_semiprime_literal re-evaluates the count for
-every term of its gated sum, so it is quadratic in its window, and
-next_semiprime_literal multiplies out the telescoping products.
+The prime-count, ordinal and successor sums are evaluated term by term over
+the production indicators: prime_count_literal adds t over the 6j+5 and
+6j+7 grids, nth_semiprime_literal re-evaluates the count for every term of
+its gated sum, so it is quadratic in its window, and next_semiprime_literal
+multiplies out the telescoping products.  primality.prime_count_formula and
+the sequences functions answer the same questions in production.
 """
 
 import math
@@ -97,6 +99,23 @@ def k2_literal(x: int) -> int:
 def semiprime_indicator_literal(x: int) -> int:
     """k1 + k2 - t with every constituent evaluated in literal form."""
     return k1_literal(x) + k2_literal(x) - t_literal(x)
+
+
+def prime_count_literal(x: int) -> int:
+    """4 + sum of t over the 6j+5 and the 6j+7 grids up to x, j >= 1 (x >= 8).
+
+    Both sums range over arguments clamped to <= x (an unclamped ceiling
+    bound on j would count indicators past x and overshoot); the constant 4
+    accounts for the primes 2, 3, 5, 7 that the grids start above.  One t
+    per grid point, so the cost is linear in x.
+    """
+    x = _require(x, 8, "prime_count_literal")
+    total = 4
+    for v in range(11, x + 1, 6):  # 6j+5, j >= 1
+        total += t(v)
+    for v in range(13, x + 1, 6):  # 6j+7, j >= 1
+        total += t(v)
+    return total
 
 
 def _literal_window(n):

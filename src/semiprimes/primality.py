@@ -15,10 +15,13 @@ t itself takes one of two routes to the same value, chosen by the size of x:
   10^6, which some scanned block holds; a prime x > 10^6 divides no product
   of smaller primes.
 
-This module also holds the segment sieve (_mark) and the one shared table of
-small primes (_primes) that the block products, the counting engine and the
-per-number scans in core all draw on.  The wheel scan generates that table,
-and the table's primes sieve the segments the block products are taken from.
+This module also holds the segment sieve (_mark), the one shared table of
+small primes (_primes) that the block products, the counting routes and the
+per-number scans in core all draw on, and Lucy's prime-count table
+(_lucy_tables), which gives pi(n // k) for every k in O(n^(3/4)) steps.  The
+wheel scan generates the shared table, the table's primes sieve the segments
+the block products are taken from, and prime_count_formula and core's prefix
+count both read the Lucy table.
 """
 
 from bisect import bisect_left, bisect_right
@@ -113,28 +116,18 @@ SEGMENT = 1 << 17
 
 _ONES = memoryview(b"\x01" * SEGMENT)
 
-#: A prime with at most about this many multiples in a segment marks them
-#: one by one: a few item stores cost less than a strided slice assignment,
-#: and in a narrow range nearly every sieving prime marks one position or
-#: none.
-FEW_MARKS = 16
-
 
 def _mark(flags, a, primes):
     # Set flags[m - a] for every multiple m >= p*p of each p, where flags
-    # covers a .. a + len(flags) - 1.  (p*p - a) % p == (-a) % p.
+    # covers a .. a + len(flags) - 1, with one strided slice per prime.
+    # (p*p - a) % p == (-a) % p.
     size = len(flags)
     for p in primes:
         s = p * p - a
         if s < 0:
             s %= p
         if s < size:
-            if size - s > FEW_MARKS * p:
-                flags[s::p] = _ONES[: (size - 1 - s) // p + 1]
-            else:
-                while s < size:
-                    flags[s] = 1
-                    s += p
+            flags[s::p] = _ONES[: (size - 1 - s) // p + 1]
 
 
 #: Largest prime the shared table is ever asked for: the sieving primes of a
@@ -248,12 +241,40 @@ def t(x: int) -> int:
     return _t(_classification_arg(x, 1, "t"))
 
 
-def prime_count_formula(x: int) -> int:
-    """Number of primes <= x, for x >= 8, summing t over the 6j+5 / 6j+7 grids.
+def _lucy_tables(n):
+    # Lucy's recurrence, for n >= 1: small[v] = pi(v) for v <= r = isqrt(n)
+    # and large[k] = pi(n // k) for 1 <= k <= r, so large[1] = pi(n).
+    # Starting from v - 1, each prime p (in turn, with i = pi(p - 1) primes
+    # before it) removes from every value v >= p*p the integers whose least
+    # prime factor is p, S(v // p) - i of them.  Each round reads only values
+    # the round has not yet changed: large[k * p] and small[v // p] lie past
+    # k and below v, and small is updated last.  Item updates in place keep
+    # the peak to the two tables, O(sqrt(n)) integers, and the whole build
+    # takes O(n^(3/4)) steps.
+    r = isqrt(n)
+    small = list(range(-1, r))
+    large = [0] + [n // k - 1 for k in range(1, r + 1)]
+    for i, p in enumerate(_primes(r)):
+        p2 = p * p
+        kmax = min(r, n // p2)  # large[k] with n // k >= p*p
+        inner = min(kmax, r // p)  # large[k * p] is still in large
+        for k in range(1, inner + 1):
+            large[k] -= large[k * p] - i
+        m = n // p  # n // (k * p) == m // k
+        for k in range(inner + 1, kmax + 1):
+            large[k] -= small[m // k] - i
+        for v in range(r, p2 - 1, -1):
+            small[v] -= small[v // p] - i
+    return small, large
 
-    The two sums range over arguments clamped to <= x (an unclamped ceiling
-    bound on j would count indicators past x and overshoot); the constant 4
-    accounts for the primes 2, 3, 5, 7 that the grids start above.
+
+def prime_count_formula(x: int) -> int:
+    """Number of primes <= x, for 8 <= x <= MAX_COUNT_INPUT.
+
+    Read off the Lucy-style table that semiprime_count builds, in O(x^(3/4))
+    steps and O(sqrt(x)) memory: 10^9 takes well under a second.  The
+    paper's sum of t over the 6j+5 / 6j+7 grids is
+    literal.prime_count_literal, the slow reference the tests hold this to.
     """
     x = as_natural(x, "x")
     if x < 8:
@@ -262,12 +283,7 @@ def prime_count_formula(x: int) -> int:
         raise RangeLimitError(
             f"prime_count_formula accepts inputs up to {MAX_COUNT_INPUT}, got {x}"
         )
-    total = 4
-    for v in range(11, x + 1, 6):  # 6j+5, j >= 1
-        total += _t(v)
-    for v in range(13, x + 1, 6):  # 6j+7, j >= 1
-        total += _t(v)
-    return total
+    return _lucy_tables(x)[1][1]
 
 
 def build_prime_table(limit: int) -> PrimeTable:

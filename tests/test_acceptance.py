@@ -10,6 +10,7 @@ import time
 
 import semiprimes as sp
 from semiprimes import Category, bench, literal, oracle
+from semiprimes.core import _window_parts
 
 
 def _report(tag, ok, detail=""):
@@ -192,17 +193,25 @@ def test_c09_literal_evaluations_match_production():
     )
 
 
-def _partitioned_count(n, pieces):
-    # 2 + the sum of count_range over `pieces` consecutive parts of [8, n]
+def _window_count(lo, hi):
+    k1_sum, k2_sum, t_sum = _window_parts(lo, hi)
+    return k1_sum + k2_sum - t_sum
+
+
+def _partitioned_count(n, pieces, count=sp.count_range):
+    # 2 + the sum of count over `pieces` consecutive parts of [8, n]
     cuts = [8 + (n - 7) * i // pieces for i in range(pieces + 1)]
-    return 2 + sum(sp.count_range(a, b - 1) for a, b in zip(cuts, cuts[1:]))
+    return 2 + sum(count(a, b - 1) for a, b in zip(cuts, cuts[1:]))
 
 
 def test_c10_partition_determinism_at_1e6():
+    # pieces this wide take count_range's prefix difference, which
+    # telescopes, so the window pass is summed over the same pieces too
     results = {k: _partitioned_count(10**6, k) for k in (1, 2, 4, 8)}
-    ok = set(results.values()) == {210035}
+    windows = {k: _partitioned_count(10**6, k, _window_count) for k in (1, 2, 4, 8)}
+    ok = set(results.values()) == set(windows.values()) == {210035}
     _report(
         "criterion 10: count(10^6) identical for 1/2/4/8 partitions",
         ok,
-        str(results),
+        f"{results}, window pass {windows}",
     )

@@ -49,6 +49,19 @@ def test_count_json(capsys):
     assert isinstance(payload["elapsed_s"], float)
 
 
+def test_nth_names_the_formula_route(capsys):
+    # nth_semiprime counts and picks, as count does, the lookup answers too;
+    # next still walks integer by integer
+    for n, value in (("5", 14), ("1", 4)):
+        code, out, _ = run_cli(capsys, "nth", n, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["result"], payload["method"]) == (value, "formula")
+    _, out, _ = run_cli(capsys, "nth", "5", "--format", "csv")
+    assert out.split("\n")[1].startswith("5,14,formula,")
+    assert json.loads(run_cli(capsys, "next", "10", "--format", "json")[1])["method"] == "scan"
+
+
 def test_classify_json_and_csv(capsys):
     payload = json.loads(run_cli(capsys, "classify", "14", "--format", "json")[1])
     assert payload["result"] == "semiprime"

@@ -2,6 +2,7 @@ import subprocess
 import sys
 import tracemalloc
 from bisect import bisect_left, bisect_right
+from functools import cache
 from math import isqrt
 
 import pytest
@@ -30,10 +31,11 @@ from semiprimes.core import (
     _REJECT,
     _SEMIPRIME,
     _SMALL_SEMIPRIMES,
-    _k1_t_sums,
-    _k2_sum,
+    _count_primes,
+    _prefix_count,
     _prefix_parts,
     _semiprime_flags,
+    _triple_bits,
     _window_parts,
 )
 from semiprimes.primality import SEGMENT, _primes
@@ -249,12 +251,16 @@ def test_count_steps_match_classification():
 @given(st.lists(st.integers(min_value=9, max_value=5000), max_size=6))
 @settings(max_examples=40)
 def test_count_range_composition_over_random_splits(cuts):
+    # wide pieces take the prefix difference and telescope, so the window
+    # pass is summed over the same pieces too
     bounds = [8] + sorted(set(cuts)) + [5001]
-    total = 0
+    total = window_total = 0
     for a, b in zip(bounds, bounds[1:]):
         if a < b:
             total += count_range(a, b - 1)
-    assert total == semiprime_count(5000) - 2
+            k1_sum, k2_sum, t_sum = _window_parts(a, b - 1)
+            window_total += k1_sum + k2_sum - t_sum
+    assert total == window_total == semiprime_count(5000) - 2
 
 
 # Primes through the first prime past 1000^2: every p with p^2 <= 10^9, and
@@ -270,7 +276,7 @@ def _edge_windows(draw, top=MAX_COUNT_INPUT):
     semiprime moves from the k1 term to the k2 term).  Edges and hi stay at
     or below top (at most MAX_COUNT_INPUT).  Up to 2 400 integers on each
     side, so that count_range takes both routes, whose cut is at
-    8 * isqrt(hi), for every hi up to about 3.6 * 10^5."""
+    2 * isqrt(hi) * isqrt(isqrt(hi)), for every hi up to about 3.4 * 10^4."""
     root_primes = _PRIMES[: bisect_right(_PRIMES, isqrt(top))]
     cube_root_primes = _PRIMES[: bisect_right(_PRIMES, icbrt(top))]
     kind = draw(st.sampled_from(("cube", "prime square", "prime cube", "p*q, q near p^2")))
@@ -310,12 +316,33 @@ def test_count_range_matches_spf_oracle_across_edges(semi_flags_2m, window):
     assert count_range(lo, hi) == sum(semi_flags_2m[lo : hi + 1])
 
 
-def _assert_window_parts_match_block_sums(lo, hi):
-    # The window route's three parts, each on its own, against the wide
-    # route's: a total alone would not see an error in one part that
-    # another cancels.
-    k1_sum, t_sum = _k1_t_sums(lo, hi)
-    assert _window_parts(lo, hi) == (k1_sum, _k2_sum(lo, hi), t_sum)
+# Several examples end at 10^9; each prefix count there takes ~0.5 s.
+_prefix_parts_at = cache(_prefix_parts)
+
+#: Windows narrower than this are summed one integer at a time, which
+#: covers every window _edge_windows draws; a wider one near 10^9 costs
+#: less as a prefix count at lo - 1 (about 0.5 s) than as triples.
+_TRIPLE_WIDTH = 5000
+
+
+def _independent_parts(lo, hi):
+    # (sum of k1, sum of k2, sum of t) over [lo, hi] by routes that share no
+    # code with the window pass: the per-number triples (the paper's
+    # indicators) of a narrow window; for a wider one, the prefix parts at
+    # hi and at lo - 1 and a segmented sieve of the primes in the window
+    if hi - lo < _TRIPLE_WIDTH:
+        t_sum, k1_sum, k2_sum = map(sum, zip(*map(_triple_bits, range(lo, hi + 1))))
+        return k1_sum, k2_sum, t_sum
+    (k2_hi, k1_t_hi), (k2_lo, k1_t_lo) = _prefix_parts_at(hi), _prefix_parts_at(lo - 1)
+    t_sum = _count_primes(lo, hi)
+    return k1_t_hi - k1_t_lo + t_sum, k2_hi - k2_lo, t_sum
+
+
+def _assert_window_parts_match_independent_sums(lo, hi):
+    # The window route's three parts, each on its own, against the
+    # independent sums: a total alone would not see an error in one part
+    # that another cancels.
+    assert _window_parts(lo, hi) == _independent_parts(lo, hi)
 
 
 @given(_edge_windows())
@@ -324,22 +351,21 @@ def _assert_window_parts_match_block_sums(lo, hi):
 @example((997**3 - 300, 997**3 + 300)).via("icbrt steps up to the prime 997 at 997^3")
 @example((991**3 - 200, 991**3 + 200)).via("p^3 for the prime 991")
 @example((997 * 994013 - 300, 997 * 994013 + 300)).via("p*q, q = 994013 the prime after 997^2")
-@example((10**9 - 8 * isqrt(10**9) + 1, 10**9)).via("hi - lo = 8 isqrt(hi) - 1: the window route")
-@example((10**9 - 8 * isqrt(10**9), 10**9)).via("hi - lo = 8 isqrt(hi): the wide route")
+@example((10**9 - 8 * isqrt(10**9) + 1, 10**9)).via("hi - lo = 8 isqrt(hi) - 1: two pieces")
+@example((10**9 - 8 * isqrt(10**9), 10**9)).via("hi - lo = 8 isqrt(hi): two pieces")
 @example((10**6, 10**6 + 511)).via("c = 100 < the width: each r > c hits several times")
 @example((10**9 - 2 * isqrt(10**9), 10**9)).via("wider than isqrt(hi): r > c hits many times")
 @example((10**9 - 2 * SEGMENT - 10, 10**9)).via("wider than 2 SEGMENT: three pieces")
 @example((997**3 - SEGMENT, 997**3 + SEGMENT)).via("a cube between two SEGMENT joins")
 @settings(max_examples=200)
 def test_window_parts_match_block_sums(window):
-    _assert_window_parts_match_block_sums(*window)
+    _assert_window_parts_match_independent_sums(*window)
 
 
 @st.composite
 def _narrow_windows(draw):
     """A window [lo, hi] anywhere in [8, MAX_COUNT_INPUT], at any scale, with
-    hi - lo < 8 * isqrt(hi): every width that count_range gives the window
-    route."""
+    hi - lo < 8 * isqrt(hi): from one integer to several SEGMENT pieces."""
     hi = draw(st.integers(min_value=8, max_value=10 ** draw(st.integers(1, 9))))
     return max(8, hi - draw(st.integers(min_value=0, max_value=8 * isqrt(hi) - 1))), hi
 
@@ -352,7 +378,7 @@ def _narrow_windows(draw):
 @example((49 * 20000003 - 30, 49 * 20000003 + 10)).via("49's one multiple, 7 has six")
 @settings(max_examples=200)
 def test_window_parts_match_block_sums_anywhere(window):
-    _assert_window_parts_match_block_sums(*window)
+    _assert_window_parts_match_independent_sums(*window)
 
 
 def test_window_index_tables_mark_or_reject():
@@ -397,22 +423,21 @@ def test_semiprime_flags_across_a_segment_join():
     # Below about 9 * 10^6 the cubes are closer than SEGMENT and cut every
     # piece first; near 10^9 a piece ends at a + SEGMENT - 1.  The flags on
     # both sides of that join against the indicator, and in all against the
-    # block sums.
+    # difference of two prefix counts.
     lo, hi = 10**9 - SEGMENT - 300, 10**9
     flags = _semiprime_flags(lo, hi)
     join = lo + SEGMENT
     assert flags[SEGMENT - 300 : SEGMENT + 300] == bytes(
         semiprime_indicator(x) for x in range(join - 300, join + 300)
     )
-    k1_sum, t_sum = _k1_t_sums(lo, hi)
-    assert flags.count(1) == k1_sum + _k2_sum(lo, hi) - t_sum
+    assert flags.count(1) == sum(_prefix_parts_at(hi)) - sum(_prefix_parts_at(lo - 1))
 
 
 def test_window_parts_match_block_sums_at_every_cube():
     # Every seam where icbrt steps up, c^3 for c = 2 .. icbrt(MAX_COUNT_INPUT),
     # with the window split into the pieces on either side of it.
     for c in range(2, icbrt(MAX_COUNT_INPUT) + 1):
-        _assert_window_parts_match_block_sums(
+        _assert_window_parts_match_independent_sums(
             max(8, c**3 - 300), min(MAX_COUNT_INPUT, c**3 + 300)
         )
 
@@ -424,28 +449,32 @@ def test_window_marks_fit_a_byte():
 
 
 def test_count_range_route_follows_the_width(monkeypatch):
-    # A window with hi - lo < 8 * isqrt(hi) takes the window route for all three
-    # parts, a wider one the block sums and the quotient route; each side
-    # against the prefix route at the top of the range.
-    def unused(lo, hi):
-        raise AssertionError(f"wrong route for [{lo}, {hi}]")
+    # Below the cut count_range takes the window pass, at it and above the
+    # difference of two prefix counts.  On each side the other engine is
+    # patched to fail, after it has computed the value to compare with.
+    def unused(*args):
+        raise AssertionError(f"wrong route for {args}")
 
-    hi = MAX_COUNT_INPUT
-    up_to_hi = semiprime_count(hi)
-    for lo, others in (
-        (hi - 8 * isqrt(hi) + 1, ("_k1_t_sums", "_k2_sum")),
-        (hi - 8 * isqrt(hi), ("_window_parts",)),
-    ):
-        with monkeypatch.context() as patch:
-            for other in others:
-                patch.setattr(core, other, unused)
-            assert count_range(lo, hi) == up_to_hi - semiprime_count(lo - 1)
+    hi = 10**8
+    lo = hi - 2 * isqrt(hi) * isqrt(isqrt(hi)) + 1  # the cut: 2 * 10^6
+    by_prefix = _prefix_count(hi) - _prefix_count(lo - 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_prefix_count", unused)
+        assert count_range(lo, hi) == by_prefix
+    lo -= 1
+    k1_sum, k2_sum, t_sum = _window_parts(lo, hi)
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_window_parts", unused)
+        assert count_range(lo, hi) == k1_sum + k2_sum - t_sum
+        # from 8 the difference reads the prefix count at 7: 4 and 6
+        assert _prefix_parts(7) == (0, len(_SMALL_SEMIPRIMES))
+        assert count_range(8, 10**6) == semiprime_count(10**6) - len(_SMALL_SEMIPRIMES) == 210_033
 
 
 def test_count_memory_is_bounded_by_segments():
-    # Every sieve runs in segments of core.SEGMENT (128 KiB) bytes.  A flat
-    # sieve of [8, 10^7] alone would take 10 MB, and of its largest quotient
-    # range 5 MB.
+    # The prefix count keeps two tables of isqrt(n) + 1 integers and sieves
+    # in segments of core.SEGMENT (128 KiB) bytes.  A flat sieve of [8, 10^7]
+    # alone would take 10 MB.
     tracemalloc.start()
     try:
         value = semiprime_count(10**7)
@@ -506,15 +535,15 @@ def test_count_matches_spf_oracle(semi_flags_2m, n):
 @example(10**7)
 @settings(max_examples=5)
 def test_prefix_parts_match_block_sums(n):
-    # Each of the paper's parts on its own against the block engine: the
-    # total alone would not see a semiprime counted in the wrong part.  The
-    # prefix's sum of k1 - t holds 4 and 6, which the blocks from 8 do not.
+    # Each of the paper's parts on its own against the window pass over
+    # [8, n]: the total alone would not see a semiprime counted in the wrong
+    # part.  The prefix's sum of k1 - t holds 4 and 6, which the window from
+    # 8 does not.
     k2_sum, k1_t_sum = _prefix_parts(n)
-    k1_sum, t_sum = _k1_t_sums(8, n)
-    k2_blocks = _k2_sum(8, n)
-    assert k2_sum == k2_blocks
+    k1_sum, k2_window, t_sum = _window_parts(8, n)
+    assert k2_sum == k2_window
     assert k1_t_sum == len(_SMALL_SEMIPRIMES) + k1_sum - t_sum
-    assert semiprime_count(n) == len(_SMALL_SEMIPRIMES) + k1_sum + k2_blocks - t_sum
+    assert semiprime_count(n) == len(_SMALL_SEMIPRIMES) + k1_sum + k2_window - t_sum
 
 
 def test_large_inputs_within_contract():

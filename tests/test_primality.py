@@ -134,6 +134,7 @@ def test_prime_count_examples():
     assert prime_count_formula(13) == 6
     assert prime_count_formula(10) == 4
     assert prime_count_formula(100) == 25
+    assert prime_count_formula(10**9) == 50_847_534  # OEIS A006880
 
 
 def test_prime_count_domain():
@@ -153,7 +154,8 @@ def test_prime_count_matches_sieve_prefix():
     for x in range(limit + 1):
         running += flags[x]
         pi[x] = running
-    # the formula's own summation grid, advanced one argument at a time
+    # the paper's summation grid (literal.prime_count_literal), advanced one
+    # argument at a time
     acc = 4
     for x in range(8, limit + 1):
         if x >= 11 and x % 6 in (1, 5):
