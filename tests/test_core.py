@@ -319,9 +319,9 @@ def test_count_range_matches_spf_oracle_across_edges(semi_flags_2m, window):
 # Several examples end at 10^9; each prefix count there takes ~0.5 s.
 _prefix_parts_at = cache(_prefix_parts)
 
-#: Windows narrower than this are summed one integer at a time, which
-#: covers every window _edge_windows draws; a wider one near 10^9 costs
-#: less as a prefix count at lo - 1 (about 0.5 s) than as triples.
+#: Windows narrower than this are summed one integer at a time (about
+#: 10 us each), which covers every window _edge_windows draws; a wider one
+#: takes two prefix counts, a few ms near 10^6 and about 0.5 s each near 10^9.
 _TRIPLE_WIDTH = 5000
 
 
