@@ -46,7 +46,14 @@ from math import isqrt
 from typing import NamedTuple, Optional
 
 from .intmath import MAX_COUNT_INPUT, DomainError, RangeLimitError, _icbrt, as_natural
-from .primality import SEGMENT, _classification_arg, _lucy_tables, _mark, _primes, _t
+from .primality import _classification_arg, _lucy_tables, _primes, _t
+
+
+#: Width of every sieve segment and window piece.  No bytearray a count
+#: allocates is longer, whatever the range, which bounds its memory.
+SEGMENT = 1 << 17
+
+_ONES = memoryview(b"\x01" * SEGMENT)
 
 
 class IndicatorTriple(NamedTuple):
@@ -235,6 +242,19 @@ def _count_range(lo: int, hi: int) -> int:
         k1_sum, k2_sum, t_sum = _window_parts(lo, hi)
         return k1_sum + k2_sum - t_sum
     return _prefix_count(hi) - _prefix_count(lo - 1)
+
+
+def _mark(flags, a, primes):
+    # Set flags[m - a] for every multiple m >= p*p of each p, where flags
+    # covers a .. a + len(flags) - 1, with one strided slice per prime.
+    # (p*p - a) % p == (-a) % p.
+    size = len(flags)
+    for p in primes:
+        s = p * p - a
+        if s < 0:
+            s %= p
+        if s < size:
+            flags[s::p] = _ONES[: (size - 1 - s) // p + 1]
 
 
 def _count_primes(a: int, b: int) -> int:

@@ -11,9 +11,11 @@ import math
 import operator
 
 #: Largest input accepted by the per-number classification functions.
-#: Together with MAX_COUNT_INPUT this keeps every intermediate product
-#: (36*k*k, prime-table scans, gate numerators) inside signed 64 bits, so the
-#: library's behaviour is portable to fixed-width integer implementations.
+#: Together with MAX_COUNT_INPUT this keeps almost every intermediate product
+#: (36*k*k, prime-table scans, gate numerators) inside signed 64 bits.  The
+#: one step that leaves them is t above 10^6: its strong-probable-prime test
+#: squares residues below 10^12, up to about 2^80, so a fixed-width port
+#: needs 128-bit products there.
 MAX_CLASSIFY_INPUT = 10**12
 
 #: Largest range endpoint accepted by the counting functions.

@@ -7,28 +7,23 @@ piece of that statement, return 0 or 1, and are exact integer arithmetic.
 
 t itself takes one of two routes to the same value, chosen by the size of x:
 
-- x <= WHEEL_TOP = isqrt(MAX_CLASSIFY_INPUT) = 10^6: one early-exit scan
-  over 2, 3 and the 6k+-1 pairs, which needs no stored primes;
-- x > WHEEL_TOP: the gcd of x with the product of each block of BLOCK_PRIMES
-  consecutive primes, in ascending order, up to the first block whose top
-  prime reaches isqrt(x).  A composite x has a prime factor <= isqrt(x) <=
-  10^6, which some scanned block holds; a prime x > 10^6 divides no product
-  of smaller primes.
+- x <= WHEEL_TOP = 10^6: one early-exit scan over 2, 3 and the 6k+-1 pairs,
+  which needs no stored primes;
+- x > WHEEL_TOP: a strong-probable-prime test to the bases 2, 3, 5, 7 and
+  11, which no odd composite below 2 152 302 898 747 passes (Jaeschke, "On
+  strong pseudoprimes to several bases", Math. Comp. 61, 1993; OEIS
+  A014233), so it is exact up to MAX_CLASSIFY_INPUT and keeps no state.
 
-This module also holds the segment sieve (_mark), the one shared table of
-small primes (_primes) that the block products, the counting routes and the
-per-number scans in core all draw on, and Lucy's prime-count table
-(_lucy_tables), which gives pi(n // k) for every k in O(n^(3/4)) steps.  The
-wheel scan generates the shared table, the table's primes sieve the segments
-the block products are taken from, and prime_count_formula and core's prefix
-count both read the Lucy table.
+This module also holds the one shared table of small primes (_primes) that
+core's counting routes and per-number scans draw on, and Lucy's prime-count
+table (_lucy_tables), which gives pi(n // k) for every k in O(n^(3/4))
+steps.  The wheel scan generates the shared table, and prime_count_formula
+and core's prefix count both read the Lucy table.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, islice
-from math import gcd, isqrt, prod
-from typing import NamedTuple
+from math import isqrt
 
 from .intmath import (
     MAX_CLASSIFY_INPUT,
@@ -46,13 +41,13 @@ from .intmath import (
 # lookup so that every caller receives a correct indicator at any argument.
 _SMALL_PRIMALITY = {1: 0, 2: 1, 3: 1, 4: 0, 5: 1, 6: 0, 7: 1}
 
-#: Largest argument t settles by the wheel scan; above it t uses the block
-#: products.  Every prime a larger argument can need lies at or below it.
+#: Largest argument t settles by the paper's wheel scan, at most 167 pairs
+#: of trial divisions; above it t uses the strong-probable-prime test.
 WHEEL_TOP = isqrt(MAX_CLASSIFY_INPUT)
 
-#: Primes per block product.  A product of 128 primes near 10^6 has about
-#: 2 600 bits, so each gcd with x stays one short C-level call.
-BLOCK_PRIMES = 128
+#: Bases of that test: together they pass no odd composite below
+#: 2 152 302 898 747, which is above MAX_CLASSIFY_INPUT.
+_STRONG_BASES = (2, 3, 5, 7, 11)
 
 
 def _classification_arg(x, low, name):
@@ -109,27 +104,6 @@ class PrimeTable:
         return len(self.primes)
 
 
-#: Width of every sieve segment, here and in core's counting engine.  No
-#: bytearray a sieve allocates is longer, whatever the range, which bounds
-#: its memory.
-SEGMENT = 1 << 17
-
-_ONES = memoryview(b"\x01" * SEGMENT)
-
-
-def _mark(flags, a, primes):
-    # Set flags[m - a] for every multiple m >= p*p of each p, where flags
-    # covers a .. a + len(flags) - 1, with one strided slice per prime.
-    # (p*p - a) % p == (-a) % p.
-    size = len(flags)
-    for p in primes:
-        s = p * p - a
-        if s < 0:
-            s %= p
-        if s < size:
-            flags[s::p] = _ONES[: (size - 1 - s) // p + 1]
-
-
 #: Largest prime the shared table is ever asked for: the sieving primes of a
 #: count up to MAX_COUNT_INPUT and the cube-root primes of a classification
 #: up to MAX_CLASSIFY_INPUT.
@@ -159,67 +133,35 @@ def _primes(limit: int) -> tuple:
     return table.primes[: bisect_right(table.primes, limit)]
 
 
-class _Blocks(NamedTuple):
-    limit: int  # every prime <= limit lies in some block
-    tops: tuple  # the largest prime of each block, ascending
-    products: tuple  # the product of each block's primes
-
-
-# Grown like _table: whole segments past the last limit, one new binding per
-# growth.  Only the products are kept, never the primes themselves.  The
-# first block is the even prime alone, so every segment starts on an odd
-# integer and only its odd integers are read.
-_blocks = _Blocks(2, (2,), (2,))
-
-# bytes.translate table: an unmarked flag (0, a prime) becomes 1, a marked
-# one 0, so compress() keeps exactly the primes.
-_UNMARKED = b"\x01" + bytes(255)
-
-
-def _grow_blocks(root):
-    # Sieve one segment at a time from the last limit until the limit reaches
-    # root; each segment's primes, BLOCK_PRIMES at a time, make its blocks
-    # (the segment's last block may be shorter).  One block's primes are the
-    # only ones held at once.
-    global _blocks
-    limit, tops, products = _blocks
-    tops, products = list(tops), list(products)
-    while limit < root:
-        a = limit + 1
-        limit += SEGMENT
-        flags = bytearray(SEGMENT)
-        _mark(flags, a, _primes(isqrt(limit)))
-        primes = compress(range(a, limit + 1, 2), flags.translate(_UNMARKED)[::2])
-        while block := tuple(islice(primes, BLOCK_PRIMES)):
-            tops.append(block[-1])
-            products.append(prod(block))
-    _blocks = blocks = _Blocks(limit, tuple(tops), tuple(products))
-    return blocks
-
-
-def _t_blocks(x):
-    # t for WHEEL_TOP < x <= MAX_CLASSIFY_INPUT.  The blocks past the first
-    # one whose top reaches isqrt(x) may hold x itself (the last segment runs
-    # past 10^6), so the scan must stop there.
-    root = isqrt(x)
-    blocks = _blocks
-    if blocks.limit < root:
-        blocks = _grow_blocks(root)
-    needed = bisect_left(blocks.tops, root) + 1
-    for product in islice(blocks.products, needed):
-        if gcd(x, product) != 1:
+def _t_strong(x):
+    # t for odd x, WHEEL_TOP < x <= MAX_CLASSIFY_INPUT.  With x - 1 = d * 2^s,
+    # d odd, a prime x has, for every base a, a^d = 1 or a^(d * 2^i) = -1
+    # (mod x) for some i < s.
+    d = x - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _STRONG_BASES:
+        y = pow(a, d, x)
+        if y == 1 or y == x - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
             return 0
     return 1
 
 
 def _t(x):
-    # t without the argument check (1 <= x <= MAX_CLASSIFY_INPUT)
+    # t without the argument check (1 <= x <= MAX_CLASSIFY_INPUT): t0 for
+    # every x >= 8, then the wheel scan or, above WHEEL_TOP, the strong test
     if x < 8:
         return _SMALL_PRIMALITY[x]
-    if x > WHEEL_TOP:
-        return _t_blocks(x)
     if x % 2 == 0 or x % 3 == 0:
         return 0
+    if x > WHEEL_TOP:
+        return _t_strong(x)
     for d in range(5, 6 * _wheel_limit(x) + 1, 6):
         if x % d == 0 or x % (d + 2) == 0:
             return 0
@@ -231,12 +173,13 @@ def t(x: int) -> int:
 
     For 8 <= x <= WHEEL_TOP (10^6) this is floor((t0 + t1 + t2) / 3), the
     conjunction of the three wheel indicators, evaluated as one early-exit
-    divisor scan.  Above 10^6 it is the same value from the prime block
-    products: 0 at the first block sharing a factor with x, 1 at the first
-    block whose top prime is >= isqrt(x).  For 1 <= x <= 7 the value comes
-    from the lookup extension, so t is a correct primality indicator at
-    every argument it can receive (the semiprime test applies t to
-    quotients as small as 4).
+    divisor scan.  Above 10^6 an x that 2 or 3 divides still gets t0's 0;
+    any other x gets the same value from a strong-probable-prime test to
+    the bases 2, 3, 5, 7 and 11, which is exact for every odd x below
+    2 152 302 898 747 (Jaeschke 1993) and keeps no state.  For 1 <= x <= 7
+    the value comes from the lookup extension, so t is a correct primality
+    indicator at every argument it can receive (the semiprime test applies
+    t to quotients as small as 4).
     """
     return _t(_classification_arg(x, 1, "t"))
 
@@ -290,9 +233,10 @@ def build_prime_table(limit: int) -> PrimeTable:
     """All primes <= limit (2 <= limit <= WHEEL_TOP), found by the t indicator.
 
     Every integer 2 .. limit is tested with t's wheel scan, so the table is
-    generated from the paper's indicator alone and touches no mutable state.
-    WHEEL_TOP (10^6) is the largest prime any indicator ever needs; for a
-    fast sieve of any size use oracle.sieve.
+    generated from the paper's indicator alone and touches no mutable state;
+    the limit stops where that scan does, at WHEEL_TOP (10^6).  No indicator
+    needs a prime above TABLE_CAP (31622); for a fast sieve of any size use
+    oracle.sieve.
     """
     limit = as_natural(limit, "limit")
     if limit < 2:

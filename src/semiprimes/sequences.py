@@ -39,7 +39,7 @@ as slow references for the tests.
 from itertools import compress, islice
 from math import log
 
-from .core import _SMALL_SEMIPRIMES, _prefix_count, _semiprime_flags, _triple_bits
+from .core import SEGMENT, _SMALL_SEMIPRIMES, _prefix_count, _semiprime_flags, _triple_bits
 from .intmath import (
     MAX_CLASSIFY_INPUT,
     MAX_COUNT_INPUT,
@@ -48,7 +48,6 @@ from .intmath import (
     RangeLimitError,
     as_natural,
 )
-from .primality import SEGMENT
 
 
 def gate(n: int, x: int) -> int:

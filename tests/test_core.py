@@ -26,6 +26,7 @@ from semiprimes import (
     t,
 )
 from semiprimes.core import (
+    SEGMENT,
     _INDEX,
     _LARGE,
     _REJECT,
@@ -38,7 +39,7 @@ from semiprimes.core import (
     _triple_bits,
     _window_parts,
 )
-from semiprimes.primality import SEGMENT, _primes
+from semiprimes.primality import _primes
 
 VALID_TRIPLES = {(1, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)}
 
@@ -358,7 +359,7 @@ def _assert_window_parts_match_independent_sums(lo, hi):
 @example((10**9 - 2 * SEGMENT - 10, 10**9)).via("wider than 2 SEGMENT: three pieces")
 @example((997**3 - SEGMENT, 997**3 + SEGMENT)).via("a cube between two SEGMENT joins")
 @settings(max_examples=200)
-def test_window_parts_match_block_sums(window):
+def test_window_parts_match_independent_sums(window):
     _assert_window_parts_match_independent_sums(*window)
 
 
@@ -377,7 +378,7 @@ def _narrow_windows(draw):
 @example((997 * 994012, 997 * 994013)).via("997's two multiples are lo and hi")
 @example((49 * 20000003 - 30, 49 * 20000003 + 10)).via("49's one multiple, 7 has six")
 @settings(max_examples=200)
-def test_window_parts_match_block_sums_anywhere(window):
+def test_window_parts_match_independent_sums_anywhere(window):
     _assert_window_parts_match_independent_sums(*window)
 
 
@@ -433,7 +434,7 @@ def test_semiprime_flags_across_a_segment_join():
     assert flags.count(1) == sum(_prefix_parts_at(hi)) - sum(_prefix_parts_at(lo - 1))
 
 
-def test_window_parts_match_block_sums_at_every_cube():
+def test_window_parts_match_independent_sums_at_every_cube():
     # Every seam where icbrt steps up, c^3 for c = 2 .. icbrt(MAX_COUNT_INPUT),
     # with the window split into the pieces on either side of it.
     for c in range(2, icbrt(MAX_COUNT_INPUT) + 1):
@@ -534,7 +535,7 @@ def test_count_matches_spf_oracle(semi_flags_2m, n):
 @example(212**3 - 1).via("icbrt is still 211, now with the primes q in [211^2, n/211]")
 @example(10**7)
 @settings(max_examples=5)
-def test_prefix_parts_match_block_sums(n):
+def test_prefix_parts_match_window_sums(n):
     # Each of the paper's parts on its own against the window pass over
     # [8, n]: the total alone would not see a semiprime counted in the wrong
     # part.  The prefix's sum of k1 - t holds 4 and 6, which the window from

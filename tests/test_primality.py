@@ -1,16 +1,15 @@
 import tracemalloc
-from bisect import bisect_right
-from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiprimes import (
-    MAX_CLASSIFY_INPUT,
+    Category,
     DomainError,
     RangeLimitError,
     build_prime_table,
+    classify,
     oracle,
     prime_count_formula,
     primality,
@@ -91,42 +90,60 @@ def _check_against_wheel_and_trial_division(x):
     assert t(x) == expected, x
 
 
-def test_t_block_path_at_its_edges():
-    # Above WHEEL_TOP t scans the block products up to the first block whose
-    # top prime is >= isqrt(x).  The largest prime below 10^12 comes first:
-    # it grows the blocks to their end, past 10^6, so that the blocks beyond
-    # the stop hold primes such as 1000003 that the scan must not reach.
-    _check_against_wheel_and_trial_division(999_999_999_989)
-    tops = primality._blocks.tops
-    assert tops[-1] > 1_000_003
-    primes = oracle.sieve(tops[-1] + 200).primes
-    cases = {10**12, 999_983**2, 999_979 * 999_983, 999_983 * 1_000_003, 1_000_003}
+def test_t_above_wheel_top_at_its_edges():
+    # Above WHEEL_TOP t takes the strong-probable-prime test: the seam at
+    # 10^6, the first prime past it, squares and products of the primes
+    # around it, the largest prime below 10^12 and 10^12 itself.
+    cases = {10**12, 999_983**2, 999_979 * 999_983, 999_983 * 1_000_003, 1_000_003,
+             999_999_999_989}
     cases.update(range(10**6 - 2, 10**6 + 4))
-    # the first two blocks past the even prime, the last two whose top is at
-    # most 10^6, and the one that runs past 10^6
-    last = bisect_right(tops, 10**6)
-    for top in (tops[1], tops[2], tops[last - 2], tops[last - 1], tops[last]):
-        after = primes[bisect_right(primes, top)]  # the first prime of the next block
-        cases.update(x for x in (top, after, top * top, top * after, after * after)
-                     if x <= MAX_CLASSIFY_INPUT)
     assert any(x > primality.WHEEL_TOP and t(x) for x in cases)
     for x in sorted(cases):
         _check_against_wheel_and_trial_division(x)
 
 
-def test_block_products_grow_lazily_within_bounded_memory(monkeypatch):
-    # A list of the 78 498 primes <= 10^6 alone would take about 2.8 MB.
-    monkeypatch.setattr(primality, "_blocks", primality._Blocks(2, (2,), (2,)))
-    assert t(100_000_000_003) == 1
-    limit = primality._blocks.limit
-    assert isqrt(100_000_000_003) <= limit < isqrt(100_000_000_003) + primality.SEGMENT
+def test_t_above_wheel_top_matches_sieve_across_the_seam():
+    lo, hi = primality.WHEEL_TOP - 10**4, primality.WHEEL_TOP + 10**5
+    flags = bytearray(hi + 1)
+    for p in oracle.sieve(hi).primes:
+        flags[p] = 1
+    bad = [x for x in range(lo, hi + 1) if t(x) != flags[x]]
+    assert not bad, bad[:10]
+
+
+#: Odd composites above 10^6 that pass a strong-probable-prime test to some
+#: of t's bases: the spsp(2) semiprimes 1016801 and 1093^2; the least
+#: spsp(2, 3), spsp(2, 3, 5) and spsp(2, 3, 5, 7) (OEIS A014233); the
+#: Carmichael numbers 19 * 199 * 271 and 37 * 73 * 541; and for each base a
+#: semiprime p * (k(p - 1) + 1) that passes the other four, so that each
+#: base is needed.
+STRONG_PSEUDOPRIMES = (
+    1_016_801, 1_194_649, 1_373_653, 25_326_001, 3_215_031_751, 1_024_651, 1_461_241,
+    258_503_701,  # 9283 * 27847: every base but 2
+    7_535_192_941,  # 61381 * 122761: every base but 3
+    2_284_453,  # 1069 * 2137: every base but 5
+    161_304_001,  # 7333 * 21997: every base but 7
+    118_670_087_467,  # 172243 * 688969: every base but 11
+)
+
+
+def test_t_rejects_strong_pseudoprimes_and_carmichael_numbers():
+    for x in STRONG_PSEUDOPRIMES:
+        assert t(x) == 0, x
+        omega = oracle.factor_profile(x).omega
+        expected = Category.SEMIPRIME if omega == 2 else Category.COMPOSITE_MANY_FACTORS
+        assert classify(x).category is expected, x
+
+
+def test_t_above_wheel_top_within_bounded_memory():
+    # The strong test keeps no table: deciding the largest prime below
+    # 10^12 allocates a few small integers.
     tracemalloc.start()
     try:
         assert t(999_999_999_989) == 1
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert primality._blocks.limit >= 10**6
     assert peak < 1_000_000, peak
 
 
@@ -188,8 +205,9 @@ def test_build_prime_table_bad_args():
 
 
 def test_build_prime_table_stops_at_wheel_top():
-    # the largest prime any indicator needs; past it the t route would take
-    # time and memory without bound, so the limit is refused up front
+    # where t's wheel scan ends: past it t is no longer the paper's
+    # divisor scan, and no indicator needs a prime above TABLE_CAP (31622),
+    # so the limit is refused up front
     top = primality.WHEEL_TOP
     table = build_prime_table(top)
     assert len(table) == 78498
