@@ -22,6 +22,7 @@ from .intmath import (
     MAX_CLASSIFY_INPUT,
     MAX_COUNT_INPUT,
     MAX_NTH_INPUT,
+    MAX_STREAM_COUNT,
     DomainError,
     RangeLimitError,
     ceil_div,
@@ -43,6 +44,7 @@ __all__ = [
     "MAX_CLASSIFY_INPUT",
     "MAX_COUNT_INPUT",
     "MAX_NTH_INPUT",
+    "MAX_STREAM_COUNT",
     "PrimeTable",
     "RangeLimitError",
     "build_prime_table",

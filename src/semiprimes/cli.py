@@ -12,7 +12,7 @@ import time
 
 from . import bench, oracle
 from .core import Category, classify, semiprime_count
-from .intmath import MAX_COUNT_INPUT, MAX_NTH_INPUT
+from .intmath import MAX_COUNT_INPUT, MAX_NTH_INPUT, MAX_STREAM_COUNT
 from .sequences import next_semiprime, nth_semiprime, semiprime_stream
 
 OK = 0
@@ -118,13 +118,27 @@ def _cmd_classify(args):
 
 
 def _cmd_nth(args):
+    n = args.number
+    if args.verify and n > oracle.NTH_CHECK_LIMIT:
+        # checked first: the answer could pass what classical_count accepts
+        _fail(
+            f"nth --verify accepts n up to {oracle.NTH_CHECK_LIMIT} "
+            f"(answers up to {oracle.CLASSICAL_COUNT_LIMIT}), got {n}"
+        )
+        return USAGE
     begin = time.perf_counter()
-    value = nth_semiprime(args.number)
+    value = nth_semiprime(n)
     elapsed = time.perf_counter() - begin
     if args.verify:
-        check = oracle.nth_semiprime_oracle(args.number)
-        if check != value:
-            return _mismatch(f"nth({args.number})={value} but oracle scan gives {check}")
+        # value is the nth semiprime exactly when it is a semiprime and n
+        # semiprimes are <= value
+        count = oracle.classical_count(value)
+        semiprime = oracle.is_semiprime_oracle(value)
+        if count != n or not semiprime:
+            return _mismatch(
+                f"nth({n})={value} but the classical count there is {count} "
+                f"and the semiprime indicator by trial division {semiprime}"
+            )
     _emit_scalar(args, value, "formula", elapsed)
     return OK
 
@@ -218,7 +232,11 @@ def _build_parser():
         type=_natural_arg,
         help=f"ordinal index, 1 .. {MAX_NTH_INPUT} (the semiprimes up to {MAX_COUNT_INPUT})",
     )
-    _add_verify(p, "a trial-division scan")
+    _add_verify(
+        p,
+        f"the classical count at the answer and trial division of it (n up to "
+        f"{oracle.NTH_CHECK_LIMIT})",
+    )
     _add_format(p)
     p.set_defaults(handler=_cmd_nth)
 
@@ -230,7 +248,9 @@ def _build_parser():
 
     p = sub.add_parser("stream", help="the k semiprimes following a starting point")
     p.add_argument("start", metavar="from", type=_natural_arg, help="starting point >= 4")
-    p.add_argument("count", metavar="k", type=_natural_arg, help="how many semiprimes to emit")
+    p.add_argument(
+        "count", metavar="k", type=_natural_arg, help=f"how many semiprimes to emit, 0 .. {MAX_STREAM_COUNT}"
+    )
     _add_format(p)
     p.set_defaults(handler=_cmd_stream)
 

@@ -27,8 +27,12 @@ takes one of two routes, one engine each:
 - the prefix count (semiprime_count, and count_range over a wider range as
   the difference of two of them) groups each semiprime p*q by its smaller
   prime p, so that sum(k2) and sum(k1 - t) become prime counts pi at n // p
-  and at p^2 - 1 and p - 1; Lucy's table in primality gives every
-  pi(n // k) in O(n^(3/4)) steps and O(sqrt(n)) memory.
+  and at p^2 - 1 and p - 1.  It takes them from two sources, by the size of
+  n: below _SIEVE_CUT (4 * 10^6), one ascending pass of an odd-only
+  segmented sieve to n // 2 gives every one; from the cut on, Lucy's table
+  in primality gives every pi(n // k) in O(n^(3/4)) steps and O(sqrt(n))
+  memory, and the same sieve pass, now to icbrt(n)^2 - 1, the
+  pi(p^2 - 1).
 
 The two engines share no step beyond the prime table, and the tests hold
 each part of one to the other and to the per-number scans.  Both and the
@@ -49,8 +53,9 @@ from .intmath import MAX_COUNT_INPUT, DomainError, RangeLimitError, _icbrt, as_n
 from .primality import _classification_arg, _lucy_tables, _primes, _t
 
 
-#: Width of every sieve segment and window piece.  No bytearray a count
-#: allocates is longer, whatever the range, which bounds its memory.
+#: Width of every window piece, and the bytes of every odd-only sieve
+#: segment (2 * SEGMENT integers).  No bytearray a count allocates is
+#: longer, whatever the range, which bounds its memory.
 SEGMENT = 1 << 17
 
 _ONES = memoryview(b"\x01" * SEGMENT)
@@ -244,29 +249,63 @@ def _count_range(lo: int, hi: int) -> int:
     return _prefix_count(hi) - _prefix_count(lo - 1)
 
 
-def _mark(flags, a, primes):
-    # Set flags[m - a] for every multiple m >= p*p of each p, where flags
-    # covers a .. a + len(flags) - 1, with one strided slice per prime.
-    # (p*p - a) % p == (-a) % p.
-    size = len(flags)
-    for p in primes:
-        s = p * p - a
-        if s < 0:
-            s %= p
-        if s < size:
+def _unmarked(flags, j, k):
+    # the zeros in flags[j:k], whose bytes are 0 or 1: the bytes read as one
+    # integer have a set bit per 1, and a popcount over it takes less than
+    # half the time of flags.count(0, j, k), which branches on every byte
+    return k - j - int.from_bytes(flags[j:k], "little").bit_count()
+
+
+def _prime_counts(points: list, lo: int = 1) -> list:
+    # The number of primes in [lo, v] for each v of the ascending list
+    # points (every v >= max(lo - 1, 2)), so pi(v) by default, from one
+    # ascending pass of an odd-only segmented sieve from lo to the last
+    # point.  Byte j of the segment that starts at the odd integer a stands
+    # for a + 2j, so SEGMENT bytes cover 2 * SEGMENT integers.  Each odd
+    # prime p marks its odd multiples from p*p with one strided slice:
+    # a + 2s = p*p, or, past p*p, the least odd multiple a + 2s >= a, where
+    # 2s = -a (mod p).  1 is marked by hand and the even prime 2 counted up
+    # front; each v adds the unmarked bytes between the last point and v.
+    counts = []
+    top = points[-1] if points else 0
+    primes = _primes(isqrt(top))[1:]
+    total, a = int(lo <= 2), lo | 1
+    remaining = iter(points)
+    v = next(remaining, None)
+    while v is not None:
+        size = min(SEGMENT, (top - a) // 2 + 1)
+        b = a + 2 * size - 2
+        flags = bytearray(size)
+        if a == 1:
+            flags[0] = 1
+        for p in primes:
+            p2 = p * p
+            if p2 > b:
+                break
+            s = (p2 - a) >> 1 if p2 >= a else -((a + p) >> 1) % p
             flags[s::p] = _ONES[: (size - 1 - s) // p + 1]
+        j = 0
+        while v is not None and v <= b + 1:
+            k = (v - a) // 2 + 1
+            total += _unmarked(flags, j, k)
+            counts.append(total)
+            j = k
+            v = next(remaining, None)
+        total += _unmarked(flags, j, size)
+        a = b + 2
+    return counts
 
 
-def _count_primes(a: int, b: int) -> int:
-    """Number of primes in [a, b] (2 <= a), one segment at a time."""
-    total = 0
-    while a <= b:
-        end = min(b, a + SEGMENT - 1)
-        flags = bytearray(end - a + 1)
-        _mark(flags, a, _primes(isqrt(end)))
-        total += flags.count(0)
-        a = end + 1
-    return total
+#: Below this n the prefix count takes every prime count it needs from one
+#: _prime_counts pass to n // 2; from it on, pi(n // p) comes from Lucy's
+#: table, whose O(n^(3/4)) steps grow more slowly than the sieve's n / 4
+#: bytes.  Sieve over Lucy time for _prefix_parts(n), on one core of a
+#: 2-core x86-64 host (CPython 3.11, best of 5 in each of 3 rounds): 0.34
+#: to 0.37 at 10^5, 0.50 to 0.56 at 10^6, 0.69 to 0.79 at 3 * 10^6, 0.78
+#: to 0.88 at 4 * 10^6, 0.87 to 0.99 at 6 * 10^6, 0.95 to 1.21 at 8 * 10^6
+#: and 1.0 to 1.2 at 10^7.  The tie lies near 6 * 10^6, and the cut keeps
+#: a margin below it.
+_SIEVE_CUT = 4 * 10**6
 
 
 def _prefix_parts(n):
@@ -275,33 +314,31 @@ def _prefix_parts(n):
     #   sum k2       = sum over p <= c of pi(n/p) - pi(p^2 - 1)        (q >= p^2)
     #   sum k1 - t   = sum over p <= r of pi(min(n/p, p^2 - 1)) - pi(p - 1)
     # with c = icbrt(n) and r = isqrt(n); the second holds 4 and 6.  For
-    # p > c, n/p < p^2, so its min is n/p.  Lucy's table gives small[v] =
-    # pi(v) for v <= r and large[k] = pi(n // k) for k <= r.
-    r = isqrt(n)
-    primes = _primes(r)
-    small, large = _lucy_tables(n)
-    # pi(p^2 - 1) for p <= c: from small while p^2 - 1 <= r, then from one
-    # ascending sieve pass past r
-    c = _icbrt(n)
-    k2_sum = k1_t_sum = 0
-    top, pi_top = r, small[r]
-    for i, p in enumerate(primes):
-        if p > c:
-            k1_t_sum += large[p] - i
-            continue
-        edge = p * p - 1
-        if edge <= r:
-            pi_edge = small[edge]
-        else:
-            pi_top += _count_primes(top + 1, edge)
-            top, pi_edge = edge, pi_top
-        k2_sum += large[p] - pi_edge
-        k1_t_sum += pi_edge - i
+    # p <= c, p^2 - 1 < n/p, and for p > c, n/p < p^2, so the mins split
+    # at c; pi(p - 1) is p's index in the prime table.  Below _SIEVE_CUT
+    # one sieve pass gives every pi; from it on, Lucy's table gives
+    # pi(n // p) and one sieve pass to c^2 - 1 the pi(p^2 - 1).
+    primes = _primes(isqrt(n))
+    edges = [p * p - 1 for p in primes[: bisect_right(primes, _icbrt(n))]]
+    if n < _SIEVE_CUT:
+        quotients = [n // p for p in primes]
+        points = sorted({*quotients, *edges})
+        pi = dict(zip(points, _prime_counts(points)))
+        pi_quotients = [pi[v] for v in quotients]
+        pi_edges = [pi[v] for v in edges]
+    else:
+        large = _lucy_tables(n)[1]
+        pi_quotients = [large[p] for p in primes]
+        pi_edges = _prime_counts(edges)
+    c_count, edge_sum = len(edges), sum(pi_edges)
+    k2_sum = sum(pi_quotients[:c_count]) - edge_sum
+    k1_t_sum = edge_sum + sum(pi_quotients[c_count:]) - len(primes) * (len(primes) - 1) // 2
     return k2_sum, k1_t_sum
 
 
 def _prefix_count(n):
-    # the number of semiprimes <= n, for n >= 7, in O(n^(3/4)) steps
+    # the number of semiprimes <= n, for n >= 7: O(n^(3/4)) steps from
+    # _SIEVE_CUT on, one sieve pass over n / 2 integers below it
     k2_sum, k1_t_sum = _prefix_parts(n)
     return k2_sum + k1_t_sum
 
@@ -324,15 +361,19 @@ def count_range(lo: int, hi: int) -> int:
       r*r*p <= x (x/p is composite) and marks every unmarked x it divides
       (a semiprime); what is left unmarked is sum(t), and marked p, sum(k2);
     - a wider range is the difference of two prefix counts,
-      semiprime_count(hi) - semiprime_count(lo - 1), whose cost grows as
-      hi^(3/4) rather than with the width.  The window pass and that
-      difference take the same time at 2.1 to 3.2 * hi^(3/4) wide from
-      10^6 to 10^9, so the cut keeps the window pass where it is cheaper.
-      The cut is taken from integer square roots, so no intermediate value
-      leaves 64 bits.
+      semiprime_count(hi) - semiprime_count(lo - 1), whose cost grows
+      with hi rather than with the width.  The window pass and that
+      difference took the same time at 2.1 to 3.2 * hi^(3/4) wide from
+      10^6 to 10^9 when every prefix count built Lucy's table, so the cut
+      kept the window pass where it was cheaper.  With the sieve pass
+      below 4 * 10^6 the ties are 1.2 to 1.4 * hi^(3/4) near 10^6 and 2.4
+      to 2.8 near 10^7, and the cut has not yet moved with them.  The cut
+      is taken from integer square roots, so no intermediate value leaves
+      64 bits.
 
     The window pass keeps memory bounded by SEGMENT bytes at any width, and
-    the prefix count by two tables of isqrt(hi) + 1 integers; the primes
+    the prefix count by one sieve segment of SEGMENT bytes and, from
+    4 * 10^6, two tables of isqrt(hi) + 1 integers; the primes
     come from the shared table that the per-number indicators use.
     Consecutive ranges compose exactly: splitting [8, N] anywhere and adding
     the pieces always reproduces semiprime_count(N) - 2.
@@ -353,13 +394,15 @@ def semiprime_count(n: int) -> int:
 
     For n >= 8 this is the paper's sum(k2) + sum(k1 - t) over [1, n], with
     each semiprime p*q grouped by its smaller prime p so that every part is
-    a prime count pi at n // p or at some value <= n^(2/3).  The pi(n // k)
-    come from one Lucy-style table of O(sqrt(n)) entries in O(n^(3/4))
-    steps, the rest from one segmented sieve pass, so the cost grows well
-    below n: 10^9 takes about 0.51 s and under 3 MB.  The window pass
-    under count_range, which sees every integer, is the independent route
-    the tests compare it with.  Below 8 the count is read off the
-    semiprimes 4 and 6.
+    a prime count pi at n // p or at some value <= n^(2/3).  Below
+    4 * 10^6 every pi comes from one odd-only segmented sieve pass to
+    n // 2, which there is cheaper (about 1.1 ms at 10^6).  From 4 * 10^6
+    on, the pi(n // k) come from one Lucy-style table of O(sqrt(n))
+    entries in O(n^(3/4)) steps, and the rest from the same sieve pass to
+    icbrt(n)^2 - 1, so the cost grows well below n: 10^9 takes about 0.31
+    to 0.42 s and under 3 MB.  The window pass under count_range, which
+    sees every integer, is the independent route the tests compare it
+    with.  Below 8 the count is read off the semiprimes 4 and 6.
     """
     n = as_natural(n, "n")
     if n < 1:

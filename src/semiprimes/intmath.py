@@ -26,6 +26,11 @@ MAX_COUNT_INPUT = 10**9
 #: range.  semiprime_count(MAX_COUNT_INPUT) reproduces it in under a second.
 MAX_NTH_INPUT = 160_788_536
 
+#: Largest count accepted by semiprime_stream, which returns one list: a
+#: million ints take about 40 MB, and near 10^12 the walk to them about
+#: two minutes.
+MAX_STREAM_COUNT = 10**6
+
 
 class DomainError(ValueError):
     """Input lies outside an operation's stated domain."""

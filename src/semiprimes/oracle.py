@@ -19,6 +19,10 @@ SIEVE_LIMIT = 10**8
 FACTOR_SIEVE_LIMIT = 10**7
 #: Largest n classical_count accepts: its prime table reaches n/2.
 CLASSICAL_COUNT_LIMIT = 2 * SIEVE_LIMIT
+#: Largest index whose semiprime classical_count can check: the number of
+#: semiprimes <= CLASSICAL_COUNT_LIMIT.  The last of them is 199 999 997,
+#: the next 200 000 001.
+NTH_CHECK_LIMIT = 33_992_717
 
 
 def _composite_flags(limit):

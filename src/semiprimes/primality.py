@@ -17,8 +17,9 @@ t itself takes one of two routes to the same value, chosen by the size of x:
 This module also holds the one shared table of small primes (_primes) that
 core's counting routes and per-number scans draw on, and Lucy's prime-count
 table (_lucy_tables), which gives pi(n // k) for every k in O(n^(3/4))
-steps.  The wheel scan generates the shared table, and prime_count_formula
-and core's prefix count both read the Lucy table.
+steps.  The wheel scan generates the shared table.  prime_count_formula
+reads the Lucy table at every x; core's prefix count reads it only from
+n = 4 * 10^6 on, and below that takes its prime counts from a sieve pass.
 """
 
 from bisect import bisect_right
@@ -214,8 +215,10 @@ def _lucy_tables(n):
 def prime_count_formula(x: int) -> int:
     """Number of primes <= x, for 8 <= x <= MAX_COUNT_INPUT.
 
-    Read off the Lucy-style table that semiprime_count builds, in O(x^(3/4))
-    steps and O(sqrt(x)) memory: 10^9 takes well under a second.  The
+    Read off Lucy's table at every x, in O(x^(3/4)) steps and O(sqrt(x))
+    memory: 10^9 takes well under a second.  semiprime_count builds the
+    same table only from n = 4 * 10^6 on (below that a sieve pass is
+    cheaper), so this function keeps the table tested at small x too.  The
     paper's sum of t over the 6j+5 / 6j+7 grids is
     literal.prime_count_literal, the slow reference the tests hold this to.
     """

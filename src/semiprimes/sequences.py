@@ -44,6 +44,7 @@ from .intmath import (
     MAX_CLASSIFY_INPUT,
     MAX_COUNT_INPUT,
     MAX_NTH_INPUT,
+    MAX_STREAM_COUNT,
     DomainError,
     RangeLimitError,
     as_natural,
@@ -216,7 +217,9 @@ def semiprime_stream(start: int, count: int) -> list:
     """The first `count` semiprimes strictly greater than start, ascending.
 
     One upward walk from start, the same as next_semiprime's scan, with the
-    arguments checked once.
+    arguments checked once.  count is at most MAX_STREAM_COUNT (10^6), so
+    the list stays bounded; a larger count raises RangeLimitError before
+    the walk.
     """
     start = as_natural(start, "start")
     if start < 4:
@@ -226,4 +229,8 @@ def semiprime_stream(start: int, count: int) -> list:
             f"semiprime_stream accepts starts up to {MAX_CLASSIFY_INPUT}, got {start}"
         )
     count = as_natural(count, "count")
+    if count > MAX_STREAM_COUNT:
+        raise RangeLimitError(
+            f"semiprime_stream accepts counts up to {MAX_STREAM_COUNT}, got {count}"
+        )
     return list(islice(_semiprimes_after(start), count))

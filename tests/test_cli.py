@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from semiprimes import cli
+from semiprimes import MAX_STREAM_COUNT, cli, nth_semiprime, oracle, semiprime_count
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +178,45 @@ def test_count_verify_past_its_oracle_fails_first(capsys, monkeypatch):
     assert "--verify" in err and "200000000" in err
 
 
+def test_nth_verify_past_its_oracle_fails_first(capsys, monkeypatch):
+    # NTH_CHECK_LIMIT semiprimes are <= 2*10^8, where the classical count
+    # stops, and the next one is past it; the CLI refuses a larger n before
+    # the search
+    limit = oracle.NTH_CHECK_LIMIT
+    assert semiprime_count(oracle.CLASSICAL_COUNT_LIMIT) == limit
+    assert nth_semiprime(limit) <= oracle.CLASSICAL_COUNT_LIMIT < nth_semiprime(limit + 1)
+
+    def no_search(n):
+        raise AssertionError(f"searched for {n}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "nth_semiprime", no_search)
+        code, out, err = run_cli(capsys, "nth", str(limit + 1), "--verify")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "--verify" in err and str(limit) in err
+    # the limit itself passes the refusal; its classical count, a sieve to
+    # 10^8, is stood in for
+    monkeypatch.setattr(cli, "nth_semiprime", lambda n: 199_999_997)
+    monkeypatch.setattr(cli.oracle, "classical_count", {199_999_997: limit}.get)
+    assert run_cli(capsys, "nth", str(limit), "--verify") == (0, "199999997\n", "")
+
+
+def test_nth_verify_is_bounded_by_the_answer(capsys):
+    # the check sieves to half the answer and trial-divides it, instead of
+    # factoring every integer up to it
+    assert run_cli(capsys, "nth", "100000", "--verify") == (0, "459577\n", "")
+
+
+def test_stream_count_past_its_cap_exits_2(capsys):
+    code, out, err = run_cli(capsys, "stream", "4", str(MAX_STREAM_COUNT + 1))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert str(MAX_STREAM_COUNT) in err
+
+
 def test_verify_mismatch_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli.oracle, "classical_count", lambda n: 0)
     code, out, err = run_cli(capsys, "count", "100", "--verify")
@@ -187,13 +226,20 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
 
 
 def test_verify_nth_next_mismatch_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli.oracle, "nth_semiprime_oracle", lambda n: 0)
-    monkeypatch.setattr(cli.oracle, "next_semiprime_oracle", lambda n: 0)
-    for argv in (["nth", "100", "--verify"], ["next", "100", "--verify"]):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1, argv
-        assert out == ""
-        assert "verification failed" in err
+    # nth is checked by the classical count at its answer and by trial
+    # division of it; each failing alone is a mismatch
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.oracle, "classical_count", lambda n: 0)
+        patch.setattr(cli.oracle, "next_semiprime_oracle", lambda n: 0)
+        for argv in (["nth", "100", "--verify"], ["next", "100", "--verify"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1, argv
+            assert out == ""
+            assert "verification failed" in err
+    monkeypatch.setattr(cli.oracle, "is_semiprime_oracle", lambda x: 0)
+    code, out, err = run_cli(capsys, "nth", "100", "--verify")
+    assert (code, out) == (1, "")
+    assert "verification failed" in err
 
 
 def test_output_is_deterministic(capsys):

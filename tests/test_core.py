@@ -32,9 +32,9 @@ from semiprimes.core import (
     _REJECT,
     _SEMIPRIME,
     _SMALL_SEMIPRIMES,
-    _count_primes,
     _prefix_count,
     _prefix_parts,
+    _prime_counts,
     _semiprime_flags,
     _triple_bits,
     _window_parts,
@@ -330,12 +330,12 @@ def _independent_parts(lo, hi):
     # (sum of k1, sum of k2, sum of t) over [lo, hi] by routes that share no
     # code with the window pass: the per-number triples (the paper's
     # indicators) of a narrow window; for a wider one, the prefix parts at
-    # hi and at lo - 1 and a segmented sieve of the primes in the window
+    # hi and at lo - 1 and a segmented sieve pass over the window's primes
     if hi - lo < _TRIPLE_WIDTH:
         t_sum, k1_sum, k2_sum = map(sum, zip(*map(_triple_bits, range(lo, hi + 1))))
         return k1_sum, k2_sum, t_sum
     (k2_hi, k1_t_hi), (k2_lo, k1_t_lo) = _prefix_parts_at(hi), _prefix_parts_at(lo - 1)
-    t_sum = _count_primes(lo, hi)
+    [t_sum] = _prime_counts([hi], lo)
     return k1_t_hi - k1_t_lo + t_sum, k2_hi - k2_lo, t_sum
 
 
@@ -545,6 +545,62 @@ def test_prefix_parts_match_window_sums(n):
     assert k2_sum == k2_window
     assert k1_t_sum == len(_SMALL_SEMIPRIMES) + k1_sum - t_sum
     assert semiprime_count(n) == len(_SMALL_SEMIPRIMES) + k1_sum + k2_window - t_sum
+
+
+def test_prime_counts_match_sieve():
+    # pi at every v up to 40, where 1 is marked by hand and 2 counted up
+    # front, and on both sides of the odd-only segments' joins, each of
+    # which covers 2 * SEGMENT integers; against the classical sieve
+    top = 6 * SEGMENT + 3
+    primes = oracle.sieve(top).primes
+    joins = [v for k in (1, 2, 3) for v in range(2 * k * SEGMENT - 3, 2 * k * SEGMENT + 4)]
+    points = [*range(2, 41), *joins]
+    assert _prime_counts(points) == [bisect_right(primes, v) for v in points]
+    for v in (2, 3, 4, 9, 2 * SEGMENT - 1, 2 * SEGMENT, 2 * SEGMENT + 1):
+        assert _prime_counts([v]) == [bisect_right(primes, v)], v
+    assert _prime_counts([]) == []
+    # the primes in [lo, v], odd and even lo, from v = lo - 1 (none) on,
+    # and from past a segment's length
+    for lo in (2, 3, 4, 9, 10, 2 * SEGMENT + 2, 2 * SEGMENT + 3, 4 * SEGMENT + 1):
+        points = sorted({max(lo - 1, 2), lo, lo + 1, lo + 100, 4 * SEGMENT + 7, top})
+        below = bisect_right(primes, lo - 1)
+        assert _prime_counts(points, lo) == [bisect_right(primes, v) - below for v in points], lo
+
+
+_CUT = core._SIEVE_CUT
+_JOIN = 2 * SEGMENT  # the first integer past the first odd-only segment
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        7,  # the prefix from 8 reads 4 and 6 here
+        _CUT - 1, _CUT, _CUT + 1,
+        125**3 - 1, 125**3,  # icbrt steps up to 125
+        211**3 - 1, 211**3,  # icbrt steps up to the prime 211
+        1409**2 - 1, 1409**2,  # isqrt steps up to the prime 1409
+        2 * _JOIN - 2, 2 * _JOIN - 1,  # n // 2 = _JOIN - 1, the last odd of a segment
+        2 * _JOIN + 2, 2 * _JOIN + 3,  # n // 2 = _JOIN + 1, the first odd past it
+        4 * _JOIN - 1, 4 * _JOIN + 2,  # the same at the second join
+    ],
+)
+def test_prefix_parts_agree_on_both_pi_sources(monkeypatch, n):
+    # The same parts with every pi from the sieve pass (the cut patched above
+    # n, Lucy's table patched to fail) and with pi(n // p) from Lucy's table
+    # (the cut patched to n)
+    def unused(*args):
+        raise AssertionError(f"Lucy's table built for {args}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_SIEVE_CUT", n + 1)
+        patch.setattr(core, "_lucy_tables", unused)
+        by_sieve = _prefix_parts(n)
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_SIEVE_CUT", n)
+        by_lucy = _prefix_parts(n)
+    assert by_sieve == by_lucy
+    if n == 7:
+        assert by_sieve == (0, len(_SMALL_SEMIPRIMES))
 
 
 def test_large_inputs_within_contract():

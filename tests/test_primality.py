@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -215,3 +217,35 @@ def test_build_prime_table_stops_at_wheel_top():
     for limit in (top + 1, 10**13):
         with pytest.raises(RangeLimitError):
             build_prime_table(limit)
+
+
+def test_shared_prime_table_grows_safely_from_four_threads(monkeypatch):
+    # Each growth of the shared table binds a new, complete PrimeTable, so
+    # four threads growing it at once from a fresh table each get exactly
+    # the primes up to their own limit, and the table left is complete.
+    # A short switch interval makes the threads interleave inside _primes.
+    limits = (2_000, 9_000, 20_000, primality.TABLE_CAP)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(primality, "_table", primality.PrimeTable(1, ()))
+            start = threading.Barrier(len(limits), timeout=60)
+            results = {}
+
+            def grow(limit):
+                start.wait()
+                results[limit] = primality._primes(limit)
+
+            threads = [threading.Thread(target=grow, args=(limit,)) for limit in limits]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            for limit in limits:
+                assert results[limit] == oracle.sieve(limit).primes, limit
+            final = primality._table
+            assert final.limit in limits
+            assert final.primes == oracle.sieve(final.limit).primes
+    finally:
+        sys.setswitchinterval(interval)

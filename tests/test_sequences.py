@@ -9,6 +9,7 @@ from semiprimes import (
     MAX_CLASSIFY_INPUT,
     MAX_COUNT_INPUT,
     MAX_NTH_INPUT,
+    MAX_STREAM_COUNT,
     DomainError,
     RangeLimitError,
     count_range,
@@ -364,6 +365,21 @@ def test_stream_empty_and_domain():
     assert semiprime_stream(4, 0) == []
     with pytest.raises(DomainError):
         semiprime_stream(3, 1)
+
+
+def test_stream_count_is_capped_before_the_walk(monkeypatch):
+    # MAX_STREAM_COUNT passes the cap: near the top of the classification
+    # range the walk itself then stops at the limit.  One more is refused
+    # before the walk starts.
+    with pytest.raises(RangeLimitError, match="classification limit"):
+        semiprime_stream(MAX_CLASSIFY_INPUT - 100, MAX_STREAM_COUNT)
+
+    def no_walk(n):
+        raise AssertionError(f"walked from {n}")
+
+    monkeypatch.setattr(sequences, "_semiprimes_after", no_walk)
+    with pytest.raises(RangeLimitError, match=f"counts up to {MAX_STREAM_COUNT}"):
+        semiprime_stream(4, MAX_STREAM_COUNT + 1)
 
 
 def test_stream_matches_oracle(semis_10k):
