@@ -27,12 +27,13 @@ takes one of two routes, one engine each:
 - the prefix count (semiprime_count, and count_range over a wider range as
   the difference of two of them) groups each semiprime p*q by its smaller
   prime p, so that sum(k2) and sum(k1 - t) become prime counts pi at n // p
-  and at p^2 - 1 and p - 1.  It takes them from two sources, by the size of
-  n: below _SIEVE_CUT (4 * 10^6), one ascending pass of an odd-only
-  segmented sieve to n // 2 gives every one; from the cut on, Lucy's table
-  in primality gives every pi(n // k) in O(n^(3/4)) steps and O(sqrt(n))
-  memory, and the same sieve pass, now to icbrt(n)^2 - 1, the
-  pi(p^2 - 1).
+  and at p^2 - 1 and p - 1.  Every pi(p^2 - 1), and below _SIEVE_CUT
+  (4 * 10^6) every pi(n // p) too, is read off one module-level pi table:
+  the flags of an odd-only segmented sieve and a running prime count per
+  block of flags, grown on demand (to n // 2 below the cut) and never past
+  _SIEVE_CUT // 2 integers, about 1 MB.  From the cut on, Lucy's table in
+  primality gives every pi(n // k) in O(n^(3/4)) steps and O(sqrt(n))
+  memory.
 
 The two engines share no step beyond the prime table, and the tests hold
 each part of one to the other and to the per-number scans.  Both and the
@@ -44,6 +45,7 @@ unchecked.
 """
 
 import enum
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
@@ -256,55 +258,93 @@ def _unmarked(flags, j, k):
     return k - j - int.from_bytes(flags[j:k], "little").bit_count()
 
 
-def _prime_counts(points: list, lo: int = 1) -> list:
-    # The number of primes in [lo, v] for each v of the ascending list
-    # points (every v >= max(lo - 1, 2)), so pi(v) by default, from one
-    # ascending pass of an odd-only segmented sieve from lo to the last
-    # point.  Byte j of the segment that starts at the odd integer a stands
-    # for a + 2j, so SEGMENT bytes cover 2 * SEGMENT integers.  Each odd
-    # prime p marks its odd multiples from p*p with one strided slice:
-    # a + 2s = p*p, or, past p*p, the least odd multiple a + 2s >= a, where
-    # 2s = -a (mod p).  1 is marked by hand and the even prime 2 counted up
-    # front; each v adds the unmarked bytes between the last point and v.
-    counts = []
-    top = points[-1] if points else 0
-    primes = _primes(isqrt(top))[1:]
-    total, a = int(lo <= 2), lo | 1
-    remaining = iter(points)
-    v = next(remaining, None)
-    while v is not None:
-        size = min(SEGMENT, (top - a) // 2 + 1)
-        b = a + 2 * size - 2
-        flags = bytearray(size)
-        if a == 1:
-            flags[0] = 1
-        for p in primes:
-            p2 = p * p
-            if p2 > b:
-                break
-            s = (p2 - a) >> 1 if p2 >= a else -((a + p) >> 1) % p
-            flags[s::p] = _ONES[: (size - 1 - s) // p + 1]
-        j = 0
-        while v is not None and v <= b + 1:
-            k = (v - a) // 2 + 1
-            total += _unmarked(flags, j, k)
-            counts.append(total)
-            j = k
-            v = next(remaining, None)
-        total += _unmarked(flags, j, size)
-        a = b + 2
-    return counts
+def _odd_segment(a: int, size: int) -> bytearray:
+    # The flags of the odd integers a, a + 2, ..., a + 2 * (size - 1), for
+    # odd a: 1 for 1 and for every composite, 0 for a prime.  Each odd prime
+    # p up to the square root of the last marks its odd multiples from p*p
+    # with one strided slice: a + 2s = p*p, or, past p*p, the least odd
+    # multiple a + 2s >= a, where 2s = -a (mod p).
+    flags = bytearray(size)
+    if a == 1:
+        flags[0] = 1
+    for p in _primes(isqrt(a + 2 * size - 2))[1:]:
+        p2 = p * p
+        s = (p2 - a) >> 1 if p2 >= a else -((a + p) >> 1) % p
+        flags[s::p] = _ONES[: (size - 1 - s) // p + 1]
+    return flags
 
 
-#: Below this n the prefix count takes every prime count it needs from one
-#: _prime_counts pass to n // 2; from it on, pi(n // p) comes from Lucy's
-#: table, whose O(n^(3/4)) steps grow more slowly than the sieve's n / 4
-#: bytes.  Sieve over Lucy time for _prefix_parts(n), on one core of a
-#: 2-core x86-64 host (CPython 3.11, best of 5 in each of 3 rounds): 0.34
-#: to 0.37 at 10^5, 0.50 to 0.56 at 10^6, 0.69 to 0.79 at 3 * 10^6, 0.78
-#: to 0.88 at 4 * 10^6, 0.87 to 0.99 at 6 * 10^6, 0.95 to 1.21 at 8 * 10^6
-#: and 1.0 to 1.2 at 10^7.  The tie lies near 6 * 10^6, and the cut keeps
-#: a margin below it.
+#: Bytes per block of the pi table: pi(v) adds one popcount over at most
+#: this many bytes to the running count at the start of v's block.  On one
+#: core of a 2-core x86-64 host (CPython 3.11, best of 15 over the points
+#: of 50 prefix counts in [1.2 * 10^5, 2.6 * 10^5]) a lookup took 0.64 us
+#: at 128 and 0.84 us at 256, for half the block counts.
+_BLOCK = 128
+
+
+class _PiTable(NamedTuple):
+    # pi(v) for 2 <= v <= limit = 2 * len(flags).  flags[j] is the
+    # _odd_segment flag of 2j + 1, and counts[b] is the prime 2 plus the
+    # zeros before byte b * _BLOCK, so pi(2 * b * _BLOCK) for b >= 1.
+    limit: int
+    flags: bytes
+    counts: array
+
+    def pi(self, points):
+        # pi(v) for each v of points: the k = (v + 1) // 2 odd integers up
+        # to v are flags[:k]
+        flags, counts = self.flags, self.counts
+        pis = []
+        for v in points:
+            k = (v + 1) >> 1
+            b = k // _BLOCK
+            pis.append(counts[b] + _unmarked(flags, b * _BLOCK, k))
+        return pis
+
+
+# The prefix count's one source of pi below _SIEVE_CUT, and of pi(p^2 - 1)
+# at every n.  Like primality's prime table it only ever grows, from its
+# previous limit, and each growth binds a new, complete _PiTable, so a
+# reader in any thread holds either the old table or the new one, never a
+# partial one.  Two threads growing it at once each get a complete table;
+# the later binding wins.
+_pi_table = _PiTable(0, b"", array("I", [1]))
+
+
+def _pi_to(top: int) -> _PiTable:
+    # The pi table, grown if need be to answer every v <= top, for
+    # top <= _SIEVE_CUT // 2.  A growth sieves the odd integers from the old
+    # limit + 1 to max(top, twice the old limit), capped at _SIEVE_CUT // 2
+    # as read now, one _odd_segment of at most SEGMENT bytes at a time: no
+    # integer is sieved twice, and rising queries grow the table only a
+    # logarithmic number of times.
+    global _pi_table
+    table = _pi_table
+    if top > table.limit:
+        size = (min(max(top, 2 * table.limit), _SIEVE_CUT // 2) + 1) // 2
+        pieces = [table.flags]
+        for j in range(len(table.flags), size, SEGMENT):
+            pieces.append(_odd_segment(2 * j + 1, min(SEGMENT, size - j)))
+        flags = b"".join(pieces)
+        counts = table.counts[:]
+        for j in range(len(counts) * _BLOCK, size + 1, _BLOCK):
+            counts.append(counts[-1] + _unmarked(flags, j - _BLOCK, j))
+        _pi_table = table = _PiTable(2 * size, flags, counts)
+    return table
+
+
+#: Below this n the prefix count reads every prime count it needs off the
+#: pi table, grown to n // 2; from it on, pi(n // p) comes from Lucy's
+#: table and only the pi(p^2 - 1), all below 10^6, off the pi table.  The
+#: cut bounds the pi table at _SIEVE_CUT // 2 integers: 10^6 flag bytes and
+#: 31 kB of block counts.  It also bounds what a cold first query pays for
+#: the growth.  Growing an empty table to n // 2 over building Lucy's table
+#: at n, on one core of a 2-core x86-64 host (CPython 3.11, best of 5 in
+#: each of 3 rounds), is 0.51 at 10^5, 0.97 to 1.03 at 10^6, 1.21 to 1.31
+#: at 2 * 10^6 and 1.60 to 1.67 just below 4 * 10^6: up to the cut, the
+#: growth for a cold query costs one to two Lucy builds.  A warm query
+#: below the cut makes about 2 * pi(sqrt(n)) popcounts of at most _BLOCK
+#: bytes each.
 _SIEVE_CUT = 4 * 10**6
 
 
@@ -316,20 +356,17 @@ def _prefix_parts(n):
     # with c = icbrt(n) and r = isqrt(n); the second holds 4 and 6.  For
     # p <= c, p^2 - 1 < n/p, and for p > c, n/p < p^2, so the mins split
     # at c; pi(p - 1) is p's index in the prime table.  Below _SIEVE_CUT
-    # one sieve pass gives every pi; from it on, Lucy's table gives
-    # pi(n // p) and one sieve pass to c^2 - 1 the pi(p^2 - 1).
-    primes = _primes(isqrt(n))
-    edges = [p * p - 1 for p in primes[: bisect_right(primes, _icbrt(n))]]
+    # the pi table gives every pi; from it on, Lucy's table gives
+    # pi(n // p) and the pi table the pi(p^2 - 1) < c^2.
+    primes, c = _primes(isqrt(n)), _icbrt(n)
+    edges = [p * p - 1 for p in primes[: bisect_right(primes, c)]]
     if n < _SIEVE_CUT:
-        quotients = [n // p for p in primes]
-        points = sorted({*quotients, *edges})
-        pi = dict(zip(points, _prime_counts(points)))
-        pi_quotients = [pi[v] for v in quotients]
-        pi_edges = [pi[v] for v in edges]
+        pi_quotients = _pi_to(n // 2).pi([n // p for p in primes])
     else:
         large = _lucy_tables(n)[1]
         pi_quotients = [large[p] for p in primes]
-        pi_edges = _prime_counts(edges)
+        del large  # before the pi table can grow, so the peak stays Lucy's
+    pi_edges = _pi_to(c * c).pi(edges)
     c_count, edge_sum = len(edges), sum(pi_edges)
     k2_sum = sum(pi_quotients[:c_count]) - edge_sum
     k1_t_sum = edge_sum + sum(pi_quotients[c_count:]) - len(primes) * (len(primes) - 1) // 2
@@ -338,7 +375,7 @@ def _prefix_parts(n):
 
 def _prefix_count(n):
     # the number of semiprimes <= n, for n >= 7: O(n^(3/4)) steps from
-    # _SIEVE_CUT on, one sieve pass over n / 2 integers below it
+    # _SIEVE_CUT on, about 2 * pi(sqrt(n)) reads of the pi table below it
     k2_sum, k1_t_sum = _prefix_parts(n)
     return k2_sum + k1_t_sum
 
@@ -365,16 +402,18 @@ def count_range(lo: int, hi: int) -> int:
       with hi rather than with the width.  The window pass and that
       difference took the same time at 2.1 to 3.2 * hi^(3/4) wide from
       10^6 to 10^9 when every prefix count built Lucy's table, so the cut
-      kept the window pass where it was cheaper.  With the sieve pass
-      below 4 * 10^6 the ties are 1.2 to 1.4 * hi^(3/4) near 10^6 and 2.4
-      to 2.8 near 10^7, and the cut has not yet moved with them.  The cut
-      is taken from integer square roots, so no intermediate value leaves
-      64 bits.
+      kept the window pass where it was cheaper.  Below 4 * 10^6, where
+      both prefix counts are reads of the grown pi table, the ties are
+      0.19 to 0.26 * hi^(3/4) near 10^6 and 0.12 to 0.18 near 3 * 10^6 (a
+      window 2 * hi^(3/4) wide takes 8 to 13 times as long); near 10^7 they
+      are 2.4 to 2.8.  The cut has not moved with them.  It is taken from
+      integer square roots, so no intermediate value leaves 64 bits.
 
     The window pass keeps memory bounded by SEGMENT bytes at any width, and
-    the prefix count by one sieve segment of SEGMENT bytes and, from
-    4 * 10^6, two tables of isqrt(hi) + 1 integers; the primes
-    come from the shared table that the per-number indicators use.
+    the prefix count by one sieve segment of SEGMENT bytes, the pi table of
+    at most about 1 MB and, from 4 * 10^6, two tables of isqrt(hi) + 1
+    integers; the primes come from the shared table that the per-number
+    indicators use.
     Consecutive ranges compose exactly: splitting [8, N] anywhere and adding
     the pieces always reproduces semiprime_count(N) - 2.
     """
@@ -395,12 +434,14 @@ def semiprime_count(n: int) -> int:
     For n >= 8 this is the paper's sum(k2) + sum(k1 - t) over [1, n], with
     each semiprime p*q grouped by its smaller prime p so that every part is
     a prime count pi at n // p or at some value <= n^(2/3).  Below
-    4 * 10^6 every pi comes from one odd-only segmented sieve pass to
-    n // 2, which there is cheaper (about 1.1 ms at 10^6).  From 4 * 10^6
-    on, the pi(n // k) come from one Lucy-style table of O(sqrt(n))
-    entries in O(n^(3/4)) steps, and the rest from the same sieve pass to
-    icbrt(n)^2 - 1, so the cost grows well below n: 10^9 takes about 0.31
-    to 0.42 s and under 3 MB.  The window pass under count_range, which
+    4 * 10^6 every pi is read off one pi table, an odd-only segmented
+    sieve's flags kept with a running count per block, which grows to n // 2
+    on the first query that needs it and then answers each later count in
+    about 2 * pi(sqrt(n)) popcounts (about 0.14 to 0.28 ms at 10^6).  From
+    4 * 10^6 on, the pi(n // k) come from one Lucy-style table of
+    O(sqrt(n)) entries in O(n^(3/4)) steps, and the rest from the same pi
+    table, so the cost grows well below n: 10^9 takes about 0.3 to 0.5 s
+    and about 3 MB.  The window pass under count_range, which
     sees every integer, is the independent route the tests compare it
     with.  Below 8 the count is read off the semiprimes 4 and 6.
     """

@@ -18,8 +18,9 @@ This module also holds the one shared table of small primes (_primes) that
 core's counting routes and per-number scans draw on, and Lucy's prime-count
 table (_lucy_tables), which gives pi(n // k) for every k in O(n^(3/4))
 steps.  The wheel scan generates the shared table.  prime_count_formula
-reads the Lucy table at every x; core's prefix count reads it only from
-n = 4 * 10^6 on, and below that takes its prime counts from a sieve pass.
+reads the Lucy table at every x; core's prefix count builds it only from
+n = 4 * 10^6 on, and below that reads its prime counts off core's pi
+table, a sieve's flags kept once and grown on demand.
 """
 
 from bisect import bisect_right
@@ -217,8 +218,8 @@ def prime_count_formula(x: int) -> int:
 
     Read off Lucy's table at every x, in O(x^(3/4)) steps and O(sqrt(x))
     memory: 10^9 takes well under a second.  semiprime_count builds the
-    same table only from n = 4 * 10^6 on (below that a sieve pass is
-    cheaper), so this function keeps the table tested at small x too.  The
+    same table only from n = 4 * 10^6 on (below that it reads core's pi
+    table), so this function keeps the table tested at small x too.  The
     paper's sum of t over the 6j+5 / 6j+7 grids is
     literal.prime_count_literal, the slow reference the tests hold this to.
     """

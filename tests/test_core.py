@@ -1,6 +1,8 @@
 import subprocess
 import sys
+import threading
 import tracemalloc
+from array import array
 from bisect import bisect_left, bisect_right
 from functools import cache
 from math import isqrt
@@ -27,14 +29,16 @@ from semiprimes import (
 )
 from semiprimes.core import (
     SEGMENT,
+    _BLOCK,
     _INDEX,
     _LARGE,
+    _PiTable,
     _REJECT,
     _SEMIPRIME,
     _SMALL_SEMIPRIMES,
+    _odd_segment,
     _prefix_count,
     _prefix_parts,
-    _prime_counts,
     _semiprime_flags,
     _triple_bits,
     _window_parts,
@@ -330,12 +334,16 @@ def _independent_parts(lo, hi):
     # (sum of k1, sum of k2, sum of t) over [lo, hi] by routes that share no
     # code with the window pass: the per-number triples (the paper's
     # indicators) of a narrow window; for a wider one, the prefix parts at
-    # hi and at lo - 1 and a segmented sieve pass over the window's primes
+    # hi and at lo - 1 and the segmented sieve started at lo (>= 3) over
+    # the window's primes
     if hi - lo < _TRIPLE_WIDTH:
         t_sum, k1_sum, k2_sum = map(sum, zip(*map(_triple_bits, range(lo, hi + 1))))
         return k1_sum, k2_sum, t_sum
     (k2_hi, k1_t_hi), (k2_lo, k1_t_lo) = _prefix_parts_at(hi), _prefix_parts_at(lo - 1)
-    [t_sum] = _prime_counts([hi], lo)
+    t_sum = 0
+    for a in range(lo | 1, hi + 1, 2 * SEGMENT):
+        size = min(SEGMENT, (hi - a) // 2 + 1)
+        t_sum += _odd_segment(a, size).count(0)
     return k1_t_hi - k1_t_lo + t_sum, k2_hi - k2_lo, t_sum
 
 
@@ -547,24 +555,182 @@ def test_prefix_parts_match_window_sums(n):
     assert semiprime_count(n) == len(_SMALL_SEMIPRIMES) + k1_sum + k2_window - t_sum
 
 
-def test_prime_counts_match_sieve():
-    # pi at every v up to 40, where 1 is marked by hand and 2 counted up
-    # front, and on both sides of the odd-only segments' joins, each of
-    # which covers 2 * SEGMENT integers; against the classical sieve
-    top = 6 * SEGMENT + 3
-    primes = oracle.sieve(top).primes
-    joins = [v for k in (1, 2, 3) for v in range(2 * k * SEGMENT - 3, 2 * k * SEGMENT + 4)]
-    points = [*range(2, 41), *joins]
-    assert _prime_counts(points) == [bisect_right(primes, v) for v in points]
-    for v in (2, 3, 4, 9, 2 * SEGMENT - 1, 2 * SEGMENT, 2 * SEGMENT + 1):
-        assert _prime_counts([v]) == [bisect_right(primes, v)], v
-    assert _prime_counts([]) == []
-    # the primes in [lo, v], odd and even lo, from v = lo - 1 (none) on,
-    # and from past a segment's length
+_CAP = core._SIEVE_CUT // 2  # the pi table's largest limit
+
+
+@cache
+def _sieve_to_cap():
+    return oracle.sieve(_CAP).primes
+
+
+def _expected_flags(a, size):
+    # what _odd_segment(a, size) should give, from the classical sieve: 0
+    # exactly for the primes among the odd integers a, a + 2, ...
+    primes = _sieve_to_cap()
+    flags = bytearray(b"\x01") * size
+    for p in primes[bisect_left(primes, max(a, 3)) : bisect_right(primes, a + 2 * size - 2)]:
+        flags[(p - a) >> 1] = 0
+    return flags
+
+
+def _fresh_pi_table(monkeypatch):
+    # an empty pi table in place of the shared one until the test ends
+    monkeypatch.setattr(core, "_pi_table", _PiTable(0, b"", array("I", [1])))
+
+
+def _assert_pi_table_complete(table):
+    # every flag and block count, against the classical sieve: counts[b]
+    # is pi(2 * b * _BLOCK), and counts[0] holds the prime 2
+    size = len(table.flags)
+    assert table.limit == 2 * size <= _CAP
+    assert table.flags == _expected_flags(1, size)
+    primes = _sieve_to_cap()
+    counts = [bisect_right(primes, max(2, 2 * b * _BLOCK)) for b in range(size // _BLOCK + 1)]
+    assert table.counts.tolist() == counts
+
+
+def _pi_points(limit):
+    # every v up to 40, where 1 is marked by hand and 2 counted in the
+    # first block count; both sides of every odd-only segment join (each
+    # segment covers 2 * SEGMENT integers) and of every block boundary
+    # (each block covers 2 * _BLOCK); and the limit itself
+    joins = range(2 * SEGMENT, limit + 3, 2 * SEGMENT)
+    blocks = range(2 * _BLOCK, limit + 3, 2 * _BLOCK)
+    near = [v + d for v in (*joins, *blocks) for d in (-3, -2, -1, 0, 1, 2)]
+    return [*range(2, 41), *(v for v in near if 41 <= v <= limit), limit - 1, limit]
+
+
+def _assert_reads_pi(table, points):
+    primes = _sieve_to_cap()
+    assert table.pi(points) == [bisect_right(primes, v) for v in points]
+
+
+def test_prime_counts_match_sieve(monkeypatch):
+    # pi off a table built fresh, against the classical sieve; a growth
+    # that would double the limit stops at the cap
+    _fresh_pi_table(monkeypatch)
+    core._pi_to(_CAP * 3 // 4)
+    table = core._pi_to(_CAP * 3 // 4 + 1)
+    assert table.limit == _CAP
+    _assert_pi_table_complete(table)
+    _assert_reads_pi(table, _pi_points(_CAP))
+    assert table.pi([]) == []
+    # a table whose last block is full reads its last block count
+    _fresh_pi_table(monkeypatch)
+    table = core._pi_to(4 * SEGMENT)
+    assert len(table.flags) % _BLOCK == 0
+    _assert_pi_table_complete(table)
+    _assert_reads_pi(table, _pi_points(4 * SEGMENT))
+    # one segment of the sieve started at lo, odd or even (the segment
+    # starts at the odd lo | 1) and past a segment's length: 1 is marked by
+    # hand, and each odd prime p marks from p*p or from its least odd
+    # multiple in the segment
     for lo in (2, 3, 4, 9, 10, 2 * SEGMENT + 2, 2 * SEGMENT + 3, 4 * SEGMENT + 1):
-        points = sorted({max(lo - 1, 2), lo, lo + 1, lo + 100, 4 * SEGMENT + 7, top})
-        below = bisect_right(primes, lo - 1)
-        assert _prime_counts(points, lo) == [bisect_right(primes, v) - below for v in points], lo
+        a = lo | 1
+        for size in (1, 2, 50, SEGMENT):
+            assert _odd_segment(a, size) == _expected_flags(a, size), (lo, size)
+
+
+def _record_segments(monkeypatch):
+    # the (start, size) of every _odd_segment sieved until the test ends
+    segments = []
+
+    def recorded(a, size):
+        segments.append((a, size))
+        return _odd_segment(a, size)
+
+    monkeypatch.setattr(core, "_odd_segment", recorded)
+    return segments
+
+
+def _assert_sieved_once(segments, top):
+    # the segments cover the odd integers below an even top, each once
+    segments = sorted(segments)
+    assert segments[0][0] == 1
+    for (a, size), (b, _) in zip(segments, segments[1:]):
+        assert a + 2 * size == b, segments
+    a, size = segments[-1]
+    assert a + 2 * size - 2 == top - 1, segments
+
+
+def test_pi_table_grown_in_steps_reads_as_one_built_fresh(monkeypatch):
+    # Each growth sieves on from the old limit + 1, an odd start, so no
+    # integer twice, and the table grown in steps is byte for byte the one
+    # built at once.
+    _fresh_pi_table(monkeypatch)
+    fresh = core._pi_to(_CAP)
+    _fresh_pi_table(monkeypatch)
+    segments = _record_segments(monkeypatch)
+    for top in (100, 3 * SEGMENT + 5, _CAP):
+        table = core._pi_to(top)
+        assert top <= table.limit <= top + 1
+        _assert_reads_pi(table, _pi_points(top))
+    assert table == fresh
+    _assert_sieved_once(segments, _CAP)
+    # a growth goes to twice the old limit when that is further
+    _fresh_pi_table(monkeypatch)
+    assert core._pi_to(1000).limit == 1000
+    assert core._pi_to(1001).limit == 2000
+
+
+def test_pi_table_grows_safely_from_four_threads(monkeypatch):
+    # Each growth of the pi table binds a new, complete _PiTable, so four
+    # threads growing it at once from a fresh table each read exact pi at
+    # their own points, and the table left is complete.  A short switch
+    # interval makes the threads interleave inside _pi_to.
+    limits = (3_000, 2 * SEGMENT + 9, 700_000, _CAP)
+    points = {limit: _pi_points(limit) for limit in limits}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            _fresh_pi_table(monkeypatch)
+            start = threading.Barrier(len(limits), timeout=60)
+            results = {}
+
+            def grow(limit):
+                start.wait()
+                results[limit] = core._pi_to(limit).pi(points[limit])
+
+            threads = [threading.Thread(target=grow, args=(limit,)) for limit in limits]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            primes = _sieve_to_cap()
+            for limit in limits:
+                assert results[limit] == [bisect_right(primes, v) for v in points[limit]], limit
+            _assert_pi_table_complete(core._pi_table)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_wide_count_range_sieves_each_integer_once(monkeypatch):
+    # A wide count_range below the cut reads both prefix counts off the one
+    # pi table, so no integer is sieved twice, and the same call again
+    # sieves nothing.
+    _fresh_pi_table(monkeypatch)
+    segments = _record_segments(monkeypatch)
+    lo, hi = 10**5, 3 * 10**6
+    expected = oracle.classical_count(hi) - oracle.classical_count(lo - 1)
+    assert count_range(lo, hi) == expected
+    _assert_sieved_once(segments, hi // 2)
+    seen = len(segments)
+    assert count_range(lo, hi) == expected
+    assert len(segments) == seen
+
+
+def test_pi_table_stays_bounded(monkeypatch):
+    # At most _SIEVE_CUT // 2 integers, 1 byte per odd one plus 4 per
+    # block of _BLOCK bytes: about 1 MB at the cut, whatever is counted
+    _fresh_pi_table(monkeypatch)
+    assert semiprime_count(10**9) == 160_788_536
+    assert core._pi_table.limit == icbrt(10**9) ** 2  # for the pi(p^2 - 1) only
+    assert semiprime_count(core._SIEVE_CUT - 1) == oracle.classical_count(core._SIEVE_CUT - 1)
+    table = core._pi_table
+    assert table.limit <= core._SIEVE_CUT // 2
+    assert sys.getsizeof(table.flags) + sys.getsizeof(table.counts) <= 1_100_000
 
 
 _CUT = core._SIEVE_CUT
