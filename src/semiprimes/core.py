@@ -29,11 +29,12 @@ takes one of two routes, one engine each:
   prime p, so that sum(k2) and sum(k1 - t) become prime counts pi at n // p
   and at p^2 - 1 and p - 1.  Every pi(p^2 - 1), and below _SIEVE_CUT
   (4 * 10^6) every pi(n // p) too, is read off one module-level pi table:
-  the flags of an odd-only segmented sieve and a running prime count per
-  block of flags, grown on demand (to n // 2 below the cut) and never past
-  _SIEVE_CUT // 2 integers, about 1 MB.  From the cut on, Lucy's table in
-  primality gives every pi(n // k) in O(n^(3/4)) steps and O(sqrt(n))
-  memory.
+  one bit per odd integer, set for a prime, and a running prime count per
+  group of eight bits, so that each pi(v) is one group count plus a table
+  lookup of the group's bits below v.  It grows on demand (to n // 2 below
+  the cut) from an odd-only segmented sieve, and never past _SIEVE_CUT // 2
+  integers, about 0.63 MB.  From the cut on, Lucy's table in primality
+  gives every pi(n // k) in O(n^(3/4)) steps and O(sqrt(n)) memory.
 
 The two engines share no step beyond the prime table, and the tests hold
 each part of one to the other and to the per-number scans.  Both and the
@@ -48,6 +49,7 @@ import enum
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt
 from typing import NamedTuple, Optional
 
@@ -251,13 +253,6 @@ def _count_range(lo: int, hi: int) -> int:
     return _prefix_count(hi) - _prefix_count(lo - 1)
 
 
-def _unmarked(flags, j, k):
-    # the zeros in flags[j:k], whose bytes are 0 or 1: the bytes read as one
-    # integer have a set bit per 1, and a popcount over it takes less than
-    # half the time of flags.count(0, j, k), which branches on every byte
-    return k - j - int.from_bytes(flags[j:k], "little").bit_count()
-
-
 def _odd_segment(a: int, size: int) -> bytearray:
     # The flags of the odd integers a, a + 2, ..., a + 2 * (size - 1), for
     # odd a: 1 for 1 and for every composite, 0 for a prime.  Each odd prime
@@ -274,32 +269,30 @@ def _odd_segment(a: int, size: int) -> bytearray:
     return flags
 
 
-#: Bytes per block of the pi table: pi(v) adds one popcount over at most
-#: this many bytes to the running count at the start of v's block.  On one
-#: core of a 2-core x86-64 host (CPython 3.11, best of 15 over the points
-#: of 50 prefix counts in [1.2 * 10^5, 2.6 * 10^5]) a lookup took 0.64 us
-#: at 128 and 0.84 us at 256, for half the block counts.
-_BLOCK = 128
+#: _BELOW[b << 3 | r] is the number of set bits among the r low bits of the
+#: byte b, and _POPCOUNT[b] the number of set bits in b.
+_BELOW = bytes((b & (1 << r) - 1).bit_count() for b in range(256) for r in range(8))
+_POPCOUNT = bytes(b.bit_count() for b in range(256))
 
 
 class _PiTable(NamedTuple):
-    # pi(v) for 2 <= v <= limit = 2 * len(flags).  flags[j] is the
-    # _odd_segment flag of 2j + 1, and counts[b] is the prime 2 plus the
-    # zeros before byte b * _BLOCK, so pi(2 * b * _BLOCK) for b >= 1.
+    # pi(v) for 2 <= v <= limit = 2 * size, with size odd integers 1, 3,
+    # ..., limit - 1.  Bit r of bits[g] is set when the odd integer
+    # 16g + 2r + 1 is prime, and counts[g] is the number of primes below
+    # 16g + 1, 2 counted.  bits has size // 8 + 1 bytes, so that a read at
+    # k = size finds a real byte, and its bits past size are 0.
     limit: int
-    flags: bytes
+    bits: bytes
     counts: array
 
     def pi(self, points):
-        # pi(v) for each v of points: the k = (v + 1) // 2 odd integers up
-        # to v are flags[:k]
-        flags, counts = self.flags, self.counts
-        pis = []
-        for v in points:
-            k = (v + 1) >> 1
-            b = k // _BLOCK
-            pis.append(counts[b] + _unmarked(flags, b * _BLOCK, k))
-        return pis
+        # pi(v) for each v of points: of the k = (v + 1) // 2 odd integers
+        # up to v, the first 8 * (k >> 3) are counted in counts[k >> 3] and
+        # the k & 7 others are the low bits of bits[k >> 3]
+        bits, counts = self.bits, self.counts
+        return [
+            counts[k >> 3] + _BELOW[bits[k >> 3] << 3 | k & 7] for v in points for k in [(v + 1) >> 1]
+        ]
 
 
 # The prefix count's one source of pi below _SIEVE_CUT, and of pi(p^2 - 1)
@@ -308,7 +301,7 @@ class _PiTable(NamedTuple):
 # reader in any thread holds either the old table or the new one, never a
 # partial one.  Two threads growing it at once each get a complete table;
 # the later binding wins.
-_pi_table = _PiTable(0, b"", array("I", [1]))
+_pi_table = _PiTable(0, bytes(1), array("I", [1]))
 
 
 def _pi_to(top: int) -> _PiTable:
@@ -317,34 +310,40 @@ def _pi_to(top: int) -> _PiTable:
     # limit + 1 to max(top, twice the old limit), capped at _SIEVE_CUT // 2
     # as read now, one _odd_segment of at most SEGMENT bytes at a time: no
     # integer is sieved twice, and rising queries grow the table only a
-    # logarithmic number of times.
+    # logarithmic number of times.  The new flags become one integer, bit
+    # j for the odd integer 2 * (old + j) + 1, packed from eight strided
+    # lanes of bytes, and flipped to a set bit per prime; shifted past the
+    # old last group's valid bits and joined with them, it gives that group
+    # and every new one.
     global _pi_table
     table = _pi_table
     if top > table.limit:
-        size = (min(max(top, 2 * table.limit), _SIEVE_CUT // 2) + 1) // 2
-        pieces = [table.flags]
-        for j in range(len(table.flags), size, SEGMENT):
-            pieces.append(_odd_segment(2 * j + 1, min(SEGMENT, size - j)))
-        flags = b"".join(pieces)
-        counts = table.counts[:]
-        for j in range(len(counts) * _BLOCK, size + 1, _BLOCK):
-            counts.append(counts[-1] + _unmarked(flags, j - _BLOCK, j))
-        _pi_table = table = _PiTable(2 * size, flags, counts)
+        old, size = table.limit // 2, (min(max(top, 2 * table.limit), _SIEVE_CUT // 2) + 1) // 2
+        flags = b"".join(_odd_segment(2 * j + 1, min(SEGMENT, size - j)) for j in range(old, size, SEGMENT))
+        composite = 0
+        for r in range(8):
+            composite |= int.from_bytes(flags[r::8], "little") << r
+        primes = composite ^ ((1 << (size - old)) - 1)
+        g = old >> 3
+        tail = (primes << (old & 7) | table.bits[g]).to_bytes(size // 8 + 1 - g, "little")
+        counts = table.counts[:g]
+        counts.extend(accumulate(tail[:-1].translate(_POPCOUNT), initial=table.counts[g]))
+        _pi_table = table = _PiTable(2 * size, table.bits[:g] + tail, counts)
     return table
 
 
 #: Below this n the prefix count reads every prime count it needs off the
 #: pi table, grown to n // 2; from it on, pi(n // p) comes from Lucy's
 #: table and only the pi(p^2 - 1), all below 10^6, off the pi table.  The
-#: cut bounds the pi table at _SIEVE_CUT // 2 integers: 10^6 flag bytes and
-#: 31 kB of block counts.  It also bounds what a cold first query pays for
+#: cut bounds the pi table at _SIEVE_CUT // 2 integers: 125 kB of bits and
+#: 0.5 MB of group counts.  It also bounds what a cold first query pays for
 #: the growth.  Growing an empty table to n // 2 over building Lucy's table
-#: at n, on one core of a 2-core x86-64 host (CPython 3.11, best of 5 in
-#: each of 3 rounds), is 0.51 at 10^5, 0.97 to 1.03 at 10^6, 1.21 to 1.31
-#: at 2 * 10^6 and 1.60 to 1.67 just below 4 * 10^6: up to the cut, the
-#: growth for a cold query costs one to two Lucy builds.  A warm query
-#: below the cut makes about 2 * pi(sqrt(n)) popcounts of at most _BLOCK
-#: bytes each.
+#: at n, on one core of a 2-core x86-64 host (CPython 3.11, best of 9 in
+#: each of 3 rounds), is 0.55 to 0.61 at 10^5, 1.06 to 1.16 at 10^6, 1.33
+#: to 1.39 at 2 * 10^6 and 1.70 to 1.78 just below 4 * 10^6: up to the
+#: cut, the growth for a cold query costs one to two Lucy builds, most of
+#: it the sieve and the running sum over the group counts.  A warm query
+#: below the cut makes about 2 * pi(sqrt(n)) reads of two subscripts each.
 _SIEVE_CUT = 4 * 10**6
 
 
@@ -404,16 +403,17 @@ def count_range(lo: int, hi: int) -> int:
       10^6 to 10^9 when every prefix count built Lucy's table, so the cut
       kept the window pass where it was cheaper.  Below 4 * 10^6, where
       both prefix counts are reads of the grown pi table, the ties are
-      0.19 to 0.26 * hi^(3/4) near 10^6 and 0.12 to 0.18 near 3 * 10^6 (a
-      window 2 * hi^(3/4) wide takes 8 to 13 times as long); near 10^7 they
+      0.03 to 0.07 * hi^(3/4) near 10^6 and 0.04 to 0.06 near 3 * 10^6 (a
+      window 2 * hi^(3/4) wide takes 18 to 38 times as long); near 10^7 they
       are 2.4 to 2.8.  The cut has not moved with them.  It is taken from
       integer square roots, so no intermediate value leaves 64 bits.
 
     The window pass keeps memory bounded by SEGMENT bytes at any width, and
-    the prefix count by one sieve segment of SEGMENT bytes, the pi table of
-    at most about 1 MB and, from 4 * 10^6, two tables of isqrt(hi) + 1
-    integers; the primes come from the shared table that the per-number
-    indicators use.
+    the prefix count by the pi table of at most about 0.63 MB (a growth
+    holds its new sieve segments of at most SEGMENT bytes each and their
+    join, about 2 MB for the largest) and, from 4 * 10^6, two tables of
+    isqrt(hi) + 1 integers; the primes come from the shared table that the
+    per-number indicators use.
     Consecutive ranges compose exactly: splitting [8, N] anywhere and adding
     the pieces always reproduces semiprime_count(N) - 2.
     """
@@ -435,9 +435,10 @@ def semiprime_count(n: int) -> int:
     each semiprime p*q grouped by its smaller prime p so that every part is
     a prime count pi at n // p or at some value <= n^(2/3).  Below
     4 * 10^6 every pi is read off one pi table, an odd-only segmented
-    sieve's flags kept with a running count per block, which grows to n // 2
-    on the first query that needs it and then answers each later count in
-    about 2 * pi(sqrt(n)) popcounts (about 0.14 to 0.28 ms at 10^6).  From
+    sieve's primes kept as one bit per odd integer with a running count per
+    eight bits, which grows to n // 2 on the first query that needs it and
+    then answers each later count in about 2 * pi(sqrt(n)) reads of two
+    subscripts each (about 0.06 to 0.12 ms at 10^6).  From
     4 * 10^6 on, the pi(n // k) come from one Lucy-style table of
     O(sqrt(n)) entries in O(n^(3/4)) steps, and the rest from the same pi
     table, so the cost grows well below n: 10^9 takes about 0.3 to 0.5 s

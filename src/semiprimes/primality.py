@@ -20,7 +20,8 @@ table (_lucy_tables), which gives pi(n // k) for every k in O(n^(3/4))
 steps.  The wheel scan generates the shared table.  prime_count_formula
 reads the Lucy table at every x; core's prefix count builds it only from
 n = 4 * 10^6 on, and below that reads its prime counts off core's pi
-table, a sieve's flags kept once and grown on demand.
+table, one bit per odd integer from a sieve, kept once with a running count
+per eight bits and grown on demand.
 """
 
 from bisect import bisect_right

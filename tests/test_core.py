@@ -5,6 +5,7 @@ import tracemalloc
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cache
+from itertools import accumulate
 from math import isqrt
 
 import pytest
@@ -29,9 +30,10 @@ from semiprimes import (
 )
 from semiprimes.core import (
     SEGMENT,
-    _BLOCK,
+    _BELOW,
     _INDEX,
     _LARGE,
+    _POPCOUNT,
     _PiTable,
     _REJECT,
     _SEMIPRIME,
@@ -563,6 +565,15 @@ def _sieve_to_cap():
     return oracle.sieve(_CAP).primes
 
 
+@cache
+def _pi_up_to_cap():
+    # pi(v) for every v <= _CAP, a running sum over the classical sieve
+    is_prime = bytearray(_CAP + 1)
+    for p in _sieve_to_cap():
+        is_prime[p] = 1
+    return array("I", accumulate(is_prime))
+
+
 def _expected_flags(a, size):
     # what _odd_segment(a, size) should give, from the classical sieve: 0
     # exactly for the primes among the odd integers a, a + 2, ...
@@ -575,50 +586,66 @@ def _expected_flags(a, size):
 
 def _fresh_pi_table(monkeypatch):
     # an empty pi table in place of the shared one until the test ends
-    monkeypatch.setattr(core, "_pi_table", _PiTable(0, b"", array("I", [1])))
+    monkeypatch.setattr(core, "_pi_table", _PiTable(0, bytes(1), array("I", [1])))
 
 
 def _assert_pi_table_complete(table):
-    # every flag and block count, against the classical sieve: counts[b]
-    # is pi(2 * b * _BLOCK), and counts[0] holds the prime 2
-    size = len(table.flags)
+    # every group's bits and count, against the classical sieve: bit r of
+    # bits[g] is set exactly when 16g + 2r + 1 is prime, counts[g] is
+    # pi(16g) with the prime 2 in counts[0], and one group past the size
+    # odd integers is there with no bit set past them
+    size = table.limit // 2
     assert table.limit == 2 * size <= _CAP
-    assert table.flags == _expected_flags(1, size)
-    primes = _sieve_to_cap()
-    counts = [bisect_right(primes, max(2, 2 * b * _BLOCK)) for b in range(size // _BLOCK + 1)]
-    assert table.counts.tolist() == counts
+    bits = bytearray(size // 8 + 1)
+    for p in _sieve_to_cap()[1 : bisect_right(_sieve_to_cap(), 2 * size - 1)]:
+        bits[p >> 4] |= 1 << (p >> 1 & 7)
+    assert table.bits == bits
+    pis = _pi_up_to_cap()
+    assert table.counts.tolist() == [pis[max(2, 16 * g)] for g in range(size // 8 + 1)]
 
 
 def _pi_points(limit):
-    # every v up to 40, where 1 is marked by hand and 2 counted in the
-    # first block count; both sides of every odd-only segment join (each
-    # segment covers 2 * SEGMENT integers) and of every block boundary
-    # (each block covers 2 * _BLOCK); and the limit itself
+    # every v up to 40 or the limit, where 1 is no prime and 2 is counted
+    # in the first group count; both sides of every odd-only segment join
+    # (each segment covers 2 * SEGMENT integers) and of every group
+    # boundary (each group covers 16); and the limit itself
     joins = range(2 * SEGMENT, limit + 3, 2 * SEGMENT)
-    blocks = range(2 * _BLOCK, limit + 3, 2 * _BLOCK)
-    near = [v + d for v in (*joins, *blocks) for d in (-3, -2, -1, 0, 1, 2)]
-    return [*range(2, 41), *(v for v in near if 41 <= v <= limit), limit - 1, limit]
+    groups = range(16, limit + 3, 16)
+    near = [v + d for v in (*joins, *groups) for d in (-3, -2, -1, 0, 1, 2)]
+    return [*range(2, min(41, limit + 1)), *(v for v in near if 41 <= v <= limit), limit - 1, limit]
 
 
 def _assert_reads_pi(table, points):
-    primes = _sieve_to_cap()
-    assert table.pi(points) == [bisect_right(primes, v) for v in points]
+    pis = _pi_up_to_cap()
+    assert table.pi(points) == [pis[v] for v in points]
+
+
+def test_bit_count_tables():
+    # _BELOW[b << 3 | r] counts the r low bits of b, _POPCOUNT[b] all 8
+    assert len(_BELOW) == 2048 and len(_POPCOUNT) == 256
+    for b in range(256):
+        assert _POPCOUNT[b] == b.bit_count()
+        for r in range(8):
+            assert _BELOW[b << 3 | r] == (b % 2**r).bit_count(), (b, r)
 
 
 def test_prime_counts_match_sieve(monkeypatch):
-    # pi off a table built fresh, against the classical sieve; a growth
-    # that would double the limit stops at the cap
+    # pi off a table built fresh, against the classical sieve, at every v
+    # up to 2 * 10^5 and at the group and segment edges to the cap; a
+    # growth that would double the limit stops at the cap
     _fresh_pi_table(monkeypatch)
     core._pi_to(_CAP * 3 // 4)
     table = core._pi_to(_CAP * 3 // 4 + 1)
     assert table.limit == _CAP
     _assert_pi_table_complete(table)
     _assert_reads_pi(table, _pi_points(_CAP))
+    _assert_reads_pi(table, range(2, 2 * 10**5 + 1))
     assert table.pi([]) == []
-    # a table whose last block is full reads its last block count
+    # a table whose size fills its last group reads its spare group at the
+    # limit
     _fresh_pi_table(monkeypatch)
     table = core._pi_to(4 * SEGMENT)
-    assert len(table.flags) % _BLOCK == 0
+    assert table.limit // 2 % 8 == 0
     _assert_pi_table_complete(table)
     _assert_reads_pi(table, _pi_points(4 * SEGMENT))
     # one segment of the sieve started at lo, odd or even (the segment
@@ -656,17 +683,22 @@ def _assert_sieved_once(segments, top):
 def test_pi_table_grown_in_steps_reads_as_one_built_fresh(monkeypatch):
     # Each growth sieves on from the old limit + 1, an odd start, so no
     # integer twice, and the table grown in steps is byte for byte the one
-    # built at once.
+    # built at once.  In the second run the old sizes 9, 18 and 501 end
+    # inside a group (33 asks less than the doubling gives, and 35 asks
+    # nothing), so those growths carry the old last group's bits forward.
     _fresh_pi_table(monkeypatch)
     fresh = core._pi_to(_CAP)
-    _fresh_pi_table(monkeypatch)
-    segments = _record_segments(monkeypatch)
-    for top in (100, 3 * SEGMENT + 5, _CAP):
-        table = core._pi_to(top)
-        assert top <= table.limit <= top + 1
-        _assert_reads_pi(table, _pi_points(top))
-    assert table == fresh
-    _assert_sieved_once(segments, _CAP)
+    for tops in ((100, 3 * SEGMENT + 5, _CAP), (17, 33, 35, 1001, _CAP)):
+        _fresh_pi_table(monkeypatch)
+        segments = _record_segments(monkeypatch)
+        for top in tops:
+            before = core._pi_table.limit
+            table = core._pi_to(top)
+            assert top <= table.limit <= max(top + 1, 2 * before)
+            _assert_pi_table_complete(table)
+            _assert_reads_pi(table, _pi_points(table.limit))
+        assert table == fresh
+        _assert_sieved_once(segments, _CAP)
     # a growth goes to twice the old limit when that is further
     _fresh_pi_table(monkeypatch)
     assert core._pi_to(1000).limit == 1000
@@ -698,9 +730,9 @@ def test_pi_table_grows_safely_from_four_threads(monkeypatch):
             for thread in threads:
                 thread.join(timeout=60)
                 assert not thread.is_alive()
-            primes = _sieve_to_cap()
+            pis = _pi_up_to_cap()
             for limit in limits:
-                assert results[limit] == [bisect_right(primes, v) for v in points[limit]], limit
+                assert results[limit] == [pis[v] for v in points[limit]], limit
             _assert_pi_table_complete(core._pi_table)
     finally:
         sys.setswitchinterval(interval)
@@ -722,15 +754,17 @@ def test_wide_count_range_sieves_each_integer_once(monkeypatch):
 
 
 def test_pi_table_stays_bounded(monkeypatch):
-    # At most _SIEVE_CUT // 2 integers, 1 byte per odd one plus 4 per
-    # block of _BLOCK bytes: about 1 MB at the cut, whatever is counted
+    # At most _SIEVE_CUT // 2 integers, 1 bit per odd one plus 4 bytes per
+    # group of 8 odd ones: about 0.63 MB at the cut, whatever is counted
     _fresh_pi_table(monkeypatch)
     assert semiprime_count(10**9) == 160_788_536
     assert core._pi_table.limit == icbrt(10**9) ** 2  # for the pi(p^2 - 1) only
     assert semiprime_count(core._SIEVE_CUT - 1) == oracle.classical_count(core._SIEVE_CUT - 1)
     table = core._pi_table
-    assert table.limit <= core._SIEVE_CUT // 2
-    assert sys.getsizeof(table.flags) + sys.getsizeof(table.counts) <= 1_100_000
+    assert table.limit == core._SIEVE_CUT // 2
+    size = sys.getsizeof(table.bits) + sys.getsizeof(table.counts)
+    assert size <= 1_100_000
+    assert size <= 700_000
 
 
 _CUT = core._SIEVE_CUT
