@@ -53,8 +53,8 @@ from itertools import accumulate
 from math import isqrt
 from typing import NamedTuple, Optional
 
-from .intmath import MAX_COUNT_INPUT, DomainError, RangeLimitError, _icbrt, as_natural
-from .primality import _classification_arg, _lucy_tables, _primes, _t
+from .intmath import MAX_CLASSIFY_INPUT, MAX_COUNT_INPUT, _icbrt, bounded
+from .primality import _SMALL_SEMIPRIMES, _lucy_tables, _primes, _t
 
 
 #: Width of every window piece, and the bytes of every odd-only sieve
@@ -101,11 +101,6 @@ _TRIPLE_CATEGORY = {
     IndicatorTriple(0, 0, 0): Category.COMPOSITE_MANY_FACTORS,
 }
 
-# The semiprimes below 8, where the indicator formulas do not apply; every
-# other integer in 2..7 is prime.  Classification, counting, the nth lookup
-# and the successor walk below 8 all read this one tuple.
-_SMALL_SEMIPRIMES = (4, 6)
-
 
 def _least_small_factor(x):
     # the least prime p <= icbrt(x) dividing x, or 0 if there is none (the
@@ -122,7 +117,7 @@ def k1(x: int) -> int:
     The scan stops at the least small factor; literal.k1_literal keeps the
     paper's floor of the mean of the per-prime nondivisibility indicators.
     """
-    x = _classification_arg(x, 8, "k1")
+    x = bounded(x, "k1", "x", 8, MAX_CLASSIFY_INPUT)
     return 0 if _least_small_factor(x) else 1
 
 
@@ -133,7 +128,7 @@ def k2(x: int) -> int:
     the scan stops there and t is consulted once, at x/p; literal.k2_literal
     keeps the paper's ceiling of the mean of the per-prime terms.
     """
-    x = _classification_arg(x, 8, "k2")
+    x = bounded(x, "k2", "x", 8, MAX_CLASSIFY_INPUT)
     p = _least_small_factor(x)
     return _t(x // p) if p else 0
 
@@ -154,14 +149,14 @@ def semiprime_indicator(x: int) -> int:
     Computed as k1(x) + k2(x) - t(x).  Callers needing 4 <= x <= 7 should use
     classify, which handles the small domain by lookup.
     """
-    x = _classification_arg(x, 8, "semiprime_indicator")
+    x = bounded(x, "semiprime_indicator", "x", 8, MAX_CLASSIFY_INPUT)
     tb, k1b, k2b = _triple_bits(x)
     return k1b + k2b - tb
 
 
 def classify(x: int) -> Classification:
     """Categorize x >= 2 as prime, semiprime, or >= 3 prime factors."""
-    x = _classification_arg(x, 2, "classify")
+    x = bounded(x, "classify", "x", 2, MAX_CLASSIFY_INPUT)
     if x < 8:
         small = Category.SEMIPRIME if x in _SMALL_SEMIPRIMES else Category.PRIME
         return Classification(small, None)
@@ -398,15 +393,18 @@ def count_range(lo: int, hi: int) -> int:
       (a semiprime); what is left unmarked is sum(t), and marked p, sum(k2);
     - a wider range is the difference of two prefix counts,
       semiprime_count(hi) - semiprime_count(lo - 1), whose cost grows
-      with hi rather than with the width.  The window pass and that
-      difference took the same time at 2.1 to 3.2 * hi^(3/4) wide from
-      10^6 to 10^9 when every prefix count built Lucy's table, so the cut
-      kept the window pass where it was cheaper.  Below 4 * 10^6, where
-      both prefix counts are reads of the grown pi table, the ties are
-      0.03 to 0.07 * hi^(3/4) near 10^6 and 0.04 to 0.06 near 3 * 10^6 (a
-      window 2 * hi^(3/4) wide takes 18 to 38 times as long); near 10^7 they
-      are 2.4 to 2.8.  The cut has not moved with them.  It is taken from
-      integer square roots, so no intermediate value leaves 64 bits.
+      with hi rather than with the width.  From 4 * 10^6 on, where each
+      prefix count builds Lucy's table, the two routes take the same time
+      at 2.4 to 2.8 * hi^(3/4) wide near 10^7, about 2.1 near 10^8 and 2.5
+      near 10^9, so the cut keeps the window pass where it is cheaper.
+      Below 4 * 10^6, where both prefix counts are reads of the grown pi
+      table, the ties are 0.03 to 0.07 * hi^(3/4) near 10^6 and 0.04 to
+      0.06 near 3 * 10^6 (a window 2 * hi^(3/4) wide takes 18 to 38 times
+      as long).  There the cut, one rule for every hi, keeps the window
+      pass at widths the prefix difference answers faster; no benchmark
+      workload times a wide count_range to weigh a second rule.  The cut is
+      taken from integer square roots, so no intermediate value leaves 64
+      bits.
 
     The window pass keeps memory bounded by SEGMENT bytes at any width, and
     the prefix count by the pi table of at most about 0.63 MB (a growth
@@ -417,15 +415,8 @@ def count_range(lo: int, hi: int) -> int:
     Consecutive ranges compose exactly: splitting [8, N] anywhere and adding
     the pieces always reproduces semiprime_count(N) - 2.
     """
-    lo = as_natural(lo, "lo")
-    hi = as_natural(hi, "hi")
-    if lo < 8:
-        raise DomainError(f"count_range requires lo >= 8, got {lo}")
-    if lo > hi:
-        raise DomainError(f"count_range requires lo <= hi, got [{lo}, {hi}]")
-    if hi > MAX_COUNT_INPUT:
-        raise RangeLimitError(f"count_range accepts endpoints up to {MAX_COUNT_INPUT}, got {hi}")
-    return _count_range(lo, hi)
+    lo = bounded(lo, "count_range", "lo", 8)
+    return _count_range(lo, bounded(hi, "count_range", "hi", lo, MAX_COUNT_INPUT))
 
 
 def semiprime_count(n: int) -> int:
@@ -438,19 +429,15 @@ def semiprime_count(n: int) -> int:
     sieve's primes kept as one bit per odd integer with a running count per
     eight bits, which grows to n // 2 on the first query that needs it and
     then answers each later count in about 2 * pi(sqrt(n)) reads of two
-    subscripts each (about 0.06 to 0.12 ms at 10^6).  From
-    4 * 10^6 on, the pi(n // k) come from one Lucy-style table of
-    O(sqrt(n)) entries in O(n^(3/4)) steps, and the rest from the same pi
-    table, so the cost grows well below n: 10^9 takes about 0.3 to 0.5 s
-    and about 3 MB.  The window pass under count_range, which
-    sees every integer, is the independent route the tests compare it
-    with.  Below 8 the count is read off the semiprimes 4 and 6.
+    subscripts each (about 0.06 to 0.12 ms at 10^6).  From 4 * 10^6 on,
+    the pi(n // k) come from one Lucy-style table of O(sqrt(n)) entries in
+    O(n^(3/4)) steps, and the rest from the same pi table, so the cost
+    grows well below n: 10^9 takes about 0.3 to 0.5 s and about 3 MB.  The
+    window pass under count_range, which sees every integer, is the
+    independent route the tests compare it with.  Below 8 the count is
+    read off the semiprimes 4 and 6.
     """
-    n = as_natural(n, "n")
-    if n < 1:
-        raise DomainError("semiprime_count requires n >= 1")
-    if n > MAX_COUNT_INPUT:
-        raise RangeLimitError(f"semiprime_count accepts inputs up to {MAX_COUNT_INPUT}, got {n}")
+    n = bounded(n, "semiprime_count", "n", 1, MAX_COUNT_INPUT)
     if n < 8:
         return bisect_right(_SMALL_SEMIPRIMES, n)
     return _prefix_count(n)

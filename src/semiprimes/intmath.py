@@ -51,6 +51,20 @@ def as_natural(n, what="argument"):
     return n
 
 
+def bounded(value, func, what, low, high=None):
+    """as_natural(value, what), checked to lie in [low, high] for func.
+
+    Below low raises DomainError, above high (if given) RangeLimitError;
+    each message names func, the argument and the bound it broke.
+    """
+    n = as_natural(value, what)
+    if n < low:
+        raise DomainError(f"{func} requires {what} >= {low}, got {n}")
+    if high is not None and n > high:
+        raise RangeLimitError(f"{func} accepts {what} up to {high}, got {n}")
+    return n
+
+
 def isqrt(n: int) -> int:
     """Largest s with s*s <= n."""
     return math.isqrt(as_natural(n, "isqrt argument"))
@@ -115,10 +129,7 @@ def wheel_limit(x: int) -> int:
     must probe.  Computed as ceil(ceil(sqrt(x))/6), which agrees with
     ceil(sqrt(x)/6) because the inner value is divided by an integer.
     """
-    x = as_natural(x, "wheel_limit argument")
-    if x < 1:
-        raise DomainError("wheel_limit requires x >= 1")
-    return _wheel_limit(x)
+    return _wheel_limit(bounded(x, "wheel_limit", "x", 1))
 
 
 def _wheel_limit(x):

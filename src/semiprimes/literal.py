@@ -20,20 +20,14 @@ import math
 from fractions import Fraction
 
 from .core import _SMALL_SEMIPRIMES, k1, k2, semiprime_indicator
-from .intmath import DomainError, RangeLimitError, as_natural, ceil_div, icbrt, wheel_limit
+from .intmath import bounded, ceil_div, icbrt, wheel_limit
 from .primality import t
 from .sequences import gate
 
-#: The widest window nth_semiprime_literal evaluates.  Its time is quadratic
-#: in the window: 1 << 15 admits n <= 819 and takes about 9 s there.
-_MAX_LITERAL_WINDOW = 1 << 15
-
-
-def _require(x, low, name):
-    x = as_natural(x, "x")
-    if x < low:
-        raise DomainError(f"{name} requires x >= {low}, got {x}")
-    return x
+#: The largest n nth_semiprime_literal accepts: the last whose window
+#: 4*n*n.bit_length() fits in 1 << 15.  Its time is quadratic in the
+#: window, about 9 s there.
+_MAX_LITERAL_INDEX = 819
 
 
 def _frac_nondiv(x, d):
@@ -43,26 +37,26 @@ def _frac_nondiv(x, d):
 
 
 def t0_literal(x: int) -> int:
-    x = _require(x, 1, "t0_literal")
+    x = bounded(x, "t0_literal", "x", 1)
     return math.floor(Fraction(_frac_nondiv(x, 2) + _frac_nondiv(x, 3), 2))
 
 
 def t1_literal(x: int) -> int:
-    x = _require(x, 8, "t1_literal")
+    x = bounded(x, "t1_literal", "x", 8)
     m = wheel_limit(x)
     s = sum(_frac_nondiv(x, 6 * k - 1) for k in range(1, m + 1))
     return math.floor(Fraction(s, m))
 
 
 def t2_literal(x: int) -> int:
-    x = _require(x, 8, "t2_literal")
+    x = bounded(x, "t2_literal", "x", 8)
     m = wheel_limit(x)
     s = sum(_frac_nondiv(x, 6 * k + 1) for k in range(1, m + 1))
     return math.floor(Fraction(s, m))
 
 
 def t_literal(x: int) -> int:
-    x = _require(x, 8, "t_literal")
+    x = bounded(x, "t_literal", "x", 8)
     return math.floor(Fraction(t0_literal(x) + t1_literal(x) + t2_literal(x), 3))
 
 
@@ -74,7 +68,7 @@ def _fresh_prime_table(x):
 
 
 def k1_literal(x: int) -> int:
-    x = _require(x, 8, "k1_literal")
+    x = bounded(x, "k1_literal", "x", 8)
     primes = _fresh_prime_table(x)
     s = 0
     for p in primes:
@@ -84,7 +78,7 @@ def k1_literal(x: int) -> int:
 
 
 def k2_literal(x: int) -> int:
-    x = _require(x, 8, "k2_literal")
+    x = bounded(x, "k2_literal", "x", 8)
     primes = _fresh_prime_table(x)
     s = 0
     for p in primes:
@@ -109,7 +103,7 @@ def prime_count_literal(x: int) -> int:
     accounts for the primes 2, 3, 5, 7 that the grids start above.  One t
     per grid point, so the cost is linear in x.
     """
-    x = _require(x, 8, "prime_count_literal")
+    x = bounded(x, "prime_count_literal", "x", 8)
     total = 4
     for v in range(11, x + 1, 6):  # 6j+5, j >= 1
         total += t(v)
@@ -128,20 +122,14 @@ def nth_semiprime_literal(n: int) -> int:
     """8 + sum over x in [8, 4*n*n.bit_length()] of gate(n, pi2(x)) (n >= 1).
 
     n = 1 and n = 2 are answered by lookup.  pi2(x) is recomputed from
-    scratch for every term, so the cost is quadratic in the window; a window
-    past _MAX_LITERAL_WINDOW (n > 819) raises RangeLimitError before any
-    term is evaluated.
+    scratch for every term, so the cost is quadratic in the window; an n
+    above _MAX_LITERAL_INDEX (819), whose window passes 1 << 15, raises
+    RangeLimitError before any term is evaluated.
     """
-    n = as_natural(n, "n")
-    if n < 1:
-        raise DomainError("semiprime indices start at 1")
+    n = bounded(n, "nth_semiprime_literal", "n", 1, _MAX_LITERAL_INDEX)
     if n <= len(_SMALL_SEMIPRIMES):
         return _SMALL_SEMIPRIMES[n - 1]
     bound = _literal_window(n)
-    if bound > _MAX_LITERAL_WINDOW:
-        raise RangeLimitError(
-            f"nth_semiprime literal window {bound} exceeds {_MAX_LITERAL_WINDOW}"
-        )
     ind = [semiprime_indicator(m) for m in range(8, bound + 1)]
     total = 8
     pi2 = len(_SMALL_SEMIPRIMES)
@@ -163,9 +151,7 @@ def next_semiprime_literal(n: int) -> int:
     then on, so the products are accumulated incrementally and the loop
     stops at the first zero factor, which changes nothing in the total.
     """
-    n = as_natural(n, "n")
-    if n < 9:
-        raise DomainError(f"next_semiprime literal form requires n >= 9, got {n}")
+    n = bounded(n, "next_semiprime_literal", "n", 9)
     total = 0
     prod = 1
     for i in range(1, n + 1):

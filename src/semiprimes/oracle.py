@@ -10,7 +10,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .intmath import DomainError, RangeLimitError, as_natural
+from .intmath import as_natural, bounded
 from .primality import PrimeTable
 
 #: bytearray memory budget for the prime sieve.
@@ -41,11 +41,7 @@ def _prime_list(limit):
 
 def sieve(limit: int) -> PrimeTable:
     """Exact prime table <= limit via the classical sieve."""
-    limit = as_natural(limit, "limit")
-    if limit < 2:
-        raise DomainError(f"sieve requires limit >= 2, got {limit}")
-    if limit > SIEVE_LIMIT:
-        raise RangeLimitError(f"sieve supports limits up to {SIEVE_LIMIT}, got {limit}")
+    limit = bounded(limit, "sieve", "limit", 2, SIEVE_LIMIT)
     return PrimeTable(limit, tuple(_prime_list(limit)))
 
 
@@ -64,9 +60,7 @@ class FactorProfile:
 
 def factor_profile(x: int) -> FactorProfile:
     """Factor x >= 2 by trial division over every integer candidate."""
-    x = as_natural(x, "x")
-    if x < 2:
-        raise DomainError(f"factor_profile requires x >= 2, got {x}")
+    x = bounded(x, "factor_profile", "x", 2)
     left = x
     found = []
     d = 2
@@ -85,19 +79,6 @@ def is_semiprime_oracle(x: int) -> int:
     return 1 if factor_profile(x).omega == 2 else 0
 
 
-def nth_semiprime_oracle(n: int) -> int:
-    """The nth semiprime (n >= 1), by trial division of every integer from 4."""
-    n = as_natural(n, "n")
-    if n < 1:
-        raise DomainError("semiprime indices start at 1")
-    found = 0
-    x = 3
-    while found < n:
-        x += 1
-        found += is_semiprime_oracle(x)
-    return x
-
-
 def next_semiprime_oracle(n: int) -> int:
     """Smallest semiprime > n, by trial division of every integer above n."""
     x = max(as_natural(n, "n"), 3) + 1
@@ -114,13 +95,7 @@ def classical_count(n: int) -> int:
     lookups are bisections into one sieve-built table, so this route is
     independent of the indicator formulas.
     """
-    n = as_natural(n, "n")
-    if n < 4:
-        raise DomainError(f"classical_count requires n >= 4, got {n}")
-    if n > CLASSICAL_COUNT_LIMIT:
-        raise RangeLimitError(
-            f"classical_count needs a sieve to n/2; supported up to n = {CLASSICAL_COUNT_LIMIT}"
-        )
+    n = bounded(n, "classical_count", "n", 4, CLASSICAL_COUNT_LIMIT)
     primes = _prime_list(max(2, n // 2))
     total = 0
     for i, p in enumerate(primes):
@@ -136,11 +111,7 @@ def semiprime_flags(limit: int) -> bytearray:
     Every integer is factored with a smallest-prime-factor sieve, stopping
     at a third factor.
     """
-    limit = as_natural(limit, "limit")
-    if limit > FACTOR_SIEVE_LIMIT:
-        raise RangeLimitError(
-            f"semiprime_flags supports limits up to {FACTOR_SIEVE_LIMIT}, got {limit}"
-        )
+    limit = bounded(limit, "semiprime_flags", "limit", 0, FACTOR_SIEVE_LIMIT)
     spf = array("L", range(limit + 1))
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == p:
@@ -161,7 +132,5 @@ def semiprime_flags(limit: int) -> bytearray:
 
 def semiprime_count_by_sieve(n: int) -> int:
     """Semiprimes <= n counted by factoring every integer with an spf sieve."""
-    n = as_natural(n, "n")
-    if n < 1:
-        raise DomainError(f"semiprime_count_by_sieve requires n >= 1, got {n}")
+    n = bounded(n, "semiprime_count_by_sieve", "n", 1, FACTOR_SIEVE_LIMIT)
     return semiprime_flags(n).count(1)

@@ -28,21 +28,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 
-from .intmath import (
-    MAX_CLASSIFY_INPUT,
-    MAX_COUNT_INPUT,
-    DomainError,
-    RangeLimitError,
-    _wheel_limit,
-    as_natural,
-    icbrt,
-    wheel_limit,
-)
+from .intmath import MAX_CLASSIFY_INPUT, MAX_COUNT_INPUT, RangeLimitError, _wheel_limit, bounded, icbrt
 
-# Divisor-free primality for arguments the wheel construction cannot reach:
-# with fewer than two (6k+-1) pairs available below 8, these are pinned by
-# lookup so that every caller receives a correct indicator at any argument.
-_SMALL_PRIMALITY = {1: 0, 2: 1, 3: 1, 4: 0, 5: 1, 6: 0, 7: 1}
+# The semiprimes below 8, where the indicator formulas do not apply; every
+# other integer in 2..7 is prime.  t, classification, counting, the nth
+# lookup and the successor walk below 8 all read this one tuple.
+_SMALL_SEMIPRIMES = (4, 6)
 
 #: Largest argument t settles by the paper's wheel scan, at most 167 pairs
 #: of trial divisions; above it t uses the strong-probable-prime test.
@@ -53,20 +44,9 @@ WHEEL_TOP = isqrt(MAX_CLASSIFY_INPUT)
 _STRONG_BASES = (2, 3, 5, 7, 11)
 
 
-def _classification_arg(x, low, name):
-    x = as_natural(x, "x")
-    if x > MAX_CLASSIFY_INPUT:
-        raise RangeLimitError(
-            f"{name} accepts inputs up to {MAX_CLASSIFY_INPUT}, got {x}"
-        )
-    if x < low:
-        raise DomainError(f"{name} requires x >= {low}, got {x}")
-    return x
-
-
 def t0(x: int) -> int:
     """1 if x is divisible by neither 2 nor 3, else 0 (x >= 1)."""
-    x = _classification_arg(x, 1, "t0")
+    x = bounded(x, "t0", "x", 1, MAX_CLASSIFY_INPUT)
     return 1 if x % 2 and x % 3 else 0
 
 
@@ -77,8 +57,8 @@ def t1(x: int) -> int:
     is 0 or 1, that is the all-ones test, so the scan may stop at the first
     divisor found.
     """
-    x = _classification_arg(x, 8, "t1")
-    for d in range(5, 6 * wheel_limit(x) + 1, 6):
+    x = bounded(x, "t1", "x", 8, MAX_CLASSIFY_INPUT)
+    for d in range(5, 6 * _wheel_limit(x) + 1, 6):
         if x % d == 0:
             return 0
     return 1
@@ -86,8 +66,8 @@ def t1(x: int) -> int:
 
 def t2(x: int) -> int:
     """1 if no divisor 6k+1, k = 1 .. wheel_limit(x), divides x (x >= 8)."""
-    x = _classification_arg(x, 8, "t2")
-    for d in range(7, 6 * wheel_limit(x) + 3, 6):
+    x = bounded(x, "t2", "x", 8, MAX_CLASSIFY_INPUT)
+    for d in range(7, 6 * _wheel_limit(x) + 3, 6):
         if x % d == 0:
             return 0
     return 1
@@ -160,7 +140,7 @@ def _t(x):
     # t without the argument check (1 <= x <= MAX_CLASSIFY_INPUT): t0 for
     # every x >= 8, then the wheel scan or, above WHEEL_TOP, the strong test
     if x < 8:
-        return _SMALL_PRIMALITY[x]
+        return int(x > 1 and x not in _SMALL_SEMIPRIMES)
     if x % 2 == 0 or x % 3 == 0:
         return 0
     if x > WHEEL_TOP:
@@ -180,11 +160,11 @@ def t(x: int) -> int:
     any other x gets the same value from a strong-probable-prime test to
     the bases 2, 3, 5, 7 and 11, which is exact for every odd x below
     2 152 302 898 747 (Jaeschke 1993) and keeps no state.  For 1 <= x <= 7
-    the value comes from the lookup extension, so t is a correct primality
+    the value is read off _SMALL_SEMIPRIMES, so t is a correct primality
     indicator at every argument it can receive (the semiprime test applies
     t to quotients as small as 4).
     """
-    return _t(_classification_arg(x, 1, "t"))
+    return _t(bounded(x, "t", "x", 1, MAX_CLASSIFY_INPUT))
 
 
 def _lucy_tables(n):
@@ -224,14 +204,7 @@ def prime_count_formula(x: int) -> int:
     paper's sum of t over the 6j+5 / 6j+7 grids is
     literal.prime_count_literal, the slow reference the tests hold this to.
     """
-    x = as_natural(x, "x")
-    if x < 8:
-        raise DomainError(f"prime_count_formula requires x >= 8, got {x}")
-    if x > MAX_COUNT_INPUT:
-        raise RangeLimitError(
-            f"prime_count_formula accepts inputs up to {MAX_COUNT_INPUT}, got {x}"
-        )
-    return _lucy_tables(x)[1][1]
+    return _lucy_tables(bounded(x, "prime_count_formula", "x", 8, MAX_COUNT_INPUT))[1][1]
 
 
 def build_prime_table(limit: int) -> PrimeTable:
@@ -243,9 +216,5 @@ def build_prime_table(limit: int) -> PrimeTable:
     needs a prime above TABLE_CAP (31622); for a fast sieve of any size use
     oracle.sieve.
     """
-    limit = as_natural(limit, "limit")
-    if limit < 2:
-        raise DomainError(f"build_prime_table requires limit >= 2, got {limit}")
-    if limit > WHEEL_TOP:
-        raise RangeLimitError(f"build_prime_table accepts limits up to {WHEEL_TOP}, got {limit}")
+    limit = bounded(limit, "build_prime_table", "limit", 2, WHEEL_TOP)
     return PrimeTable(limit, tuple(x for x in range(2, limit + 1) if _t(x)))

@@ -45,9 +45,9 @@ from .intmath import (
     MAX_COUNT_INPUT,
     MAX_NTH_INPUT,
     MAX_STREAM_COUNT,
-    DomainError,
     RangeLimitError,
     as_natural,
+    bounded,
 )
 
 
@@ -58,10 +58,8 @@ def gate(n: int, x: int) -> int:
     gate(n, count(x)) over x adds 1 exactly while fewer than n values have
     been counted.
     """
-    n = as_natural(n, "n")
+    n = bounded(n, "gate", "n", 1)
     x = as_natural(x, "x")
-    if n < 1:
-        raise DomainError("gate requires n >= 1")
     return (2 * n) // (n + x + 1)
 
 
@@ -78,14 +76,7 @@ def nth_semiprime(n: int) -> int:
     semiprime_count call near the answer.  literal.nth_semiprime_literal
     evaluates the gated sum itself, as a slow reference.
     """
-    n = as_natural(n, "n")
-    if n < 1:
-        raise DomainError("semiprime indices start at 1")
-    if n > MAX_NTH_INPUT:
-        raise RangeLimitError(
-            f"nth_semiprime accepts indices up to {MAX_NTH_INPUT} "
-            f"(answers up to {MAX_COUNT_INPUT}), got {n}"
-        )
+    n = bounded(n, "nth_semiprime", "n", 1, MAX_NTH_INPUT)
     if n <= len(_SMALL_SEMIPRIMES):
         return _SMALL_SEMIPRIMES[n - 1]
     return _nth_scan(n)
@@ -201,16 +192,15 @@ def _semiprimes_after(n):
 
 
 def next_semiprime(n: int) -> int:
-    """Smallest semiprime strictly greater than n (n >= 4).
+    """Smallest semiprime strictly greater than n (4 <= n <= 10^12).
 
     Walks upward with the indicator triple, with the below-8 stretch
-    answered by lookup.  literal.next_semiprime_literal evaluates the
-    telescoping sum of products itself, as a slow reference.
+    answered by lookup.  An n above MAX_CLASSIFY_INPUT raises
+    RangeLimitError before the walk, and a walk that passes it without
+    finding a semiprime raises it there.  literal.next_semiprime_literal
+    evaluates the telescoping sum of products itself, as a slow reference.
     """
-    n = as_natural(n, "n")
-    if n < 4:
-        raise DomainError(f"next_semiprime requires n >= 4, got {n}")
-    return next(_semiprimes_after(n))
+    return next(_semiprimes_after(bounded(n, "next_semiprime", "n", 4, MAX_CLASSIFY_INPUT)))
 
 
 def semiprime_stream(start: int, count: int) -> list:
@@ -221,16 +211,6 @@ def semiprime_stream(start: int, count: int) -> list:
     the list stays bounded; a larger count raises RangeLimitError before
     the walk.
     """
-    start = as_natural(start, "start")
-    if start < 4:
-        raise DomainError(f"semiprime_stream requires start >= 4, got {start}")
-    if start > MAX_CLASSIFY_INPUT:
-        raise RangeLimitError(
-            f"semiprime_stream accepts starts up to {MAX_CLASSIFY_INPUT}, got {start}"
-        )
-    count = as_natural(count, "count")
-    if count > MAX_STREAM_COUNT:
-        raise RangeLimitError(
-            f"semiprime_stream accepts counts up to {MAX_STREAM_COUNT}, got {count}"
-        )
+    start = bounded(start, "semiprime_stream", "start", 4, MAX_CLASSIFY_INPUT)
+    count = bounded(count, "semiprime_stream", "counts", 0, MAX_STREAM_COUNT)
     return list(islice(_semiprimes_after(start), count))

@@ -8,7 +8,6 @@ from semiprimes.oracle import (
     factor_profile,
     is_semiprime_oracle,
     next_semiprime_oracle,
-    nth_semiprime_oracle,
     semiprime_count_by_sieve,
     semiprime_flags,
     sieve,
@@ -72,13 +71,9 @@ def test_semiprime_flags_match_trial_division():
 
 def test_nth_and_next_oracle_scans():
     semis = [x for x in range(2, 2001) if is_semiprime_oracle(x)]
-    for n in (1, 2, 3, 5, 100, len(semis)):
-        assert nth_semiprime_oracle(n) == semis[n - 1], n
     for n in range(0, semis[-1]):
         assert next_semiprime_oracle(n) == next(x for x in semis if x > n), n
     assert next_semiprime_oracle(10000) == 10001
-    with pytest.raises(DomainError):
-        nth_semiprime_oracle(0)
 
 
 def test_classical_count_examples():
