@@ -38,11 +38,11 @@ takes one of two routes, one engine each:
 
 The two engines share no step beyond the prime table, and the tests hold
 each part of one to the other and to the per-number scans.  Both and the
-per-number scans draw their primes from the one shared table in primality,
-which the wheel scan generates and which grows on demand.  The public
-functions check their arguments once; the scans under them (_triple_bits,
-_count_range, _prefix_count, and the _t and _icbrt they call) take them
-unchecked.
+per-number scans draw their primes from _PRIMES, every prime up to
+TABLE_CAP = 31 622, which one odd-only sieve pass builds at import; the pi
+table is the only table that grows.  The public functions check their
+arguments once; the scans under them (_triple_bits, _count_range,
+_prefix_count, and the _t and _icbrt they call) take them unchecked.
 """
 
 import enum
@@ -53,8 +53,8 @@ from itertools import accumulate
 from math import isqrt
 from typing import NamedTuple, Optional
 
-from .intmath import MAX_CLASSIFY_INPUT, MAX_COUNT_INPUT, _icbrt, bounded
-from .primality import _SMALL_SEMIPRIMES, _lucy_tables, _primes, _t
+from .intmath import MAX_CLASSIFY_INPUT, MAX_COUNT_INPUT, RangeLimitError, _icbrt, bounded
+from .primality import _SMALL_SEMIPRIMES, _lucy_tables, _t
 
 
 #: Width of every window piece, and the bytes of every odd-only sieve
@@ -264,6 +264,26 @@ def _odd_segment(a: int, size: int) -> bytearray:
     return flags
 
 
+#: Largest prime any route asks for: the sieving primes of a count up to
+#: MAX_COUNT_INPUT and the cube-root primes of a classification up to
+#: MAX_CLASSIFY_INPUT.
+TABLE_CAP = max(isqrt(MAX_COUNT_INPUT), _icbrt(MAX_CLASSIFY_INPUT))
+
+
+def _primes(limit):
+    # every prime <= limit, ascending, for limit <= TABLE_CAP
+    if limit > TABLE_CAP:
+        raise RangeLimitError(f"the prime table stops at {TABLE_CAP}, asked for {limit}")
+    return _PRIMES[: bisect_right(_PRIMES, limit)]
+
+
+# Every prime <= TABLE_CAP, ascending, fixed at import: first the sieving
+# primes up to isqrt(TABLE_CAP) = 177 by _t, then every prime from one
+# _odd_segment pass that reads them through _primes.  Nothing rebinds it.
+_PRIMES = tuple(p for p in range(2, isqrt(TABLE_CAP) + 1) if _t(p))
+_PRIMES = (2,) + tuple(2 * j + 1 for j, f in enumerate(_odd_segment(1, (TABLE_CAP + 1) // 2)) if not f)
+
+
 #: _BELOW[b << 3 | r] is the number of set bits among the r low bits of the
 #: byte b, and _POPCOUNT[b] the number of set bits in b.
 _BELOW = bytes((b & (1 << r) - 1).bit_count() for b in range(256) for r in range(8))
@@ -291,11 +311,10 @@ class _PiTable(NamedTuple):
 
 
 # The prefix count's one source of pi below _SIEVE_CUT, and of pi(p^2 - 1)
-# at every n.  Like primality's prime table it only ever grows, from its
-# previous limit, and each growth binds a new, complete _PiTable, so a
-# reader in any thread holds either the old table or the new one, never a
-# partial one.  Two threads growing it at once each get a complete table;
-# the later binding wins.
+# at every n.  It only ever grows, from its previous limit, and each growth
+# binds a new, complete _PiTable, so a reader in any thread holds either
+# the old table or the new one, never a partial one.  Two threads growing
+# it at once each get a complete table; the later binding wins.
 _pi_table = _PiTable(0, bytes(1), array("I", [1]))
 
 
@@ -410,8 +429,8 @@ def count_range(lo: int, hi: int) -> int:
     the prefix count by the pi table of at most about 0.63 MB (a growth
     holds its new sieve segments of at most SEGMENT bytes each and their
     join, about 2 MB for the largest) and, from 4 * 10^6, two tables of
-    isqrt(hi) + 1 integers; the primes come from the shared table that the
-    per-number indicators use.
+    isqrt(hi) + 1 integers; the primes come from the constant table of the
+    primes up to TABLE_CAP that the per-number indicators use.
     Consecutive ranges compose exactly: splitting [8, N] anywhere and adding
     the pieces always reproduces semiprime_count(N) - 2.
     """

@@ -52,12 +52,15 @@ def as_natural(n, what="argument"):
 
 
 def bounded(value, func, what, low, high=None):
-    """as_natural(value, what), checked to lie in [low, high] for func.
+    """value as an int in [low, high] (low >= 0), checked for func.
 
-    Below low raises DomainError, above high (if given) RangeLimitError;
-    each message names func, the argument and the bound it broke.
+    A non-integer or a value below low raises DomainError, one above high
+    (if given) RangeLimitError; each message names func and the argument.
     """
-    n = as_natural(value, what)
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{func} requires an integer {what}, got {type(value).__name__}") from None
     if n < low:
         raise DomainError(f"{func} requires {what} >= {low}, got {n}")
     if high is not None and n > high:

@@ -1,4 +1,4 @@
-"""Primality indicator, prime counting, and the shared prime tables.
+"""Primality indicator, prime counting, and the prime table type.
 
 The paper's indicator is t(x) = floor((t0 + t1 + t2) / 3): a number x >= 8 is
 prime exactly when it is divisible by neither 2 nor 3 nor any integer of the
@@ -14,21 +14,19 @@ t itself takes one of two routes to the same value, chosen by the size of x:
   strong pseudoprimes to several bases", Math. Comp. 61, 1993; OEIS
   A014233), so it is exact up to MAX_CLASSIFY_INPUT and keeps no state.
 
-This module also holds the one shared table of small primes (_primes) that
-core's counting routes and per-number scans draw on, and Lucy's prime-count
-table (_lucy_tables), which gives pi(n // k) for every k in O(n^(3/4))
-steps.  The wheel scan generates the shared table.  prime_count_formula
+This module also holds Lucy's prime-count table (_lucy_tables), which
+gives pi(n // k) for every k in O(n^(3/4)) steps and finds its own primes
+as it goes, so that every function here is pure.  prime_count_formula
 reads the Lucy table at every x; core's prefix count builds it only from
 n = 4 * 10^6 on, and below that reads its prime counts off core's pi
-table, one bit per odd integer from a sieve, kept once with a running count
-per eight bits and grown on demand.
+table.  The primes that core's counting routes and per-number scans draw
+on are core's constant table of every prime up to TABLE_CAP = 31 622.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 
-from .intmath import MAX_CLASSIFY_INPUT, MAX_COUNT_INPUT, RangeLimitError, _wheel_limit, bounded, icbrt
+from .intmath import MAX_CLASSIFY_INPUT, MAX_COUNT_INPUT, _wheel_limit, bounded
 
 # The semiprimes below 8, where the indicator formulas do not apply; every
 # other integer in 2..7 is prime.  t, classification, counting, the nth
@@ -87,35 +85,6 @@ class PrimeTable:
         return len(self.primes)
 
 
-#: Largest prime the shared table is ever asked for: the sieving primes of a
-#: count up to MAX_COUNT_INPUT and the cube-root primes of a classification
-#: up to MAX_CLASSIFY_INPUT.
-TABLE_CAP = max(isqrt(MAX_COUNT_INPUT), icbrt(MAX_CLASSIFY_INPUT))
-
-# Self-contained divisor table: the wheel scan generates its primes, so the
-# formula path never consults the oracle sieve.  It only ever grows, from its
-# previous limit, and each growth binds a new PrimeTable, so a reader (in any
-# thread) holds either the old table or the new one, never a partial one.
-# Two threads growing it at once each get a complete table; the later
-# binding wins.
-_table = PrimeTable(1, ())
-
-
-def _primes(limit: int) -> tuple:
-    """Every prime <= limit (limit <= TABLE_CAP), ascending."""
-    global _table
-    table = _table
-    if limit > table.limit:
-        if limit > TABLE_CAP:
-            raise RangeLimitError(f"the prime table stops at {TABLE_CAP}, asked for {limit}")
-        # _t decides 2, 3 and every 6k+-1 candidate, all <= WHEEL_TOP, by the
-        # wheel scan; the rest are multiples of 2 or 3
-        candidates = range(table.limit + 1, limit + 1)
-        grown = tuple(x for x in candidates if (x < 5 or x % 6 in (1, 5)) and _t(x))
-        _table = table = PrimeTable(limit, table.primes + grown)
-    return table.primes[: bisect_right(table.primes, limit)]
-
-
 def _t_strong(x):
     # t for odd x, WHEEL_TOP < x <= MAX_CLASSIFY_INPUT.  With x - 1 = d * 2^s,
     # d odd, a prime x has, for every base a, a^d = 1 or a^(d * 2^i) = -1
@@ -172,15 +141,19 @@ def _lucy_tables(n):
     # and large[k] = pi(n // k) for 1 <= k <= r, so large[1] = pi(n).
     # Starting from v - 1, each prime p (in turn, with i = pi(p - 1) primes
     # before it) removes from every value v >= p*p the integers whose least
-    # prime factor is p, S(v // p) - i of them.  Each round reads only values
-    # the round has not yet changed: large[k * p] and small[v // p] lie past
-    # k and below v, and small is updated last.  Item updates in place keep
-    # the peak to the two tables, O(sqrt(n)) integers, and the whole build
-    # takes O(n^(3/4)) steps.
+    # prime factor is p, S(v // p) - i of them.  The rounds find their own
+    # primes: every prime below p has already sieved small[p - 1] and
+    # small[p], so p is prime exactly when small[p] > small[p - 1] = i.
+    # Each round reads only values the round has not yet changed:
+    # large[k * p] and small[v // p] lie past k and below v, and small is
+    # updated last.  Item updates in place keep the peak to the two tables,
+    # O(sqrt(n)) integers, and the whole build takes O(n^(3/4)) steps.
     r = isqrt(n)
     small = list(range(-1, r))
     large = [0] + [n // k - 1 for k in range(1, r + 1)]
-    for i, p in enumerate(_primes(r)):
+    for p in range(2, r + 1):
+        if small[p] == (i := small[p - 1]):
+            continue
         p2 = p * p
         kmax = min(r, n // p2)  # large[k] with n // k >= p*p
         inner = min(kmax, r // p)  # large[k * p] is still in large
@@ -213,8 +186,8 @@ def build_prime_table(limit: int) -> PrimeTable:
     Every integer 2 .. limit is tested with t's wheel scan, so the table is
     generated from the paper's indicator alone and touches no mutable state;
     the limit stops where that scan does, at WHEEL_TOP (10^6).  No indicator
-    needs a prime above TABLE_CAP (31622); for a fast sieve of any size use
-    oracle.sieve.
+    needs a prime above core.TABLE_CAP (31622); for a fast sieve of any size
+    use oracle.sieve.
     """
     limit = bounded(limit, "build_prime_table", "limit", 2, WHEEL_TOP)
     return PrimeTable(limit, tuple(x for x in range(2, limit + 1) if _t(x)))

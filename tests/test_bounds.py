@@ -82,9 +82,11 @@ def test_bounds_are_checked_before_any_work(monkeypatch, name, call, low, high, 
         with pytest.raises(DomainError) as info:
             call(value)
         assert type(info.value) is error, (value, info.value)
+        # every message names the function
+        assert name in str(info.value), (value, info.value)
         if bound is not None and value >= 0:
-            # the message names the function, the argument's bound and the value
-            assert name in str(info.value) and str(bound) in str(info.value), info.value
+            # and a range message the argument's bound
+            assert str(bound) in str(info.value), info.value
 
 
 def test_literal_index_bound_is_the_window_bound():

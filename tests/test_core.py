@@ -24,6 +24,7 @@ from semiprimes import (
     k1,
     k2,
     oracle,
+    primality,
     semiprime_count,
     semiprime_indicator,
     t,
@@ -41,11 +42,11 @@ from semiprimes.core import (
     _odd_segment,
     _prefix_count,
     _prefix_parts,
+    _primes,
     _semiprime_flags,
     _triple_bits,
     _window_parts,
 )
-from semiprimes.primality import _primes
 
 VALID_TRIPLES = {(1, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)}
 
@@ -457,6 +458,33 @@ def test_window_marks_fit_a_byte():
     # _window_parts stores the index of each x's prime <= icbrt(x) in a byte,
     # below its two other marks
     assert len(_primes(icbrt(MAX_COUNT_INPUT))) < _LARGE < _REJECT <= 255
+
+
+def test_prime_table_is_the_sieve_to_the_cap():
+    assert type(core._PRIMES) is tuple
+    assert core._PRIMES == oracle.sieve(core.TABLE_CAP).primes
+
+
+def test_primes_slices_match_the_sieve():
+    small = oracle.sieve(200).primes
+    for v in (0, 1, 2, *small, *(p - 1 for p in small), core.TABLE_CAP):
+        expected = oracle.sieve(v).primes if v >= 2 else ()
+        assert _primes(v) == expected, v
+    with pytest.raises(RangeLimitError):
+        _primes(core.TABLE_CAP + 1)
+
+
+def test_prime_table_needs_no_indicator_after_import(monkeypatch):
+    # the table is a constant: with t out of reach it still answers, and
+    # nothing rebinds it
+    def unused(x):
+        raise AssertionError(f"t ran on {x}")
+
+    table = core._PRIMES
+    monkeypatch.setattr(core, "_t", unused)
+    monkeypatch.setattr(primality, "_t", unused)
+    assert _primes(core.TABLE_CAP) == oracle.sieve(core.TABLE_CAP).primes
+    assert core._PRIMES is table
 
 
 def test_count_range_route_follows_the_width(monkeypatch):

@@ -1,5 +1,3 @@
-import sys
-import threading
 import tracemalloc
 
 import pytest
@@ -180,8 +178,11 @@ def test_prime_count_matches_sieve_prefix():
         if x >= 11 and x % 6 in (1, 5):
             acc += t(x)
         assert acc == pi[x], x
-    # and the public operation on a spot grid
-    for x in (8, 9, 10, 13, 17, 100, 541, 1000, 7919, 10**4, limit):
+    # and the public operation at every x up to 3000, on both sides of every
+    # p^2 where Lucy's round for p starts (p <= 141, so p^2 + 1 <= limit),
+    # and on a spot grid
+    squares = [p * p + d for p in oracle.sieve(141).primes for d in (-1, 0, 1)]
+    for x in (*range(8, 3001), *(v for v in squares if v >= 8), 7919, 10**4, limit):
         assert prime_count_formula(x) == pi[x], x
 
 
@@ -217,35 +218,3 @@ def test_build_prime_table_stops_at_wheel_top():
     for limit in (top + 1, 10**13):
         with pytest.raises(RangeLimitError):
             build_prime_table(limit)
-
-
-def test_shared_prime_table_grows_safely_from_four_threads(monkeypatch):
-    # Each growth of the shared table binds a new, complete PrimeTable, so
-    # four threads growing it at once from a fresh table each get exactly
-    # the primes up to their own limit, and the table left is complete.
-    # A short switch interval makes the threads interleave inside _primes.
-    limits = (2_000, 9_000, 20_000, primality.TABLE_CAP)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for _ in range(3):
-            monkeypatch.setattr(primality, "_table", primality.PrimeTable(1, ()))
-            start = threading.Barrier(len(limits), timeout=60)
-            results = {}
-
-            def grow(limit):
-                start.wait()
-                results[limit] = primality._primes(limit)
-
-            threads = [threading.Thread(target=grow, args=(limit,)) for limit in limits]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            for limit in limits:
-                assert results[limit] == oracle.sieve(limit).primes, limit
-            final = primality._table
-            assert final.limit in limits
-            assert final.primes == oracle.sieve(final.limit).primes
-    finally:
-        sys.setswitchinterval(interval)
