@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 import threading
@@ -6,13 +7,14 @@ from array import array
 from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import accumulate
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiprimes import (
+    MAX_CLASSIFY_INPUT,
     MAX_COUNT_INPUT,
     Category,
     DomainError,
@@ -187,6 +189,101 @@ def _products_of_small_primes(draw):
 @settings(max_examples=200)
 def test_triple_matches_factorization_property(x):
     assert classify(x).triple == _oracle_triple(x)
+
+
+def _least_small_factor_by_scan(x):
+    # the reference for the block gcds: every prime <= icbrt(x) in turn
+    for p in _primes(icbrt(x)):
+        if x % p == 0:
+            return p
+    return 0
+
+
+_CUBE_ROOT_PRIMES = _primes(icbrt(MAX_CLASSIFY_INPUT))
+_SMALL_PRIMES_TO_1E6 = oracle.sieve(10**6).primes
+
+
+def _block_starts():
+    # the index in the cube-root primes of each block's first prime
+    return list(accumulate((len(primes) for _, primes, _ in core._BLOCKS[:-1]), initial=0))
+
+
+def _block_edge_primes():
+    # the first and the last prime of every block, and two primes on either
+    # side of each edge between blocks
+    indices = set()
+    for s in _block_starts()[1:]:
+        indices.update(range(s - 2, s + 2))
+    indices.update(len(_CUBE_ROOT_PRIMES) - i for i in (1, 2))
+    return sorted(_CUBE_ROOT_PRIMES[i] for i in indices | {0, 1})
+
+
+def _prime_at_most(n):
+    # the largest prime <= n, for 2 <= n <= 10^12, by trial division with
+    # the oracle's primes
+    while not all(n % r for r in _SMALL_PRIMES_TO_1E6[: bisect_right(_SMALL_PRIMES_TO_1E6, isqrt(n))]):
+        n -= 1
+    return n
+
+
+def test_blocks_cover_the_cube_root_primes_in_order():
+    assert [p for _, primes, _ in core._BLOCKS for p in primes] == list(_CUBE_ROOT_PRIMES)
+    for first, primes, product in core._BLOCKS:
+        assert first == primes[0]
+        assert product == prod(primes)
+
+
+def test_least_small_factor_matches_the_scan_to_2e4():
+    for x in range(8, 2 * 10**4 + 1):
+        assert core._least_small_factor(x) == _least_small_factor_by_scan(x), x
+
+
+def test_least_small_factor_matches_the_scan_at_block_edges():
+    # p * q with q the next prime (both factors above icbrt) and with q the
+    # largest prime that keeps x <= 10^12, p^2, p^3 and p^2 * q, for p at
+    # each block edge; the categories follow from the construction
+    cases = []
+    for p in _block_edge_primes():
+        q_next = _SMALL_PRIMES_TO_1E6[bisect_right(_SMALL_PRIMES_TO_1E6, p)]
+        q_far = _prime_at_most(MAX_CLASSIFY_INPUT // p)
+        q_sq = _prime_at_most(MAX_CLASSIFY_INPUT // (p * p))
+        cases += [
+            (p * q_next, Category.SEMIPRIME),
+            (p * q_far, Category.SEMIPRIME),
+            (p * p, Category.SEMIPRIME),
+            (p**3, Category.COMPOSITE_MANY_FACTORS),
+            (p * p * q_sq, Category.COMPOSITE_MANY_FACTORS),
+        ]
+    for x, category in cases:
+        if x < 8:
+            continue
+        assert core._least_small_factor(x) == _least_small_factor_by_scan(x), x
+        assert classify(x).category is category, x
+
+
+def test_least_small_factor_matches_the_scan_where_icbrt_crosses_a_block_edge():
+    # c^3 - 1, c^3 and c^3 + 1 for every c from the last prime of a block
+    # to the first of the next, so icbrt steps across the edge
+    for s in _block_starts()[1:]:
+        for c in range(_CUBE_ROOT_PRIMES[s - 1], _CUBE_ROOT_PRIMES[s] + 1):
+            for x in (c**3 - 1, c**3, c**3 + 1):
+                assert core._least_small_factor(x) == _least_small_factor_by_scan(x), x
+
+
+def test_least_small_factor_matches_the_scan_at_random():
+    rng = random.Random(2021)
+    for _ in range(10**5):
+        x = rng.randrange(10**6, MAX_CLASSIFY_INPUT + 1)
+        assert core._least_small_factor(x) == _least_small_factor_by_scan(x), x
+
+
+def test_classify_matches_factorization_near_the_top():
+    rng = random.Random(2022)
+    for _ in range(100):
+        x = rng.randrange(MAX_CLASSIFY_INPUT - 10**9, MAX_CLASSIFY_INPUT + 1)
+        result = classify(x)
+        assert result.triple == _oracle_triple(x), x
+        assert result.category is _category_for_omega(oracle.factor_profile(x).omega), x
 
 
 def test_k1_equals_small_divisor_existence_to_1e5():

@@ -1,4 +1,5 @@
 import tracemalloc
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +134,30 @@ def test_t_rejects_strong_pseudoprimes_and_carmichael_numbers():
         omega = oracle.factor_profile(x).omega
         expected = Category.SEMIPRIME if omega == 2 else Category.COMPOSITE_MANY_FACTORS
         assert classify(x).category is expected, x
+
+
+def test_strong_test_alone_rejects_strong_pseudoprimes():
+    # t's sift rejects the two Carmichael numbers among these before the
+    # strong test runs, so the strong test is held to every one directly
+    for x in STRONG_PSEUDOPRIMES:
+        assert primality._t_strong(x) == 0, x
+
+
+def test_sift_is_the_primes_5_to_97():
+    primes = oracle.sieve(97).primes
+    assert primes[:2] == (2, 3)
+    assert primality._SIFT == prod(primes[2:])
+
+
+def test_sift_decides_products_just_above_wheel_top():
+    # for each prime p in 5..97, p * q with q the least prime above
+    # 10^6 / p is just above WHEEL_TOP, where the sift decides it
+    primes = oracle.sieve(2 * 10**5 + 100).primes
+    for p in primes[2 : primes.index(97) + 1]:
+        q = next(q for q in primes if q > primality.WHEEL_TOP // p)
+        assert p * q > primality.WHEEL_TOP
+        assert t(p * q) == 0, (p, q)
+        assert t(q) == 1, q
 
 
 def test_t_above_wheel_top_within_bounded_memory():
