@@ -11,9 +11,12 @@ prime factor not exceeding its cube root.  So for x >= 8,
 and combining them with the primality indicator t gives
 k1(x) + k2(x) - t(x) = 1 exactly for semiprimes.
 
-Per number, one scan finds the least prime p <= icbrt(x) dividing x: it
-takes one gcd of x with the product of each block of the cube-root primes
-(_BLOCKS, a first block of 8 primes, then blocks of 128) and looks at the
+Per number, one scan (_least_small_factor) finds the least prime
+p <= c = icbrt(x) dividing x, with c given by its caller: k1, k2 and
+_triple_bits compute it per x, and the successor walk in sequences once
+per cube piece [c^3, (c+1)^3).  The scan takes one gcd of x with the
+product of each block of the cube-root primes (_BLOCKS, a first block of
+8 primes, then blocks of 128) that starts at or below c, and looks at the
 primes one by one only in the first block whose gcd is not 1.  With
 none, k1 = 1 and k2 = 0.  With one, k1 = t = 0 and k2 = t(x/p): since
 x/p >= x^(2/3) >= 4, x is a semiprime exactly when x/p is prime, and a
@@ -105,13 +108,13 @@ _TRIPLE_CATEGORY = {
 }
 
 
-def _least_small_factor(x):
+def _least_small_factor(x, c):
     # the least prime p <= c = icbrt(x) dividing x, or 0 if there is none:
     # one gcd with the product of each _BLOCKS block that starts at or below
     # c, and a prime-by-prime scan, stopped at c, only of a block whose gcd
     # is not 1.  Every block before it shares no prime with x, so the first
-    # prime of that block that divides x is the least small factor.
-    c = _icbrt(x)
+    # prime of that block that divides x is the least small factor.  The
+    # caller supplies c, so that a walk computes it once per cube piece.
     for first, primes, product in _BLOCKS:
         if first > c:
             return 0
@@ -132,7 +135,7 @@ def k1(x: int) -> int:
     the mean of the per-prime nondivisibility indicators.
     """
     x = bounded(x, "k1", "x", 8, MAX_CLASSIFY_INPUT)
-    return 0 if _least_small_factor(x) else 1
+    return 0 if _least_small_factor(x, _icbrt(x)) else 1
 
 
 def k2(x: int) -> int:
@@ -144,7 +147,7 @@ def k2(x: int) -> int:
     per-prime terms.
     """
     x = bounded(x, "k2", "x", 8, MAX_CLASSIFY_INPUT)
-    p = _least_small_factor(x)
+    p = _least_small_factor(x, _icbrt(x))
     return _t(x // p) if p else 0
 
 
@@ -152,7 +155,7 @@ def _triple_bits(x: int) -> IndicatorTriple:
     # (t, k1, k2) from one scan.  A small factor p <= icbrt(x) < x settles
     # t(x) = k1(x) = 0 and leaves k2(x) = t(x/p); without one, k1(x) = 1,
     # k2(x) = 0 and t is decided on x itself.
-    p = _least_small_factor(x)
+    p = _least_small_factor(x, _icbrt(x))
     if p:
         return IndicatorTriple(0, 0, _t(x // p))
     return IndicatorTriple(_t(x), 1, 0)

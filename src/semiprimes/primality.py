@@ -11,10 +11,13 @@ t itself takes one of two routes to the same value, chosen by the size of x:
   which needs no stored primes;
 - x > WHEEL_TOP: a sift, one gcd of x with the product of the primes
   5..97 (_SIFT), which rejects most composites at once, then, for x it
-  leaves, a strong-probable-prime test to the bases 2, 3, 5, 7 and 11,
-  which no odd composite below 2 152 302 898 747 passes (Jaeschke, "On
-  strong pseudoprimes to several bases", Math. Comp. 61, 1993; OEIS
-  A014233), so it is exact up to MAX_CLASSIFY_INPUT.  Both keep no state.
+  leaves, a strong-probable-prime test to one of two base sets chosen by
+  size: 2, 7 and 61 below 4 759 123 141, which no odd composite in that
+  range passes, and 2, 13, 23 and 1 662 803 from there on, which no odd
+  composite below 1 122 004 669 633 passes (Jaeschke, "On strong
+  pseudoprimes to several bases", Math. Comp. 61, 1993), so it is exact
+  up to MAX_CLASSIFY_INPUT.  A prime costs three or four modular powers;
+  most odd composites fail at base 2.  Both routes keep no state.
 
 This module also holds Lucy's prime-count table (_lucy_tables), which
 gives pi(n // k) for every k in O(n^(3/4)) steps and finds its own primes
@@ -39,15 +42,23 @@ _SMALL_SEMIPRIMES = (4, 6)
 #: of trial divisions; above it t uses the strong-probable-prime test.
 WHEEL_TOP = isqrt(MAX_CLASSIFY_INPUT)
 
-#: Bases of that test: together they pass no odd composite below
-#: 2 152 302 898 747, which is above MAX_CLASSIFY_INPUT.
-_STRONG_BASES = (2, 3, 5, 7, 11)
+#: Bases of that test, by the size of x (Jaeschke 1993).  Below
+#: _BASE_SWITCH = 4 759 123 141, the least odd composite that passes all of
+#: 2, 7 and 61, those three decide every x; from it on, 2, 13, 23 and
+#: 1 662 803, which together pass no odd composite below 1 122 004 669 633,
+#: above MAX_CLASSIFY_INPUT.  Each set's bases lie below every x it tests
+#: (WHEEL_TOP and _BASE_SWITCH), so none is a multiple of x, which a prime x
+#: would fail.
+_BASE_SWITCH = 4_759_123_141
+_STRONG_BASES_LOW = (2, 7, 61)
+_STRONG_BASES_HIGH = (2, 13, 23, 1_662_803)
 
 #: Product of the primes 5..97.  Above WHEEL_TOP > 97, an x sharing a
 #: factor with it is composite, so t answers 0 before the strong test.  Of
 #: the integers prime to 6 it rejects about 64 %; near 10^12, on one core
 #: of a 2-core x86-64 host (CPython 3.11), each for one gcd of about
-#: 0.5 us where the strong test takes about 10 us.
+#: 0.4 us where the strong test takes about 7 us on a composite (one
+#: modular power) and about 30 us on a prime (four).
 _SIFT = prod((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97))
 
 
@@ -101,7 +112,7 @@ def _t_strong(x):
     d = x - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _STRONG_BASES:
+    for a in _STRONG_BASES_LOW if x < _BASE_SWITCH else _STRONG_BASES_HIGH:
         y = pow(a, d, x)
         if y == 1 or y == x - 1:
             continue
@@ -139,11 +150,11 @@ def t(x: int) -> int:
     any other x is first sifted by the primes 5..97, whose one gcd with x
     proves it composite when it is not 1, since x > 97.  An x the sift
     leaves gets the same value from a strong-probable-prime test to the
-    bases 2, 3, 5, 7 and 11, which is exact for every odd x below
-    2 152 302 898 747 (Jaeschke 1993).  Neither keeps state.  For 1 <= x <= 7
-    the value is read off _SMALL_SEMIPRIMES, so t is a correct primality
-    indicator at every argument it can receive (the semiprime test applies
-    t to quotients as small as 4).
+    bases 2, 7 and 61 below 4 759 123 141 and to 2, 13, 23 and 1 662 803
+    from there on, each set exact over its range (Jaeschke 1993).  Neither
+    keeps state.  For 1 <= x <= 7 the value is read off _SMALL_SEMIPRIMES,
+    so t is a correct primality indicator at every argument it can receive
+    (the semiprime test applies t to quotients as small as 4).
     """
     return _t(bounded(x, "t", "x", 1, MAX_CLASSIFY_INPUT))
 

@@ -28,8 +28,12 @@ semiprime.
 
 Indices run up to MAX_NTH_INPUT, the number of semiprimes <= MAX_COUNT_INPUT,
 so every answer lies in the counting range; n is checked once, before the
-search.  Successors and streams walk upward one integer at a time with the
-same triple, since semiprime gaps are a handful of integers.
+search.  Successors and streams walk upward one integer at a time, since
+semiprime gaps are a handful of integers.  The walk goes one cube piece
+[c^3, (c+1)^3) at a time, with c = icbrt(x) computed once per piece, and
+decides each x from its least prime factor p <= c alone: x is a semiprime
+exactly when t(x/p) = 1, or, with no such p, when t(x) = 0, which is
+k1 + k2 - t = 1 without building the triple.
 
 The closed-form summations themselves (the gated sum for the nth query, the
 telescoping sum of products for the successor) are transcribed in literal,
@@ -39,16 +43,25 @@ as slow references for the tests.
 from itertools import compress, islice
 from math import log
 
-from .core import SEGMENT, _SMALL_SEMIPRIMES, _prefix_count, _semiprime_flags, _triple_bits
+from .core import (
+    SEGMENT,
+    _SMALL_SEMIPRIMES,
+    _least_small_factor,
+    _prefix_count,
+    _semiprime_flags,
+    _triple_bits,
+)
 from .intmath import (
     MAX_CLASSIFY_INPUT,
     MAX_COUNT_INPUT,
     MAX_NTH_INPUT,
     MAX_STREAM_COUNT,
     RangeLimitError,
+    _icbrt,
     as_natural,
     bounded,
 )
+from .primality import _t
 
 
 def gate(n: int, x: int) -> int:
@@ -180,12 +193,19 @@ def _nth_scan(n):
 
 def _semiprimes_after(n):
     # Every semiprime > n (n >= 4), ascending, up to the classification
-    # limit; the triple is unchecked, so the range bounds the walk.
+    # limit; the indicators are unchecked, so the range bounds the walk.
+    # Every x in the piece [a, b) has icbrt(x) = c.  With a least small
+    # factor p, k1 + k2 - t = t(x/p); without one, k1 + k2 - t = 1 - t(x).
     yield from (x for x in _SMALL_SEMIPRIMES if x > n)
-    for x in range(max(n + 1, 8), MAX_CLASSIFY_INPUT + 1):
-        tb, k1b, k2b = _triple_bits(x)
-        if k1b + k2b - tb:
-            yield x
+    a = max(n + 1, 8)
+    c = _icbrt(a)
+    while a <= MAX_CLASSIFY_INPUT:
+        b = min((c + 1) ** 3, MAX_CLASSIFY_INPUT + 1)
+        for x in range(a, b):
+            p = _least_small_factor(x, c)
+            if _t(x // p) if p else 1 - _t(x):
+                yield x
+        a, c = b, c + 1
     raise RangeLimitError(
         f"the semiprime search from {n} passed the classification limit {MAX_CLASSIFY_INPUT}"
     )
@@ -194,10 +214,11 @@ def _semiprimes_after(n):
 def next_semiprime(n: int) -> int:
     """Smallest semiprime strictly greater than n (4 <= n <= 10^12).
 
-    Walks upward with the indicator triple, with the below-8 stretch
-    answered by lookup.  An n above MAX_CLASSIFY_INPUT raises
-    RangeLimitError before the walk, and a walk that passes it without
-    finding a semiprime raises it there.  literal.next_semiprime_literal
+    Walks upward one cube piece at a time, with one cube root per piece and
+    one least-small-factor scan and one t call per integer (see the module
+    docstring), with the below-8 stretch answered by lookup.  An n above
+    MAX_CLASSIFY_INPUT raises RangeLimitError before the walk, and a walk
+    that passes it without finding a semiprime raises it there.  literal.next_semiprime_literal
     evaluates the telescoping sum of products itself, as a slow reference.
     """
     return next(_semiprimes_after(bounded(n, "next_semiprime", "n", 4, MAX_CLASSIFY_INPUT)))
@@ -206,8 +227,8 @@ def next_semiprime(n: int) -> int:
 def semiprime_stream(start: int, count: int) -> list:
     """The first `count` semiprimes strictly greater than start, ascending.
 
-    One upward walk from start, the same as next_semiprime's scan, with the
-    arguments checked once.  count is at most MAX_STREAM_COUNT (10^6), so
+    One upward walk from start, the same as next_semiprime's cube-piece
+    walk, with the arguments checked once.  count is at most MAX_STREAM_COUNT (10^6), so
     the list stays bounded; a larger count raises RangeLimitError before
     the walk.
     """

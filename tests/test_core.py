@@ -235,7 +235,7 @@ def test_blocks_cover_the_cube_root_primes_in_order():
 
 def test_least_small_factor_matches_the_scan_to_2e4():
     for x in range(8, 2 * 10**4 + 1):
-        assert core._least_small_factor(x) == _least_small_factor_by_scan(x), x
+        assert core._least_small_factor(x, icbrt(x)) == _least_small_factor_by_scan(x), x
 
 
 def test_least_small_factor_matches_the_scan_at_block_edges():
@@ -257,7 +257,7 @@ def test_least_small_factor_matches_the_scan_at_block_edges():
     for x, category in cases:
         if x < 8:
             continue
-        assert core._least_small_factor(x) == _least_small_factor_by_scan(x), x
+        assert core._least_small_factor(x, icbrt(x)) == _least_small_factor_by_scan(x), x
         assert classify(x).category is category, x
 
 
@@ -267,14 +267,14 @@ def test_least_small_factor_matches_the_scan_where_icbrt_crosses_a_block_edge():
     for s in _block_starts()[1:]:
         for c in range(_CUBE_ROOT_PRIMES[s - 1], _CUBE_ROOT_PRIMES[s] + 1):
             for x in (c**3 - 1, c**3, c**3 + 1):
-                assert core._least_small_factor(x) == _least_small_factor_by_scan(x), x
+                assert core._least_small_factor(x, icbrt(x)) == _least_small_factor_by_scan(x), x
 
 
 def test_least_small_factor_matches_the_scan_at_random():
     rng = random.Random(2021)
     for _ in range(10**5):
         x = rng.randrange(10**6, MAX_CLASSIFY_INPUT + 1)
-        assert core._least_small_factor(x) == _least_small_factor_by_scan(x), x
+        assert core._least_small_factor(x, icbrt(x)) == _least_small_factor_by_scan(x), x
 
 
 def test_classify_matches_factorization_near_the_top():

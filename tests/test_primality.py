@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from math import prod
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiprimes import (
+    MAX_CLASSIFY_INPUT,
     Category,
     DomainError,
     RangeLimitError,
@@ -113,19 +115,62 @@ def test_t_above_wheel_top_matches_sieve_across_the_seam():
 
 
 #: Odd composites above 10^6 that pass a strong-probable-prime test to some
-#: of t's bases: the spsp(2) semiprimes 1016801 and 1093^2; the least
-#: spsp(2, 3), spsp(2, 3, 5) and spsp(2, 3, 5, 7) (OEIS A014233); the
-#: Carmichael numbers 19 * 199 * 271 and 37 * 73 * 541; and for each base a
-#: semiprime p * (k(p - 1) + 1) that passes the other four, so that each
-#: base is needed.
+#: small bases, kept as composites t must still reject: the spsp(2)
+#: semiprimes 1016801 and 1093^2; the least spsp(2, 3), spsp(2, 3, 5) and
+#: spsp(2, 3, 5, 7) (OEIS A014233); the Carmichael numbers 19 * 199 * 271
+#: and 37 * 73 * 541; and five semiprimes p * (k(p - 1) + 1) that each pass
+#: four of the five bases 2, 3, 5, 7 and 11, which t used before its two
+#: smaller sets.  Each fails at least one base of the set t now uses at its
+#: size, so t must still reject every one.
 STRONG_PSEUDOPRIMES = (
     1_016_801, 1_194_649, 1_373_653, 25_326_001, 3_215_031_751, 1_024_651, 1_461_241,
-    258_503_701,  # 9283 * 27847: every base but 2
-    7_535_192_941,  # 61381 * 122761: every base but 3
-    2_284_453,  # 1069 * 2137: every base but 5
-    161_304_001,  # 7333 * 21997: every base but 7
-    118_670_087_467,  # 172243 * 688969: every base but 11
+    258_503_701,  # 9283 * 27847: every one of 2, 3, 5, 7, 11 but 2
+    7_535_192_941,  # 61381 * 122761: every one but 3
+    2_284_453,  # 1069 * 2137: every one but 5
+    161_304_001,  # 7333 * 21997: every one but 7
+    118_670_087_467,  # 172243 * 688969: every one but 11
 )
+
+#: Where t's strong test switches base sets: the least odd composite that
+#: passes all of 2, 7 and 61 (48781 * 97561).
+BASE_SWITCH = 4_759_123_141
+
+#: For each base of each of t's two sets, a semiprime in the set's range,
+#: with both factors above its cube root, that passes every other base of
+#: the set: (x, the set, the one base it fails).  Dropping that base from
+#: the set would make t call x prime.
+LOW_BASES, HIGH_BASES = (2, 7, 61), (2, 13, 23, 1_662_803)
+BASE_PINS = (
+    (1_590_751, LOW_BASES, 2),  # 631 * 2521
+    (2_205_967, LOW_BASES, 7),  # 743 * 2969
+    (6_386_993, LOW_BASES, 61),  # 653 * 9781
+    (7_462_371_601, HIGH_BASES, 2),  # 18013 * 414277
+    (5_588_597_071, HIGH_BASES, 13),  # 26431 * 211441
+    (6_666_227_443, HIGH_BASES, 23),  # 28867 * 230929
+    (11_734_359_787, HIGH_BASES, 1_662_803),  # 54163 * 216649
+)
+
+
+def _strong_probable_prime(x, a):
+    # a^d = 1 or a^(d * 2^i) = -1 (mod x) for some i < s, with x - 1 = d * 2^s
+    d, s = x - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    y = pow(a, d, x)
+    if y in (1, x - 1):
+        return True
+    for _ in range(s - 1):
+        y = y * y % x
+        if y == x - 1:
+            return True
+    return False
+
+
+def _t_by_five_bases(x):
+    # t above 10^6 as a strong test to the bases 2, 3, 5, 7 and 11, which no
+    # odd composite below 2 152 302 898 747 passes (Jaeschke 1993; OEIS
+    # A014233): an independent reference for t's two smaller sets
+    return int(x % 2 == 1 and all(_strong_probable_prime(x, a) for a in (2, 3, 5, 7, 11)))
 
 
 def test_t_rejects_strong_pseudoprimes_and_carmichael_numbers():
@@ -141,6 +186,42 @@ def test_strong_test_alone_rejects_strong_pseudoprimes():
     # strong test runs, so the strong test is held to every one directly
     for x in STRONG_PSEUDOPRIMES:
         assert primality._t_strong(x) == 0, x
+
+
+def test_each_base_is_needed():
+    for x, bases, needed in BASE_PINS:
+        assert primality.WHEEL_TOP < x <= MAX_CLASSIFY_INPUT, x
+        assert (x < BASE_SWITCH) == (bases is LOW_BASES), x
+        profile = oracle.factor_profile(x)
+        assert profile.omega == 2 and min(profile.factors) ** 3 > x, (x, profile)
+        assert [a for a in bases if not _strong_probable_prime(x, a)] == [needed], x
+        assert primality._t_strong(x) == 0, x
+        assert t(x) == 0, x
+        assert classify(x).category is Category.SEMIPRIME, x
+
+
+def test_base_switch_is_decided_by_the_four_base_set():
+    # 4 759 123 141 passes 2, 7 and 61, so the three-base set must stop
+    # below it; the four-base set rejects it at 1 662 803
+    x = BASE_SWITCH
+    assert oracle.factor_profile(x).factors == (48_781, 97_561)
+    assert all(_strong_probable_prime(x, a) for a in LOW_BASES)
+    assert primality._t_strong(x) == 0
+    assert t(x) == 0
+    assert classify(x).category is Category.SEMIPRIME
+
+
+def test_t_matches_five_bases_around_the_switch():
+    bad = [x for x in range(BASE_SWITCH - 10**5, BASE_SWITCH + 10**5 + 1, 2)
+           if primality._t(x) != _t_by_five_bases(x)]
+    assert not bad, bad[:10]
+
+
+def test_t_matches_five_bases_at_random():
+    rng = random.Random(2022)
+    xs = [rng.randrange(10**6 + 1, MAX_CLASSIFY_INPUT + 1) for _ in range(10**5)]
+    bad = [x for x in xs if primality._t(x) != _t_by_five_bases(x)]
+    assert not bad, bad[:10]
 
 
 def test_sift_is_the_primes_5_to_97():

@@ -21,7 +21,7 @@ from semiprimes import (
     semiprime_stream,
     sequences,
 )
-from semiprimes.core import SEGMENT
+from semiprimes.core import SEGMENT, _triple_bits
 
 
 def test_gate_examples():
@@ -353,6 +353,42 @@ def test_next_oracle_sweep_to_1e4(semi_flags_10k):
         assert v > n, n
         assert semi_flags_10k[v], n
         assert not any(semi_flags_10k[m] for m in range(n + 1, v)), n
+
+
+def _semiprimes_by_triples(lo, hi):
+    """Every semiprime in [lo, hi] (lo >= 8), one indicator triple each."""
+    xs = range(lo, hi + 1)
+    return [x for x, (tb, k1b, k2b) in zip(xs, map(_triple_bits, xs)) if k1b + k2b - tb]
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (101**3 - 150, 101**3 + 150),  # 101^3 itself: the prime 101 joins at the cube
+        (1000**3 - 150, 1000**3 + 150),
+        (1682**3 - 150, 1682**3 + 150),  # the cube piece that holds 4 759 123 141
+        (9999**3 - 150, 9999**3 + 150),
+        (4_759_123_141 - 150, 4_759_123_141 + 150),  # the strong test's base switch
+        (MAX_CLASSIFY_INPUT - 300, MAX_CLASSIFY_INPUT),
+    ],
+    ids=["101^3", "1000^3", "1682^3", "9999^3", "base switch", "10^12"],
+)
+def test_walk_matches_the_triples(lo, hi):
+    # The walk takes icbrt once per cube piece; the stream from lo - 1 must
+    # list the semiprimes that one triple per integer finds, across the edge.
+    expected = _semiprimes_by_triples(lo, hi)
+    assert len(expected) > 10
+    assert semiprime_stream(lo - 1, len(expected)) == expected
+    if hi < MAX_CLASSIFY_INPUT:
+        assert next_semiprime(expected[-1]) > hi
+    else:
+        with pytest.raises(RangeLimitError):
+            next_semiprime(expected[-1])
+
+
+def test_next_lands_on_the_base_switch():
+    # 4 759 123 141 = 48781 * 97561 passes the strong test to 2, 7 and 61
+    assert next_semiprime(4_759_123_140) == 4_759_123_141
 
 
 def test_stream_examples():
