@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from .core import semiprime_count
-from .intmath import as_natural
+from .intmath import bounded
 from .sequences import gate, next_semiprime, nth_semiprime
 
 GOLDEN_SEMIPRIME_COUNTS = {
@@ -85,7 +85,8 @@ def reproduce_table(table_id: int, max_input: int = 10**6) -> list:
     rows only when max_input reaches them), table 3 the nth-semiprime
     values, table 4 the next-semiprime values.
     """
-    max_input = as_natural(max_input, "max_input")
+    table_id = bounded(table_id, "reproduce_table", "table_id", 1, 4)
+    max_input = bounded(max_input, "reproduce_table", "max_input", 0)
     if table_id == 1:
         rows = [
             _timed_row(x, expected, lambda v: gate(5, semiprime_count(v)))
@@ -107,13 +108,11 @@ def reproduce_table(table_id: int, max_input: int = 10**6) -> list:
             for n, e in sorted(GOLDEN_NTH_SEMIPRIMES.items())
             if n <= max_input
         ]
-    if table_id == 4:
-        return [
-            _timed_row(n, e, next_semiprime)
-            for n, e in sorted(GOLDEN_NEXT_SEMIPRIMES.items())
-            if n <= max_input
-        ]
-    raise ValueError(f"unknown table id {table_id!r}; expected 1, 2, 3 or 4")
+    return [
+        _timed_row(n, e, next_semiprime)
+        for n, e in sorted(GOLDEN_NEXT_SEMIPRIMES.items())
+        if n <= max_input
+    ]
 
 
 def rows_to_csv(rows) -> str:

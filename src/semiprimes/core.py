@@ -33,29 +33,34 @@ takes one of two routes, one engine each:
 - the prefix count (semiprime_count, and count_range over a wider range as
   the difference of two of them) groups each semiprime p*q by its smaller
   prime p, so that sum(k2) and sum(k1 - t) become prime counts pi at n // p
-  and at p^2 - 1 and p - 1.  Every pi(p^2 - 1), and below _SIEVE_CUT
-  (4 * 10^6) every pi(n // p) too, is read off one module-level pi table:
-  one bit per odd integer, set for a prime, and a running prime count per
-  group of eight bits, so that each pi(v) is one group count plus a table
-  lookup of the group's bits below v.  It grows on demand (to n // 2 below
-  the cut) from an odd-only segmented sieve, and never past _SIEVE_CUT // 2
-  integers, about 0.63 MB.  From the cut on, Lucy's table in primality
-  gives every pi(n // k) in O(n^(3/4)) steps and O(sqrt(n)) memory.
+  and at p^2 - 1 and p - 1.  Every pi(v) with v <= TABLE_CAP is one
+  subscript of _SMALL_PI, a constant count per odd integer: the n // p of
+  every p above n // (TABLE_CAP + 1), and every p^2 - 1 with p <= 173.
+  The rest come from two sources.  Every other pi(p^2 - 1), and below
+  _SIEVE_CUT (4 * 10^6) every other pi(n // p), is read off one
+  module-level pi table: one bit per odd integer, set for a prime, and a
+  running prime count per group of eight bits, so that each pi(v) is one
+  group count plus a table lookup of the group's bits below v.  It grows
+  on demand (to n // 2 below the cut) from an odd-only segmented sieve,
+  and never past _SIEVE_CUT // 2 integers, about 0.63 MB.  From the cut
+  on, Lucy's table in primality gives every pi(n // k) in O(n^(3/4))
+  steps and O(sqrt(n)) memory.
 
 The two engines share no step beyond the prime table, and the tests hold
 each part of one to the other and to the per-number scans.  Both and the
 per-number scans draw their primes from _PRIMES, every prime up to
-TABLE_CAP = 31 622, which one odd-only sieve pass builds at import; the pi
-table is the only table that grows.  The public functions check their
-arguments once; the scans under them (_triple_bits, _count_range,
-_prefix_count, and the _t and _icbrt they call) take them unchecked.
+TABLE_CAP = 31 622, which one odd-only sieve pass builds at import, with
+_SMALL_PI from the same flags; the pi table is the only table that grows.
+The public functions check their arguments once; the scans under them
+(_triple_bits, _count_range, _prefix_count, and the _t and _icbrt they
+call) take them unchecked.
 """
 
 import enum
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd, isqrt, prod
 from typing import NamedTuple, Optional
 
@@ -297,9 +302,21 @@ def _primes(limit):
 
 # Every prime <= TABLE_CAP, ascending, fixed at import: first the sieving
 # primes up to isqrt(TABLE_CAP) = 177 by _t, then every prime from one
-# _odd_segment pass that reads them through _primes.  Nothing rebinds it.
+# _odd_segment pass that reads them through _primes, its flags flipped to
+# 1 for each odd prime.  Nothing rebinds it.
 _PRIMES = tuple(p for p in range(2, isqrt(TABLE_CAP) + 1) if _t(p))
-_PRIMES = (2,) + tuple(2 * j + 1 for j, f in enumerate(_odd_segment(1, (TABLE_CAP + 1) // 2)) if not f)
+_odd_primes = _odd_segment(1, (TABLE_CAP + 1) // 2).translate(bytes([1, 0]) + bytes(254))
+_PRIMES = (2,) + tuple(compress(range(1, TABLE_CAP + 1, 2), _odd_primes))
+
+#: pi(v) = _SMALL_PI[(v + 1) >> 1] for 2 <= v <= TABLE_CAP: entry k counts
+#: the prime 2 and the odd primes up to 2k - 1, a running sum over the same
+#: flags.  A constant of about 32 kB, where most of the prefix count's pi
+#: reads fall, each one subscript.
+_SMALL_PI = array("H", accumulate(_odd_primes, initial=1))
+del _odd_primes
+
+#: How many primes p have their edge p^2 - 1 in _SMALL_PI: those up to 173.
+_SMALL_EDGES = bisect_right(_PRIMES, isqrt(TABLE_CAP + 1))
 
 #: The cube-root primes, every prime <= icbrt(MAX_CLASSIFY_INPUT), cut into
 #: the blocks _least_small_factor takes one gcd per: a first block of the
@@ -381,18 +398,21 @@ def _pi_to(top: int) -> _PiTable:
     return table
 
 
-#: Below this n the prefix count reads every prime count it needs off the
-#: pi table, grown to n // 2; from it on, pi(n // p) comes from Lucy's
-#: table and only the pi(p^2 - 1), all below 10^6, off the pi table.  The
-#: cut bounds the pi table at _SIEVE_CUT // 2 integers: 125 kB of bits and
-#: 0.5 MB of group counts.  It also bounds what a cold first query pays for
-#: the growth.  Growing an empty table to n // 2 over building Lucy's table
-#: at n, on one core of a 2-core x86-64 host (CPython 3.11, best of 9 in
-#: each of 3 rounds), is 0.55 to 0.61 at 10^5, 1.06 to 1.16 at 10^6, 1.33
-#: to 1.39 at 2 * 10^6 and 1.70 to 1.78 just below 4 * 10^6: up to the
-#: cut, the growth for a cold query costs one to two Lucy builds, most of
-#: it the sieve and the running sum over the group counts.  A warm query
-#: below the cut makes about 2 * pi(sqrt(n)) reads of two subscripts each.
+#: Below this n the prefix count reads every prime count above TABLE_CAP
+#: off the pi table, grown to n // 2; from it on, those pi(n // p) come
+#: from Lucy's table and only the pi(p^2 - 1) above TABLE_CAP, all below
+#: 10^6, off the pi table.  The cut bounds the pi table at _SIEVE_CUT // 2
+#: integers: 125 kB of bits and 0.5 MB of group counts.  It also bounds
+#: what a cold first query pays for the growth.  Growing an empty table
+#: to n // 2 over building Lucy's table at n, on one core of a 2-core
+#: x86-64 host (CPython 3.11, best of 9 in each of 3 rounds), is 0.55 to
+#: 0.61 at 10^5, 1.06 to 1.16 at 10^6, 1.33 to 1.39 at 2 * 10^6 and 1.70
+#: to 1.78 just below 4 * 10^6: up to the cut, the growth for a cold query
+#: costs one to two Lucy builds, most of it the sieve and the running sum
+#: over the group counts.  A warm query below the cut makes about
+#: 2 * pi(sqrt(n)) reads: three subscripts each on the pi table for the
+#: pi(n // p) of the p <= n // (TABLE_CAP + 1), at most 30 primes, and one
+#: subscript of _SMALL_PI for every other.
 _SIEVE_CUT = 4 * 10**6
 
 
@@ -403,19 +423,29 @@ def _prefix_parts(n):
     #   sum k1 - t   = sum over p <= r of pi(min(n/p, p^2 - 1)) - pi(p - 1)
     # with c = icbrt(n) and r = isqrt(n); the second holds 4 and 6.  For
     # p <= c, p^2 - 1 < n/p, and for p > c, n/p < p^2, so the mins split
-    # at c; pi(p - 1) is p's index in the prime table.  Below _SIEVE_CUT
-    # the pi table gives every pi; from it on, Lucy's table gives
-    # pi(n // p) and the pi table the pi(p^2 - 1) < c^2.
+    # at c; pi(p - 1) is p's index in the prime table.  n // p falls as p
+    # rises, so the primes split once: the tail, above n // (TABLE_CAP + 1),
+    # has every n // p <= TABLE_CAP and reads it off _SMALL_PI, as do the
+    # edges p^2 - 1 of the p up to 173.  The head's pi(n // p) come from the
+    # pi table below _SIEVE_CUT and from Lucy's table from it on, and the
+    # edges of the p from 179 on (n from 179^3 on) from the pi table.
     primes, c = _primes(isqrt(n)), _icbrt(n)
-    edges = [p * p - 1 for p in primes[: bisect_right(primes, c)]]
-    if n < _SIEVE_CUT:
-        pi_quotients = _pi_to(n // 2).pi([n // p for p in primes])
+    c_count = bisect_right(primes, c)
+    head = bisect_right(primes, n // (TABLE_CAP + 1))
+    near = min(c_count, _SMALL_EDGES)
+    if not head:
+        pi_head = []
+    elif n < _SIEVE_CUT:
+        pi_head = _pi_to(n // 2).pi([n // p for p in primes[:head]])
     else:
         large = _lucy_tables(n)[1]
-        pi_quotients = [large[p] for p in primes]
+        pi_head = [large[p] for p in primes[:head]]
         del large  # before the pi table can grow, so the peak stays Lucy's
-    pi_edges = _pi_to(c * c).pi(edges)
-    c_count, edge_sum = len(edges), sum(pi_edges)
+    pi_quotients = pi_head + [_SMALL_PI[(n // p + 1) >> 1] for p in primes[head:]]
+    pi_edges = [_SMALL_PI[p * p >> 1] for p in primes[:near]]  # (p^2 - 1 + 1) >> 1
+    if near < c_count:
+        pi_edges += _pi_to(c * c).pi([p * p - 1 for p in primes[near:c_count]])
+    edge_sum = sum(pi_edges)
     k2_sum = sum(pi_quotients[:c_count]) - edge_sum
     k1_t_sum = edge_sum + sum(pi_quotients[c_count:]) - len(primes) * (len(primes) - 1) // 2
     return k2_sum, k1_t_sum
@@ -423,7 +453,9 @@ def _prefix_parts(n):
 
 def _prefix_count(n):
     # the number of semiprimes <= n, for n >= 7: O(n^(3/4)) steps from
-    # _SIEVE_CUT on, about 2 * pi(sqrt(n)) reads of the pi table below it
+    # _SIEVE_CUT on; below it about 2 * pi(sqrt(n)) reads, all but at most
+    # 30 of them one subscript of _SMALL_PI, and below 2 * (TABLE_CAP + 1)
+    # every one
     k2_sum, k1_t_sum = _prefix_parts(n)
     return k2_sum + k1_t_sum
 
@@ -451,17 +483,19 @@ def count_range(lo: int, hi: int) -> int:
       prefix count builds Lucy's table, the two routes take the same time
       at 2.4 to 2.8 * hi^(3/4) wide near 10^7, about 2.1 near 10^8 and 2.5
       near 10^9, so the cut keeps the window pass where it is cheaper.
-      Below 4 * 10^6, where both prefix counts are reads of the grown pi
-      table, the ties are 0.03 to 0.07 * hi^(3/4) near 10^6 and 0.04 to
-      0.06 near 3 * 10^6 (a window 2 * hi^(3/4) wide takes 18 to 38 times
-      as long).  There the cut, one rule for every hi, keeps the window
-      pass at widths the prefix difference answers faster; no benchmark
-      workload times a wide count_range to weigh a second rule.  The cut is
+      Below 4 * 10^6, where both prefix counts are reads of _SMALL_PI and
+      the grown pi table, 0.05 to 0.10 ms for the two, the ties are 0.005
+      to 0.03 * hi^(3/4) near 10^6 and 0.01 to 0.02 near 3 * 10^6 (a
+      window 2 * hi^(3/4) wide takes 34 to 63 times as long).  There the
+      cut, one rule for every hi, keeps the window pass at widths the
+      prefix difference answers faster; no benchmark workload times a wide
+      count_range to weigh a second rule.  The cut is
       taken from integer square roots, so no intermediate value leaves 64
       bits.
 
     The window pass keeps memory bounded by SEGMENT bytes at any width, and
-    the prefix count by the pi table of at most about 0.63 MB (a growth
+    the prefix count by the constant _SMALL_PI of 32 kB, the pi table of at
+    most about 0.63 MB (a growth
     holds its new sieve segments of at most SEGMENT bytes each and their
     join, about 2 MB for the largest) and, from 4 * 10^6, two tables of
     isqrt(hi) + 1 integers; the primes come from the constant table of the
@@ -478,15 +512,17 @@ def semiprime_count(n: int) -> int:
 
     For n >= 8 this is the paper's sum(k2) + sum(k1 - t) over [1, n], with
     each semiprime p*q grouped by its smaller prime p so that every part is
-    a prime count pi at n // p or at some value <= n^(2/3).  Below
-    4 * 10^6 every pi is read off one pi table, an odd-only segmented
-    sieve's primes kept as one bit per odd integer with a running count per
-    eight bits, which grows to n // 2 on the first query that needs it and
-    then answers each later count in about 2 * pi(sqrt(n)) reads of two
-    subscripts each (about 0.06 to 0.12 ms at 10^6).  From 4 * 10^6 on,
-    the pi(n // k) come from one Lucy-style table of O(sqrt(n)) entries in
-    O(n^(3/4)) steps, and the rest from the same pi table, so the cost
-    grows well below n: 10^9 takes about 0.3 to 0.5 s and about 3 MB.  The
+    a prime count pi at n // p or at some value <= n^(2/3).  Every pi at
+    or below 31 622 is one subscript of a constant table built at import;
+    below 4 * 10^6 the others, the pi(n // p) of at most 30 primes p, are
+    read off one pi table, an odd-only segmented sieve's primes kept as one
+    bit per odd integer with a running count per eight bits, which grows
+    to n // 2 on the first query that needs it.  A later count costs about
+    2 * pi(sqrt(n)) reads (about 0.03 to 0.05 ms at 10^6).  From 4 * 10^6
+    on, those pi(n // k) come from one Lucy-style table of O(sqrt(n))
+    entries in O(n^(3/4)) steps, and the edges above 31 622 from the same
+    pi table, so the cost grows well below n: 10^9 takes about 0.3 to
+    0.5 s and about 3 MB.  The
     window pass under count_range, which sees every integer, is the
     independent route the tests compare it with.  Below 8 the count is
     read off the semiprimes 4 and 6.

@@ -16,6 +16,7 @@ from semiprimes import (
     MAX_STREAM_COUNT,
     DomainError,
     RangeLimitError,
+    bench,
     core,
     intmath,
     literal,
@@ -62,6 +63,8 @@ CASES = [
     ("semiprime_flags", oracle.semiprime_flags, 0, oracle.FACTOR_SIEVE_LIMIT, (oracle, "array")),
     ("semiprime_count_by_sieve", oracle.semiprime_count_by_sieve, 1, oracle.FACTOR_SIEVE_LIMIT,
      (oracle, "semiprime_flags")),
+    ("reproduce_table", bench.reproduce_table, 1, 4, (bench, "_timed_row")),
+    ("reproduce_table", lambda v: bench.reproduce_table(1, v), 0, None, (bench, "_timed_row")),
 ]
 
 

@@ -562,6 +562,35 @@ def test_prime_table_is_the_sieve_to_the_cap():
     assert core._PRIMES == oracle.sieve(core.TABLE_CAP).primes
 
 
+def test_small_pi_is_the_sieve_count_to_the_cap():
+    # pi(v) = _SMALL_PI[(v + 1) >> 1] at every v in 2..TABLE_CAP, against a
+    # running sum over the classical sieve, in 16-bit entries of about 32 kB
+    is_prime = bytearray(core.TABLE_CAP + 1)
+    for p in oracle.sieve(core.TABLE_CAP).primes:
+        is_prime[p] = 1
+    pis = list(accumulate(is_prime))
+    tier = core._SMALL_PI
+    assert type(tier) is array and tier.typecode == "H"
+    assert len(tier) == (core.TABLE_CAP + 1) // 2 + 1
+    assert [tier[(v + 1) >> 1] for v in range(2, core.TABLE_CAP + 1)] == pis[2:]
+    assert sys.getsizeof(tier) < 70_000
+    # the edges p^2 - 1 it holds are those of the primes up to 173
+    assert core._PRIMES[core._SMALL_EDGES - 1] == 173
+    assert 173**2 - 1 <= core.TABLE_CAP < 179**2 - 1
+
+
+def test_prefix_counts_below_twice_the_cap_read_only_the_small_pi(monkeypatch):
+    # Below 2 * (TABLE_CAP + 1) every quotient n // p and every edge p^2 - 1
+    # is at most TABLE_CAP, so no count grows or reads the pi table
+    def unused(top):
+        raise AssertionError(f"the pi table was read up to {top}")
+
+    top = 2 * (core.TABLE_CAP + 1) - 1
+    expected = list(accumulate(oracle.semiprime_flags(top)))
+    monkeypatch.setattr(core, "_pi_to", unused)
+    assert [semiprime_count(n) for n in range(8, top + 1)] == expected[8:]
+
+
 def test_primes_slices_match_the_sieve():
     small = oracle.sieve(200).primes
     for v in (0, 1, 2, *small, *(p - 1 for p in small), core.TABLE_CAP):
@@ -665,6 +694,7 @@ def test_count_matches_spf_oracle(semi_flags_2m, n):
 
 @given(st.integers(min_value=8, max_value=10**7))
 @example(8)
+@example(179**3).via("icbrt is the prime 179, whose edge 179^2 - 1 is the first above TABLE_CAP")
 @example(211**3 - 1).via("icbrt is 210")
 @example(211**3).via("icbrt is the prime 211, the last p in the sum of k2")
 @example(212**3 - 1).via("icbrt is still 211, now with the primes q in [211^2, n/211]")
@@ -907,6 +937,9 @@ _JOIN = 2 * SEGMENT  # the first integer past the first odd-only segment
         2 * _JOIN - 2, 2 * _JOIN - 1,  # n // 2 = _JOIN - 1, the last odd of a segment
         2 * _JOIN + 2, 2 * _JOIN + 3,  # n // 2 = _JOIN + 1, the first odd past it
         4 * _JOIN - 1, 4 * _JOIN + 2,  # the same at the second join
+        63_245, 63_246,  # n // 2 steps past TABLE_CAP: p = 2 leaves the small pi
+        94_868, 94_869,  # the same for p = 3
+        179**3 - 1, 179**3,  # the edge 179^2 - 1 is the first above TABLE_CAP
     ],
 )
 def test_prefix_parts_agree_on_both_pi_sources(monkeypatch, n):
@@ -916,6 +949,9 @@ def test_prefix_parts_agree_on_both_pi_sources(monkeypatch, n):
     def unused(*args):
         raise AssertionError(f"Lucy's table built for {args}")
 
+    # the patched cut lets the pi table grow past its real cap, so the
+    # growth goes to a fresh table that the test end discards
+    _fresh_pi_table(monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(core, "_SIEVE_CUT", n + 1)
         patch.setattr(core, "_lucy_tables", unused)
@@ -926,6 +962,8 @@ def test_prefix_parts_agree_on_both_pi_sources(monkeypatch, n):
     assert by_sieve == by_lucy
     if n == 7:
         assert by_sieve == (0, len(_SMALL_SEMIPRIMES))
+    # and the total against the oracle, which both sources could miss alike
+    assert sum(by_sieve) == oracle.classical_count(n)
 
 
 def test_large_inputs_within_contract():
