@@ -15,6 +15,7 @@ from .core import (
     count_range,
     k1,
     k2,
+    prime_count_formula,
     semiprime_count,
     semiprime_indicator,
 )
@@ -31,7 +32,7 @@ from .intmath import (
     nondiv_indicator,
     wheel_limit,
 )
-from .primality import PrimeTable, build_prime_table, prime_count_formula, t, t0, t1, t2
+from .primality import PrimeTable, build_prime_table, t, t0, t1, t2
 from .sequences import gate, next_semiprime, nth_semiprime, semiprime_stream
 
 __version__ = "0.1.0"

@@ -40,17 +40,6 @@ class RangeLimitError(DomainError):
     """Input exceeds the supported magnitude for the requested operation."""
 
 
-def as_natural(n, what="argument"):
-    """Coerce n to a nonnegative int, raising DomainError otherwise."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {type(n).__name__}") from None
-    if n < 0:
-        raise DomainError(f"{what} must be nonnegative, got {n}")
-    return n
-
-
 def bounded(value, func, what, low, high=None):
     """value as an int in [low, high] (low >= 0), checked for func.
 
@@ -70,7 +59,7 @@ def bounded(value, func, what, low, high=None):
 
 def isqrt(n: int) -> int:
     """Largest s with s*s <= n."""
-    return math.isqrt(as_natural(n, "isqrt argument"))
+    return math.isqrt(bounded(n, "isqrt", "n", 0))
 
 
 _THIRD = 1.0 / 3.0
@@ -83,7 +72,7 @@ def icbrt(n: int) -> int:
     with exact integer comparisons, so boundary cubes never round the wrong
     way (icbrt(8) is 2 even though 8 ** (1/3) < 2 in binary floating point).
     """
-    return _icbrt(as_natural(n, "icbrt argument"))
+    return _icbrt(bounded(n, "icbrt", "n", 0))
 
 
 def _icbrt(n):
@@ -107,8 +96,8 @@ def _icbrt(n):
 
 def ceil_div(a: int, b: int) -> int:
     """Exact ceiling of a/b.  b == 0 raises ZeroDivisionError."""
-    a = as_natural(a, "ceil_div numerator")
-    b = as_natural(b, "ceil_div denominator")
+    a = bounded(a, "ceil_div", "a", 0)
+    b = bounded(b, "ceil_div", "b", 0)
     return -(-a // b)
 
 
@@ -120,8 +109,8 @@ def nondiv_indicator(x: int, d: int) -> int:
     d divides x, and any nonzero fractional part ceilings to 1.  A remainder
     test computes it without leaving the integers.
     """
-    x = as_natural(x, "nondiv_indicator dividend")
-    d = as_natural(d, "nondiv_indicator divisor")
+    x = bounded(x, "nondiv_indicator", "x", 0)
+    d = bounded(d, "nondiv_indicator", "d", 0)
     return 1 if x % d else 0
 
 

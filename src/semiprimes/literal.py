@@ -12,8 +12,8 @@ The prime-count, ordinal and successor sums are evaluated term by term over
 the production indicators: prime_count_literal adds t over the 6j+5 and
 6j+7 grids, nth_semiprime_literal re-evaluates the count for every term of
 its gated sum, so it is quadratic in its window, and next_semiprime_literal
-multiplies out the telescoping products.  primality.prime_count_formula and
-the sequences functions answer the same questions in production.
+multiplies out the telescoping products.  core.prime_count_formula and the
+sequences functions answer the same questions in production.
 """
 
 import math

@@ -10,7 +10,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .intmath import as_natural, bounded
+from .intmath import bounded
 from .primality import PrimeTable
 
 #: bytearray memory budget for the prime sieve.
@@ -81,7 +81,7 @@ def is_semiprime_oracle(x: int) -> int:
 
 def next_semiprime_oracle(n: int) -> int:
     """Smallest semiprime > n, by trial division of every integer above n."""
-    x = max(as_natural(n, "n"), 3) + 1
+    x = max(bounded(n, "next_semiprime_oracle", "n", 0), 3) + 1
     while not is_semiprime_oracle(x):
         x += 1
     return x

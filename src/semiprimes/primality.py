@@ -1,4 +1,4 @@
-"""Primality indicator, prime counting, and the prime table type.
+"""Primality indicator and the prime table type.
 
 The paper's indicator is t(x) = floor((t0 + t1 + t2) / 3): a number x >= 8 is
 prime exactly when it is divisible by neither 2 nor 3 nor any integer of the
@@ -19,19 +19,16 @@ t itself takes one of two routes to the same value, chosen by the size of x:
   up to MAX_CLASSIFY_INPUT.  A prime costs three or four modular powers;
   most odd composites fail at base 2.  Both routes keep no state.
 
-This module also holds Lucy's prime-count table (_lucy_tables), which
-gives pi(n // k) for every k in O(n^(3/4)) steps and finds its own primes
-as it goes, so that every function here is pure.  prime_count_formula
-reads the Lucy table at every x; core's prefix count builds it only from
-n = 4 * 10^6 on, and below that reads its prime counts off core's pi
-table.  The primes that core's counting routes and per-number scans draw
-on are core's constant table of every prime up to TABLE_CAP = 31 622.
+Every function here is pure.  Prime counting (prime_count_formula) lives
+in core, beside the tables it reads; the primes that core's counting
+routes and per-number scans draw on are core's constant table of every
+prime up to TABLE_CAP = 31 622.
 """
 
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
-from .intmath import MAX_CLASSIFY_INPUT, MAX_COUNT_INPUT, _wheel_limit, bounded
+from .intmath import MAX_CLASSIFY_INPUT, _wheel_limit, bounded
 
 # The semiprimes below 8, where the indicator formulas do not apply; every
 # other integer in 2..7 is prime.  t, classification, counting, the nth
@@ -157,50 +154,6 @@ def t(x: int) -> int:
     (the semiprime test applies t to quotients as small as 4).
     """
     return _t(bounded(x, "t", "x", 1, MAX_CLASSIFY_INPUT))
-
-
-def _lucy_tables(n):
-    # Lucy's recurrence, for n >= 1: small[v] = pi(v) for v <= r = isqrt(n)
-    # and large[k] = pi(n // k) for 1 <= k <= r, so large[1] = pi(n).
-    # Starting from v - 1, each prime p (in turn, with i = pi(p - 1) primes
-    # before it) removes from every value v >= p*p the integers whose least
-    # prime factor is p, S(v // p) - i of them.  The rounds find their own
-    # primes: every prime below p has already sieved small[p - 1] and
-    # small[p], so p is prime exactly when small[p] > small[p - 1] = i.
-    # Each round reads only values the round has not yet changed:
-    # large[k * p] and small[v // p] lie past k and below v, and small is
-    # updated last.  Item updates in place keep the peak to the two tables,
-    # O(sqrt(n)) integers, and the whole build takes O(n^(3/4)) steps.
-    r = isqrt(n)
-    small = list(range(-1, r))
-    large = [0] + [n // k - 1 for k in range(1, r + 1)]
-    for p in range(2, r + 1):
-        if small[p] == (i := small[p - 1]):
-            continue
-        p2 = p * p
-        kmax = min(r, n // p2)  # large[k] with n // k >= p*p
-        inner = min(kmax, r // p)  # large[k * p] is still in large
-        for k in range(1, inner + 1):
-            large[k] -= large[k * p] - i
-        m = n // p  # n // (k * p) == m // k
-        for k in range(inner + 1, kmax + 1):
-            large[k] -= small[m // k] - i
-        for v in range(r, p2 - 1, -1):
-            small[v] -= small[v // p] - i
-    return small, large
-
-
-def prime_count_formula(x: int) -> int:
-    """Number of primes <= x, for 8 <= x <= MAX_COUNT_INPUT.
-
-    Read off Lucy's table at every x, in O(x^(3/4)) steps and O(sqrt(x))
-    memory: 10^9 takes well under a second.  semiprime_count builds the
-    same table only from n = 4 * 10^6 on (below that it reads core's pi
-    table), so this function keeps the table tested at small x too.  The
-    paper's sum of t over the 6j+5 / 6j+7 grids is
-    literal.prime_count_literal, the slow reference the tests hold this to.
-    """
-    return _lucy_tables(bounded(x, "prime_count_formula", "x", 8, MAX_COUNT_INPUT))[1][1]
 
 
 def build_prime_table(limit: int) -> PrimeTable:

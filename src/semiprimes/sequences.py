@@ -58,7 +58,6 @@ from .intmath import (
     MAX_STREAM_COUNT,
     RangeLimitError,
     _icbrt,
-    as_natural,
     bounded,
 )
 from .primality import _t
@@ -72,7 +71,7 @@ def gate(n: int, x: int) -> int:
     been counted.
     """
     n = bounded(n, "gate", "n", 1)
-    x = as_natural(x, "x")
+    x = bounded(x, "gate", "x", 0)
     return (2 * n) // (n + x + 1)
 
 
@@ -233,5 +232,5 @@ def semiprime_stream(start: int, count: int) -> list:
     the walk.
     """
     start = bounded(start, "semiprime_stream", "start", 4, MAX_CLASSIFY_INPUT)
-    count = bounded(count, "semiprime_stream", "counts", 0, MAX_STREAM_COUNT)
+    count = bounded(count, "semiprime_stream", "count", 0, MAX_STREAM_COUNT)
     return list(islice(_semiprimes_after(start), count))

@@ -42,7 +42,7 @@ CASES = [
     ("semiprime_count", sp.semiprime_count, 1, MAX_COUNT_INPUT, (core, "_prefix_count")),
     ("count_range", lambda v: sp.count_range(v, 100), 8, None, (core, "_count_range")),
     ("count_range", lambda v: sp.count_range(8, v), 8, MAX_COUNT_INPUT, (core, "_count_range")),
-    ("prime_count_formula", sp.prime_count_formula, 8, MAX_COUNT_INPUT, (primality, "_lucy_tables")),
+    ("prime_count_formula", sp.prime_count_formula, 8, MAX_COUNT_INPUT, (core, "_pi")),
     ("nth_semiprime", sp.nth_semiprime, 1, MAX_NTH_INPUT, (sequences, "_nth_scan")),
     ("build_prime_table", sp.build_prime_table, 2, primality.WHEEL_TOP, (primality, "_t")),
     ("wheel_limit", sp.wheel_limit, 1, None, (intmath, "_wheel_limit")),
@@ -65,6 +65,14 @@ CASES = [
      (oracle, "semiprime_flags")),
     ("reproduce_table", bench.reproduce_table, 1, 4, (bench, "_timed_row")),
     ("reproduce_table", lambda v: bench.reproduce_table(1, v), 0, None, (bench, "_timed_row")),
+    ("isqrt", sp.isqrt, 0, None, None),
+    ("icbrt", sp.icbrt, 0, None, (intmath, "_icbrt")),
+    ("ceil_div", lambda v: sp.ceil_div(v, 1), 0, None, None),
+    ("ceil_div", lambda v: sp.ceil_div(1, v), 0, None, None),
+    ("nondiv_indicator", lambda v: sp.nondiv_indicator(v, 1), 0, None, None),
+    ("nondiv_indicator", lambda v: sp.nondiv_indicator(1, v), 0, None, None),
+    ("gate", lambda v: sp.gate(1, v), 0, None, None),
+    ("next_semiprime_oracle", oracle.next_semiprime_oracle, 0, None, (oracle, "is_semiprime_oracle")),
 ]
 
 

@@ -636,10 +636,13 @@ def test_count_range_route_follows_the_width(monkeypatch):
         assert count_range(8, 10**6) == semiprime_count(10**6) - len(_SMALL_SEMIPRIMES) == 210_033
 
 
-def test_count_memory_is_bounded_by_segments():
-    # The prefix count keeps two tables of isqrt(n) + 1 integers and sieves
-    # in segments of core.SEGMENT (128 KiB) bytes.  A flat sieve of [8, 10^7]
-    # alone would take 10 MB.
+def test_count_memory_is_bounded_by_segments(monkeypatch):
+    # From a fresh pi table, the count at 10^7 grows it to its cap of
+    # 2 * 10^6 in segments of core.SEGMENT (128 KiB) bytes, each packed into
+    # the table's bits as it is sieved, and takes pi(n // 2) and pi(n // 3)
+    # from Meissel's formula.  A flat sieve of [8, 10^7] alone would take
+    # 10 MB.
+    _fresh_pi_table(monkeypatch)
     tracemalloc.start()
     try:
         value = semiprime_count(10**7)
@@ -661,12 +664,12 @@ print(value, (after - before) * (1 if sys.platform == "darwin" else 1024))
 
 
 def test_count_memory_at_the_top_of_the_range():
-    # The prefix count keeps two tables of isqrt(n) + 1 integers (31 623 each
-    # at 10^9) and one sieve segment; a flat table of pi up to 10^9 would
-    # take gigabytes.  The bound is on the growth of the peak resident set
-    # of a fresh interpreter (ru_maxrss, kB on Linux, bytes on macOS):
-    # under tracemalloc, which allocates a record for every int the table
-    # updates make, this one call would take about 20 s instead of 0.4 s.
+    # The prefix count keeps the pi table, at most about 0.63 MB, and one
+    # sieve segment, and Meissel's formula only a recursion of depth at
+    # most pi(1000) = 168; a flat table of pi up to 10^9 would take
+    # gigabytes.  The bound is on the growth of the peak resident set of a
+    # fresh interpreter (ru_maxrss, kB on Linux, bytes on macOS), which
+    # counts what the interpreter itself holds on to as well.
     result = subprocess.run(
         [sys.executable, "-c", _RSS_GROWTH], capture_output=True, text=True, check=True
     )
@@ -712,7 +715,7 @@ def test_prefix_parts_match_window_sums(n):
     assert semiprime_count(n) == len(_SMALL_SEMIPRIMES) + k1_sum + k2_window - t_sum
 
 
-_CAP = core._SIEVE_CUT // 2  # the pi table's largest limit
+_CAP = core._PI_CAP  # the pi table's largest limit
 
 
 @cache
@@ -894,9 +897,9 @@ def test_pi_table_grows_safely_from_four_threads(monkeypatch):
 
 
 def test_wide_count_range_sieves_each_integer_once(monkeypatch):
-    # A wide count_range below the cut reads both prefix counts off the one
-    # pi table, so no integer is sieved twice, and the same call again
-    # sieves nothing.
+    # A wide count_range below 2 * (_PI_CAP + 1) reads both prefix counts
+    # off the one pi table, so no integer is sieved twice, and the same call
+    # again sieves nothing.
     _fresh_pi_table(monkeypatch)
     segments = _record_segments(monkeypatch)
     lo, hi = 10**5, 3 * 10**6
@@ -909,20 +912,20 @@ def test_wide_count_range_sieves_each_integer_once(monkeypatch):
 
 
 def test_pi_table_stays_bounded(monkeypatch):
-    # At most _SIEVE_CUT // 2 integers, 1 bit per odd one plus 4 bytes per
-    # group of 8 odd ones: about 0.63 MB at the cut, whatever is counted
+    # At most _PI_CAP integers, 1 bit per odd one plus 4 bytes per group of
+    # 8 odd ones: about 0.63 MB at the cap, whatever is counted
     _fresh_pi_table(monkeypatch)
     assert semiprime_count(10**9) == 160_788_536
-    assert core._pi_table.limit == icbrt(10**9) ** 2  # for the pi(p^2 - 1) only
-    assert semiprime_count(core._SIEVE_CUT - 1) == oracle.classical_count(core._SIEVE_CUT - 1)
+    assert core._pi_table.limit == _CAP
+    # the last n whose every pi(n // p) is read off the table
+    assert semiprime_count(2 * _CAP + 1) == oracle.classical_count(2 * _CAP + 1)
     table = core._pi_table
-    assert table.limit == core._SIEVE_CUT // 2
+    assert table.limit == _CAP
     size = sys.getsizeof(table.bits) + sys.getsizeof(table.counts)
     assert size <= 1_100_000
     assert size <= 700_000
 
 
-_CUT = core._SIEVE_CUT
 _JOIN = 2 * SEGMENT  # the first integer past the first odd-only segment
 
 
@@ -930,7 +933,9 @@ _JOIN = 2 * SEGMENT  # the first integer past the first odd-only segment
     "n",
     [
         7,  # the prefix from 8 reads 4 and 6 here
-        _CUT - 1, _CUT, _CUT + 1,
+        2 * _CAP - 1, 2 * _CAP,  # n // 2 reads the table's spare group at the cap
+        2 * _CAP + 1, 2 * _CAP + 2,  # n // 2 is the cap, then leaves the table
+        3 * _CAP + 2, 3 * _CAP + 3,  # the same for n // 3
         125**3 - 1, 125**3,  # icbrt steps up to 125
         211**3 - 1, 211**3,  # icbrt steps up to the prime 211
         1409**2 - 1, 1409**2,  # isqrt steps up to the prime 1409
@@ -943,27 +948,55 @@ _JOIN = 2 * SEGMENT  # the first integer past the first odd-only segment
     ],
 )
 def test_prefix_parts_agree_on_both_pi_sources(monkeypatch, n):
-    # The same parts with every pi from the sieve pass (the cut patched above
-    # n, Lucy's table patched to fail) and with pi(n // p) from Lucy's table
-    # (the cut patched to n)
-    def unused(*args):
-        raise AssertionError(f"Lucy's table built for {args}")
+    # The same parts with every pi above TABLE_CAP from Meissel's formula
+    # (the pi table's cap patched down to TABLE_CAP, and the table patched
+    # to fail) and with the pi table read up to its real cap, grown fresh
+    # so that an earlier test's growth cannot hide one here
+    def unused(top):
+        raise AssertionError(f"the pi table was read up to {top}")
 
-    # the patched cut lets the pi table grow past its real cap, so the
-    # growth goes to a fresh table that the test end discards
     _fresh_pi_table(monkeypatch)
     with monkeypatch.context() as patch:
-        patch.setattr(core, "_SIEVE_CUT", n + 1)
-        patch.setattr(core, "_lucy_tables", unused)
-        by_sieve = _prefix_parts(n)
-    with monkeypatch.context() as patch:
-        patch.setattr(core, "_SIEVE_CUT", n)
-        by_lucy = _prefix_parts(n)
-    assert by_sieve == by_lucy
+        patch.setattr(core, "_PI_CAP", core.TABLE_CAP)
+        patch.setattr(core, "_pi_to", unused)
+        by_formula = _prefix_parts(n)
+    by_table = _prefix_parts(n)
+    assert by_formula == by_table
     if n == 7:
-        assert by_sieve == (0, len(_SMALL_SEMIPRIMES))
+        assert by_table == (0, len(_SMALL_SEMIPRIMES))
     # and the total against the oracle, which both sources could miss alike
-    assert sum(by_sieve) == oracle.classical_count(n)
+    assert sum(by_table) == oracle.classical_count(n)
+
+
+#: pi(10^k) for k = 1..9 (OEIS A006880)
+_PI_POWERS = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534)
+
+
+def test_meissel_formula_matches_the_sieve(monkeypatch):
+    # Meissel's formula on its own, from a fresh pi table, against the
+    # classical sieve: at every x in 8..3000, which takes a < 6 and the
+    # recurrence down to phi(x, 0); around every p^2 up to the cap, where
+    # b = pi(isqrt(x)) steps up; around every p^3 up to it, where
+    # a = pi(icbrt(x)) steps up; and around the cap.  Then at the powers of
+    # ten, whose pi from 10^8 on is read off the table above TABLE_CAP.
+    _fresh_pi_table(monkeypatch)
+    primes = oracle.sieve(_CAP + 1).primes
+    seams = [
+        p**e + d for e in (2, 3) for p in primes if p**e < _CAP for d in (-1, 0, 1)
+    ]
+    for x in (*range(8, 3001), *(v for v in seams if v >= 8), _CAP - 1, _CAP, _CAP + 1):
+        assert core._meissel(x) == bisect_right(primes, x), x
+    for k, pi in enumerate(_PI_POWERS, 1):
+        assert core._meissel(10**k) == pi, k
+    assert core._pi_table.limit <= _CAP
+
+
+def test_phi_period_table():
+    # _PHI6[v] counts the integers in [1, v] that none of 2..13 divides
+    expected = accumulate(int(all(v % p for p in (2, 3, 5, 7, 11, 13))) for v in range(30030))
+    assert core._PHI6.typecode == "H"
+    assert core._PHI6.tolist() == list(expected)
+    assert core._PHI6[-1] == 5760
 
 
 def test_large_inputs_within_contract():

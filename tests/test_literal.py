@@ -72,5 +72,6 @@ def test_k1_literal_property(x):
 @example(10**4)
 @settings(max_examples=100)
 def test_prime_count_formula_matches_the_grid_sum(x):
-    # Lucy's table against the paper's sum of t over the 6j+5 / 6j+7 grids
+    # the prefix count's pi against the paper's sum of t over the 6j+5 / 6j+7
+    # grids
     assert prime_count_formula(x) == prime_count_literal(x)

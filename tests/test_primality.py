@@ -285,8 +285,7 @@ def test_prime_count_matches_sieve_prefix():
             acc += t(x)
         assert acc == pi[x], x
     # and the public operation at every x up to 3000, on both sides of every
-    # p^2 where Lucy's round for p starts (p <= 141, so p^2 + 1 <= limit),
-    # and on a spot grid
+    # p^2 with p <= 141 (so p^2 + 1 <= limit), and on a spot grid
     squares = [p * p + d for p in oracle.sieve(141).primes for d in (-1, 0, 1)]
     for x in (*range(8, 3001), *(v for v in squares if v >= 8), 7919, 10**4, limit):
         assert prime_count_formula(x) == pi[x], x

@@ -414,7 +414,7 @@ def test_stream_count_is_capped_before_the_walk(monkeypatch):
         raise AssertionError(f"walked from {n}")
 
     monkeypatch.setattr(sequences, "_semiprimes_after", no_walk)
-    with pytest.raises(RangeLimitError, match=f"counts up to {MAX_STREAM_COUNT}"):
+    with pytest.raises(RangeLimitError, match=f"count up to {MAX_STREAM_COUNT}"):
         semiprime_stream(4, MAX_STREAM_COUNT + 1)
 
 
