@@ -53,14 +53,6 @@ def _emit_scalar(args, value, method, elapsed):
         print(f"{n},{value},{method},{elapsed!r}")
 
 
-def _count_check(n):
-    # one independent route: the classical prime-table count from 4 up, the
-    # factoring sieve below
-    if n >= 4:
-        return "classical", oracle.classical_count(n)
-    return "sieve", oracle.semiprime_count_by_sieve(n)
-
-
 def _cmd_count(args):
     if args.verify and args.number > oracle.CLASSICAL_COUNT_LIMIT:
         # checked first: the oracle would refuse it only after the count
@@ -70,9 +62,9 @@ def _cmd_count(args):
     value = semiprime_count(args.number)
     elapsed = time.perf_counter() - begin
     if args.verify:
-        name, check = _count_check(args.number)
+        check = oracle.classical_count(args.number)
         if check != value:
-            return _mismatch(f"count({args.number}): formula={value} but {name}={check}")
+            return _mismatch(f"count({args.number}): formula={value} but classical={check}")
     _emit_scalar(args, value, "formula", elapsed)
     return OK
 

@@ -34,15 +34,16 @@ takes one of two routes, one engine each:
   the difference of two of them) groups each semiprime p*q by its smaller
   prime p, so that sum(k2) and sum(k1 - t) become prime counts pi at n // p
   and at p^2 - 1 and p - 1.  Every pi(v) has one source, by the size of
-  v: up to TABLE_CAP, one subscript of _SMALL_PI, a constant count per odd
-  integer; up to _PI_CAP = 2 * 10^6, a read of one module-level pi table,
-  one bit per odd integer, set for a prime, and a running prime count per
-  group of eight bits, which grows on demand from an odd-only segmented
-  sieve and never past _PI_CAP, about 0.63 MB; and above that, Meissel's
-  formula, whose phi and prime counts are reads of the same two tables at
-  or below v^(2/3).  Only pi(n // p) can lie above the table, for the p
-  below n / _PI_CAP, so below 2 * (_PI_CAP + 1) a prefix count is reads
-  alone.
+  v, and above TABLE_CAP one function, _pi, picks it: up to TABLE_CAP, one
+  subscript of _SMALL_PI, a constant count per odd integer; up to
+  _PI_CAP = 2 * 10^6, a read of one module-level pi table, one bit per odd
+  integer, set for a prime, and a running prime count per group of eight
+  bits, which grows on demand from an odd-only segmented sieve, to the
+  larger of the read that asks and twice its old limit, never past
+  _PI_CAP, about 0.63 MB; and above that, Meissel's formula, whose phi
+  and prime counts are reads of the same two tables at or below v^(2/3).
+  Only pi(n // p) can lie above the table, for the p below n / _PI_CAP,
+  so below 2 * (_PI_CAP + 1) a prefix count is reads alone.
 
 The two engines share no step beyond the prime table, and the tests hold
 each part of one to the other and to the per-number scans.  Both and the
@@ -350,14 +351,12 @@ class _PiTable(NamedTuple):
     bits: bytes
     counts: array
 
-    def pi(self, points):
-        # pi(v) for each v of points: of the k = (v + 1) // 2 odd integers
-        # up to v, the first 8 * (k >> 3) are counted in counts[k >> 3] and
-        # the k & 7 others are the low bits of bits[k >> 3]
-        bits, counts = self.bits, self.counts
-        return [
-            counts[k >> 3] + _BELOW[bits[k >> 3] << 3 | k & 7] for v in points for k in [(v + 1) >> 1]
-        ]
+    def pi(self, v):
+        # pi(v) for 2 <= v <= limit: of the k = (v + 1) // 2 odd integers up
+        # to v, the first 8 * (k >> 3) are counted in counts[k >> 3] and the
+        # k & 7 others are the low bits of bits[k >> 3]
+        k = (v + 1) >> 1
+        return self.counts[k >> 3] + _BELOW[self.bits[k >> 3] << 3 | k & 7]
 
 
 #: The pi table's largest limit: 125 kB of bits and 0.5 MB of group
@@ -418,21 +417,21 @@ del _coprime, _p
 
 def _phi(x, k):
     # Legendre's phi(x, k), the integers in [1, x] that none of the first k
-    # primes divides, for x >= 1 (x >= 0 when k < 6).  Its recurrence
-    # phi(x, k) = phi(x, k - 1) - phi(x // p_k, k - 1), unrolled down to
-    # k = 6, which the period of _PHI6 answers in one read; below 6, which
-    # only x < 13^3 asks for, it runs down to phi(x, 0) = x.  When
-    # p_(k+1)^2 > x, the integers left are 1 and the primes in (p_k, x].
-    if k < 6:
-        return _phi(x, k - 1) - _phi(x // _PRIMES[k - 1], k - 1) if k else x
+    # primes divides, for x >= 1 and k >= 6: _meissel asks for k >= 11.
+    # Its recurrence phi(x, k) = phi(x, k - 1) - phi(x // p_k, k - 1),
+    # unrolled down to k = 6, which the period of _PHI6 answers in one
+    # read, so no k below 6 is ever reached and there is no base case
+    # there.  When p_(k+1)^2 > x, the integers left are 1 and the primes in
+    # (p_k, x].
     if _PRIMES[k] ** 2 > x:
         return 1 + max(_pi(x) - k, 0)
     return x // 30030 * 5760 + _PHI6[x % 30030] - sum(_phi(x // p, i) for i, p in enumerate(_PRIMES[6:k], 6))
 
 
 def _meissel(x):
-    # pi(x) for 8 <= x <= MAX_COUNT_INPUT by Meissel's formula (Lehmer,
-    # Illinois J. Math. 3, 1959), with a = pi(icbrt(x)) and b = pi(isqrt(x)):
+    # pi(x) for TABLE_CAP < x <= MAX_COUNT_INPUT, the v _pi sends here, by
+    # Meissel's formula (Lehmer, Illinois J. Math. 3, 1959), with
+    # a = pi(icbrt(x)) >= pi(31) = 11 and b = pi(isqrt(x)):
     #   pi(x) = phi(x, a) + a - 1 - sum over a < i <= b of (pi(x // p_i) - i + 1)
     # The integers in [1, x] that no prime up to icbrt(x) divides are 1, the
     # primes above it, and the products p_i * q of two primes with
@@ -450,7 +449,7 @@ def _pi(v):
     if v <= TABLE_CAP:
         return _SMALL_PI[(v + 1) >> 1]
     if v <= _PI_CAP:
-        return _pi_to(v).pi((v,))[0]
+        return _pi_to(v).pi(v)
     return _meissel(v)
 
 
@@ -475,20 +474,18 @@ def _prefix_parts(n):
     # with c = icbrt(n) and r = isqrt(n); the second holds 4 and 6.  For
     # p <= c, p^2 - 1 < n/p, and for p > c, n/p < p^2, so the mins split
     # at c; pi(p - 1) is p's index in the prime table.  n // p falls as p
-    # rises, so the primes split twice: the p above n // (TABLE_CAP + 1)
-    # read pi(n // p) off _SMALL_PI, those from n // (_PI_CAP + 1) to it
-    # off the pi table in one batch, and the rest, none below
-    # 2 * (_PI_CAP + 1), by Meissel's formula.  The edges p^2 - 1 of the p
-    # up to 173 are read off _SMALL_PI, and the rest, n from 179^3 on, off
-    # the pi table.
+    # rises, so the primes split once: the p above n // (TABLE_CAP + 1)
+    # read pi(n // p) off _SMALL_PI, and the rest take it from _pi, which
+    # alone picks the pi table or Meissel's formula.  The edges p^2 - 1 of
+    # the p up to 173 are read off _SMALL_PI, and the rest, n from 179^3
+    # on, come from _pi too.  Edges and Meissel's reads lie below n^(2/3),
+    # and the quotients fall as p rises, so the first quotient at or below
+    # _PI_CAP is the largest read of the pi table a count makes.
     primes, c = _primes(isqrt(n)), _icbrt(n)
     c_count = bisect_right(primes, c)
-    far = bisect_right(primes, n // (_PI_CAP + 1))
     head = bisect_right(primes, n // (TABLE_CAP + 1))
     near = min(c_count, _SMALL_EDGES)
-    pi_quotients = [_meissel(n // p) for p in primes[:far]]
-    if far < head:
-        pi_quotients += _pi_to(n // 2).pi([n // p for p in primes[far:head]])
+    pi_quotients = [_pi(n // p) for p in primes[:head]]
     pi_quotients += [_SMALL_PI[(n // p + 1) >> 1] for p in primes[head:]]
     pi_edges = [_SMALL_PI[p * p >> 1] for p in primes[:near]]  # (p^2 - 1 + 1) >> 1
     pi_edges += [_pi(p * p - 1) for p in primes[near:c_count]]
@@ -501,8 +498,8 @@ def _prefix_parts(n):
 def _prefix_count(n):
     # the number of semiprimes <= n, for n >= 7: about 2 * pi(sqrt(n))
     # reads, every one a subscript of _SMALL_PI below 2 * (TABLE_CAP + 1),
-    # and from 2 * (_PI_CAP + 1) on Meissel's formula for each p with
-    # n // p above _PI_CAP
+    # and above it one _pi call per p with n // p or p^2 - 1 above
+    # TABLE_CAP, Meissel's formula among them from 2 * (_PI_CAP + 1) on
     k2_sum, k1_t_sum = _prefix_parts(n)
     return k2_sum + k1_t_sum
 

@@ -91,11 +91,12 @@ def classical_count(n: int) -> int:
     """Semiprimes <= n counted from a prime table up to n/2.
 
     For each prime p <= sqrt(n) there are pi(n/p) - pi(p) + 1 semiprimes
-    whose smaller factor is p, which telescopes to the sum below.  All pi
-    lookups are bisections into one sieve-built table, so this route is
-    independent of the indicator formulas.
+    whose smaller factor is p, which telescopes to the sum below; below 4
+    there is no such p, and the count is 0.  All pi lookups are bisections
+    into one sieve-built table, so this route is independent of the
+    indicator formulas.
     """
-    n = bounded(n, "classical_count", "n", 4, CLASSICAL_COUNT_LIMIT)
+    n = bounded(n, "classical_count", "n", 1, CLASSICAL_COUNT_LIMIT)
     primes = _prime_list(max(2, n // 2))
     total = 0
     for i, p in enumerate(primes):

@@ -59,7 +59,7 @@ CASES = [
     ("next_semiprime_literal", literal.next_semiprime_literal, 9, None, (literal, "t")),
     ("sieve", oracle.sieve, 2, oracle.SIEVE_LIMIT, (oracle, "_prime_list")),
     ("factor_profile", oracle.factor_profile, 2, None, None),
-    ("classical_count", oracle.classical_count, 4, oracle.CLASSICAL_COUNT_LIMIT, (oracle, "_prime_list")),
+    ("classical_count", oracle.classical_count, 1, oracle.CLASSICAL_COUNT_LIMIT, (oracle, "_prime_list")),
     ("semiprime_flags", oracle.semiprime_flags, 0, oracle.FACTOR_SIEVE_LIMIT, (oracle, "array")),
     ("semiprime_count_by_sieve", oracle.semiprime_count_by_sieve, 1, oracle.FACTOR_SIEVE_LIMIT,
      (oracle, "semiprime_flags")),

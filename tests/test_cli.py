@@ -159,7 +159,7 @@ def test_domain_errors_exit_2(capsys):
 
 def test_verify_passes_when_routes_agree(capsys):
     assert run_cli(capsys, "count", "100", "--verify")[0] == 0
-    assert run_cli(capsys, "count", "2", "--verify")[0] == 0  # below the classical domain
+    assert run_cli(capsys, "count", "2", "--verify")[0] == 0  # the classical count is 0 below 4
     assert run_cli(capsys, "classify", "14", "--verify")[0] == 0
     assert run_cli(capsys, "nth", "100", "--verify")[0] == 0
     assert run_cli(capsys, "next", "100", "--verify")[0] == 0
@@ -222,7 +222,12 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "count", "100", "--verify")
     assert code == 1
     assert out == ""
-    assert "verification failed" in err
+    assert "verification failed" in err and "classical=0" in err
+    # the same oracle checks the counts below 4
+    monkeypatch.setattr(cli.oracle, "classical_count", lambda n: 1)
+    code, out, err = run_cli(capsys, "count", "2", "--verify")
+    assert (code, out) == (1, "")
+    assert "classical=1" in err
 
 
 def test_verify_nth_next_mismatch_exits_1(capsys, monkeypatch):

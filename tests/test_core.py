@@ -775,7 +775,7 @@ def _pi_points(limit):
 
 def _assert_reads_pi(table, points):
     pis = _pi_up_to_cap()
-    assert table.pi(points) == [pis[v] for v in points]
+    assert [table.pi(v) for v in points] == [pis[v] for v in points]
 
 
 def test_bit_count_tables():
@@ -798,7 +798,6 @@ def test_prime_counts_match_sieve(monkeypatch):
     _assert_pi_table_complete(table)
     _assert_reads_pi(table, _pi_points(_CAP))
     _assert_reads_pi(table, range(2, 2 * 10**5 + 1))
-    assert table.pi([]) == []
     # a table whose size fills its last group reads its spare group at the
     # limit
     _fresh_pi_table(monkeypatch)
@@ -880,7 +879,8 @@ def test_pi_table_grows_safely_from_four_threads(monkeypatch):
 
             def grow(limit):
                 start.wait()
-                results[limit] = core._pi_to(limit).pi(points[limit])
+                table = core._pi_to(limit)
+                results[limit] = [table.pi(v) for v in points[limit]]
 
             threads = [threading.Thread(target=grow, args=(limit,)) for limit in limits]
             for thread in threads:
@@ -913,11 +913,17 @@ def test_wide_count_range_sieves_each_integer_once(monkeypatch):
 
 def test_pi_table_stays_bounded(monkeypatch):
     # At most _PI_CAP integers, 1 bit per odd one plus 4 bytes per group of
-    # 8 odd ones: about 0.63 MB at the cap, whatever is counted
+    # 8 odd ones: about 0.63 MB at the cap, whatever is counted.  A count
+    # grows the table only as far as its largest read at or below the cap:
+    # at 10^9, from an empty table, the quotient of 503, as those of the
+    # primes up to 499 lie above the cap and take Meissel's formula, whose
+    # own reads stay below 10^6
     _fresh_pi_table(monkeypatch)
     assert semiprime_count(10**9) == 160_788_536
-    assert core._pi_table.limit == _CAP
-    # the last n whose every pi(n // p) is read off the table
+    assert 10**9 // 499 > _CAP > 10**9 // 503 == 1_988_071
+    assert core._pi_table.limit == 1_988_072
+    # the last n whose every pi(n // p) is read off the table grows it to
+    # the cap
     assert semiprime_count(2 * _CAP + 1) == oracle.classical_count(2 * _CAP + 1)
     table = core._pi_table
     assert table.limit == _CAP
@@ -968,26 +974,71 @@ def test_prefix_parts_agree_on_both_pi_sources(monkeypatch, n):
     assert sum(by_table) == oracle.classical_count(n)
 
 
+@pytest.mark.parametrize("n", [63_246, 4_000_002, 6_000_003, 179**3, 10**9])
+def test_prefix_parts_read_every_pi_above_the_small_pi_through_pi(monkeypatch, n):
+    # _pi alone picks where a prime count above TABLE_CAP comes from: the
+    # _pi calls _prefix_parts makes itself, not those inside Meissel's
+    # formula, are exactly its quotients n // p above TABLE_CAP, in the
+    # order of p, then its edges p^2 - 1 above it, and it reaches _pi_to
+    # and _meissel only through _pi.  63 246 has one such quotient, n // 2;
+    # 4 000 002 and 6 000 003 send n // 2 and n // 3 to the formula; 179^3
+    # has the first edge above TABLE_CAP, 179^2 - 1; and 10^9 sends
+    # quotients to the formula and to the table, and edges to the table.
+    pi, depth, calls = core._pi, [0], []
+
+    def recorded(v):
+        if not depth[0]:
+            calls.append(v)
+        depth[0] += 1
+        try:
+            return pi(v)
+        finally:
+            depth[0] -= 1
+
+    def only_inside_pi(route):
+        def checked(v):
+            assert depth[0], f"_prefix_parts called {route.__name__}({v}) itself"
+            return route(v)
+
+        return checked
+
+    monkeypatch.setattr(core, "_pi_to", only_inside_pi(core._pi_to))
+    monkeypatch.setattr(core, "_meissel", only_inside_pi(core._meissel))
+    monkeypatch.setattr(core, "_pi", recorded)
+    total = sum(_prefix_parts(n))
+    primes, top = oracle.sieve(isqrt(n)).primes, core.TABLE_CAP
+    quotients = [n // p for p in primes if n // p > top]
+    edges = [p * p - 1 for p in primes if p <= icbrt(n) and p * p - 1 > top]
+    assert calls == quotients + edges
+    assert len(quotients) > 0 and (len(edges) > 0) == (n >= 179**3)
+    expected = {63_246: 15_131, 4_000_002: 790_987, 6_000_003: 1_166_582, 179**3: 1_117_206}
+    assert total == expected.get(n, 160_788_536)  # from oracle.classical_count
+
+
 #: pi(10^k) for k = 1..9 (OEIS A006880)
 _PI_POWERS = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534)
 
 
 def test_meissel_formula_matches_the_sieve(monkeypatch):
-    # Meissel's formula on its own, from a fresh pi table, against the
-    # classical sieve: at every x in 8..3000, which takes a < 6 and the
-    # recurrence down to phi(x, 0); around every p^2 up to the cap, where
-    # b = pi(isqrt(x)) steps up; around every p^3 up to it, where
-    # a = pi(icbrt(x)) steps up; and around the cap.  Then at the powers of
-    # ten, whose pi from 10^8 on is read off the table above TABLE_CAP.
+    # Meissel's formula on its own, over its domain above TABLE_CAP, from a
+    # fresh pi table, against the classical sieve: at every x in the 3000
+    # past TABLE_CAP, where a = pi(icbrt(x)) is 11, the least _pi asks of
+    # it; around every p^2 from there to the cap, where b = pi(isqrt(x))
+    # steps up; around every p^3 in the same range, where a steps up; and
+    # around the cap.  Then at the powers of ten from 10^5, whose pi from
+    # 10^8 on is read off the table above TABLE_CAP; those below 10^5 are
+    # _pi's reads of _SMALL_PI.
     _fresh_pi_table(monkeypatch)
     primes = oracle.sieve(_CAP + 1).primes
     seams = [
         p**e + d for e in (2, 3) for p in primes if p**e < _CAP for d in (-1, 0, 1)
     ]
-    for x in (*range(8, 3001), *(v for v in seams if v >= 8), _CAP - 1, _CAP, _CAP + 1):
+    top = core.TABLE_CAP
+    assert core._SMALL_PI[(core._icbrt(top + 1) + 1) >> 1] == 11
+    for x in (*range(top + 1, top + 3001), *(v for v in seams if v > top), _CAP - 1, _CAP, _CAP + 1):
         assert core._meissel(x) == bisect_right(primes, x), x
     for k, pi in enumerate(_PI_POWERS, 1):
-        assert core._meissel(10**k) == pi, k
+        assert (core._pi if k < 5 else core._meissel)(10**k) == pi, k
     assert core._pi_table.limit <= _CAP
 
 

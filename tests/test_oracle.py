@@ -83,8 +83,12 @@ def test_classical_count_examples():
 
 
 def test_classical_count_domain():
+    # from 1 up, as semiprime_count_by_sieve: no prime p has p * p <= n
+    # below 4, so the loop returns 0 there
     with pytest.raises(DomainError):
-        classical_count(3)
+        classical_count(0)
+    for n in (1, 2, 3):
+        assert classical_count(n) == semiprime_count_by_sieve(n) == 0, n
 
 
 def test_counting_oracles_agree_spots():
