@@ -42,8 +42,11 @@ takes one of two routes, one engine each:
   larger of the read that asks and twice its old limit, never past
   _PI_CAP, about 0.63 MB; and above that, Meissel's formula, whose phi
   and prime counts are reads of the same two tables at or below v^(2/3).
-  Only pi(n // p) can lie above the table, for the p below n / _PI_CAP,
-  so below 2 * (_PI_CAP + 1) a prefix count is reads alone.
+  A v the table already holds costs _pi one call, the table's read; only
+  a v past its limit goes through the growth.  Only pi(n // p) can lie
+  above the table, for the p below n / _PI_CAP, so below
+  2 * (_PI_CAP + 1) a prefix count is reads alone, and the edges
+  p^2 - 1 of the p up to 173 are one constant sum, _EDGE_SUMS.
 
 The two engines share no step beyond the prime table, and the tests hold
 each part of one to the other and to the per-number scans.  Both and the
@@ -59,7 +62,7 @@ import enum
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from math import gcd, isqrt, prod
 from typing import NamedTuple, Optional
 
@@ -307,15 +310,35 @@ _PRIMES = tuple(p for p in range(2, isqrt(TABLE_CAP) + 1) if _t(p))
 _odd_primes = _odd_segment(1, (TABLE_CAP + 1) // 2).translate(bytes([1, 0]) + bytes(254))
 _PRIMES = (2,) + tuple(compress(range(1, TABLE_CAP + 1, 2), _odd_primes))
 
+
+def _running_counts(flags, initial=None):
+    # The running sums of flags, after initial if given, as an array('H'),
+    # built from lists of 1024 sums.  From the accumulate iterator itself
+    # the array grows one entry at a time, about 30 % slower for _PHI6;
+    # one list of every sum would hold a Python int per entry, over 1 MB
+    # of peak memory at import for _PHI6.
+    sums, counts = accumulate(flags, initial=initial), array("H")
+    while chunk := list(islice(sums, 1024)):
+        counts.fromlist(chunk)
+    return counts
+
+
 #: pi(v) = _SMALL_PI[(v + 1) >> 1] for 2 <= v <= TABLE_CAP: entry k counts
 #: the prime 2 and the odd primes up to 2k - 1, a running sum over the same
 #: flags.  A constant of about 32 kB, where most of the prefix count's pi
 #: reads fall, each one subscript.
-_SMALL_PI = array("H", accumulate(_odd_primes, initial=1))
+_SMALL_PI = _running_counts(_odd_primes, 1)
 del _odd_primes
 
 #: How many primes p have their edge p^2 - 1 in _SMALL_PI: those up to 173.
 _SMALL_EDGES = bisect_right(_PRIMES, isqrt(TABLE_CAP + 1))
+
+#: _EDGE_SUMS[i] is the sum of pi(p^2 - 1) over the first i primes, for
+#: i <= _SMALL_EDGES, so that a prefix count reads the edges of its primes
+#: up to 173 in one subscript.  pi(p^2 - 1) is _SMALL_PI[p * p >> 1].
+_EDGE_SUMS = tuple(
+    accumulate((_SMALL_PI[p * p >> 1] for p in _PRIMES[:_SMALL_EDGES]), initial=0)
+)
 
 #: The cube-root primes, every prime <= icbrt(MAX_CLASSIFY_INPUT), cut into
 #: the blocks _least_small_factor takes one gcd per: a first block of the
@@ -411,7 +434,7 @@ def _pi_to(top: int) -> _PiTable:
 _coprime = bytearray(b"\x01") * 30030
 for _p in _PRIMES[:6]:
     _coprime[::_p] = bytes(30030 // _p)
-_PHI6 = array("H", accumulate(_coprime))
+_PHI6 = _running_counts(_coprime)
 del _coprime, _p
 
 
@@ -445,9 +468,18 @@ def _meissel(x):
 def _pi(v):
     # pi(v) for 2 <= v <= MAX_COUNT_INPUT: one subscript of _SMALL_PI up to
     # TABLE_CAP, a read of the pi table up to _PI_CAP, and Meissel's
-    # formula above, whose reads are this function's at smaller v
+    # formula above, whose reads are this function's at smaller v.  A v
+    # the table already holds is read off the module's table in one call,
+    # its pi method, which keeps the one copy of the read; only a v above
+    # its limit goes through _pi_to.  Such a read takes about 0.35 us on
+    # one core of a 2-core x86-64 host (CPython 3.11), a call through
+    # _pi_to about 0.55 us, and a count in 1.2..2.6 * 10^5 reads the table
+    # 2 to 4 times, for its head primes 2 to 7.
     if v <= TABLE_CAP:
         return _SMALL_PI[(v + 1) >> 1]
+    table = _pi_table
+    if v <= table.limit:
+        return table.pi(v)
     if v <= _PI_CAP:
         return _pi_to(v).pi(v)
     return _meissel(v)
@@ -477,29 +509,29 @@ def _prefix_parts(n):
     # rises, so the primes split once: the p above n // (TABLE_CAP + 1)
     # read pi(n // p) off _SMALL_PI, and the rest take it from _pi, which
     # alone picks the pi table or Meissel's formula.  The edges p^2 - 1 of
-    # the p up to 173 are read off _SMALL_PI, and the rest, n from 179^3
-    # on, come from _pi too.  Edges and Meissel's reads lie below n^(2/3),
-    # and the quotients fall as p rises, so the first quotient at or below
-    # _PI_CAP is the largest read of the pi table a count makes.
-    primes, c = _primes(isqrt(n)), _icbrt(n)
-    c_count = bisect_right(primes, c)
-    head = bisect_right(primes, n // (TABLE_CAP + 1))
+    # the p up to 173 are summed in advance in _EDGE_SUMS, one subscript
+    # for all of them, and the rest, n from 179^3 on, come from _pi too.
+    # Edges and Meissel's reads lie below n^(2/3), and the quotients fall
+    # as p rises, so the first quotient at or below _PI_CAP is the largest
+    # read of the pi table a count makes.  The three cuts are bisections of
+    # _PRIMES itself, which n <= MAX_COUNT_INPUT keeps inside the table,
+    # so no slice of it is copied but those the reads walk.
+    b = bisect_right(_PRIMES, isqrt(n))
+    c_count = bisect_right(_PRIMES, _icbrt(n), 0, b)
+    head = bisect_right(_PRIMES, n // (TABLE_CAP + 1), 0, b)
     near = min(c_count, _SMALL_EDGES)
-    pi_quotients = [_pi(n // p) for p in primes[:head]]
-    pi_quotients += [_SMALL_PI[(n // p + 1) >> 1] for p in primes[head:]]
-    pi_edges = [_SMALL_PI[p * p >> 1] for p in primes[:near]]  # (p^2 - 1 + 1) >> 1
-    pi_edges += [_pi(p * p - 1) for p in primes[near:c_count]]
-    edge_sum = sum(pi_edges)
+    pi_quotients = [_pi(n // p) for p in _PRIMES[:head]]
+    pi_quotients += [_SMALL_PI[(n // p + 1) >> 1] for p in _PRIMES[head:b]]
+    edge_sum = _EDGE_SUMS[near] + sum([_pi(p * p - 1) for p in _PRIMES[near:c_count]])
     k2_sum = sum(pi_quotients[:c_count]) - edge_sum
-    k1_t_sum = edge_sum + sum(pi_quotients[c_count:]) - len(primes) * (len(primes) - 1) // 2
-    return k2_sum, k1_t_sum
+    return k2_sum, sum(pi_quotients) - k2_sum - b * (b - 1) // 2
 
 
 def _prefix_count(n):
-    # the number of semiprimes <= n, for n >= 7: about 2 * pi(sqrt(n))
-    # reads, every one a subscript of _SMALL_PI below 2 * (TABLE_CAP + 1),
-    # and above it one _pi call per p with n // p or p^2 - 1 above
-    # TABLE_CAP, Meissel's formula among them from 2 * (_PI_CAP + 1) on
+    # the number of semiprimes <= n, for n >= 7: about pi(sqrt(n)) reads,
+    # every one a subscript of _SMALL_PI below 2 * (TABLE_CAP + 1), and
+    # above it one _pi call per p with n // p or p^2 - 1 above TABLE_CAP,
+    # Meissel's formula among them from 2 * (_PI_CAP + 1) on
     k2_sum, k1_t_sum = _prefix_parts(n)
     return k2_sum + k1_t_sum
 
@@ -553,14 +585,15 @@ def semiprime_count(n: int) -> int:
     segmented sieve's primes kept as one bit per odd integer with a
     running count per eight bits, which grows on the first query that
     needs it.  Below 4 * 10^6 that is every pi, and a count with the table
-    grown costs about 2 * pi(sqrt(n)) reads (0.03 to 0.04 ms at 10^6).
-    From there on, the pi(n // p) above 2 * 10^6, those of the p below
-    n / (2 * 10^6), come from Meissel's formula over the same two tables,
-    so the cost grows well below n: 10^7 takes about 1 to 2 ms, 10^8
-    16 to 30 ms and 10^9 0.15 to 0.31 s, in about 1 MB.  The window pass
-    under count_range, which sees every integer, is the independent route
-    the tests compare it with.  Below 8 the count is read off the
-    semiprimes 4 and 6.
+    grown costs about pi(sqrt(n)) reads, the edges pi(p^2 - 1) of the p up
+    to 173 being one constant sum (0.03 ms at 10^6, 0.012 to 0.015 ms in
+    1.2..2.6 * 10^5).  From there on, the pi(n // p) above 2 * 10^6, those
+    of the p below n / (2 * 10^6), come from Meissel's formula over the
+    same two tables, so the cost grows well below n: 10^7 takes about 1 to
+    2 ms, 10^8 16 to 31 ms and 10^9 0.16 to 0.32 s, in about 1 MB.  The
+    window pass under count_range, which sees every integer, is the
+    independent route the tests compare it with.  Below 8 the count is
+    read off the semiprimes 4 and 6.
     """
     n = bounded(n, "semiprime_count", "n", 1, MAX_COUNT_INPUT)
     if n < 8:

@@ -579,6 +579,15 @@ def test_small_pi_is_the_sieve_count_to_the_cap():
     assert 173**2 - 1 <= core.TABLE_CAP < 179**2 - 1
 
 
+def test_edge_sums_are_the_sieve_sums_of_the_small_edges():
+    # _EDGE_SUMS[i] is the sum of pi(p^2 - 1) over the first i primes, for
+    # every i up to _SMALL_EDGES, each pi from the classical sieve
+    primes = oracle.sieve(core.TABLE_CAP).primes
+    edges = [bisect_right(primes, p * p - 1) for p in primes[: core._SMALL_EDGES]]
+    assert len(core._EDGE_SUMS) == core._SMALL_EDGES + 1
+    assert list(core._EDGE_SUMS) == list(accumulate(edges, initial=0))
+
+
 def test_prefix_counts_below_twice_the_cap_read_only_the_small_pi(monkeypatch):
     # Below 2 * (TABLE_CAP + 1) every quotient n // p and every edge p^2 - 1
     # is at most TABLE_CAP, so no count grows or reads the pi table
@@ -813,6 +822,31 @@ def test_prime_counts_match_sieve(monkeypatch):
         a = lo | 1
         for size in (1, 2, 50, SEGMENT):
             assert _odd_segment(a, size) == _expected_flags(a, size), (lo, size)
+
+
+def test_pi_reads_a_grown_table_without_pi_to(monkeypatch):
+    # Once the pi table holds v, _pi(v) reads it in place and never calls
+    # _pi_to: with _pi_to patched to fail, every v at the group and segment
+    # edges up to the limit still reads exact pi, against the classical
+    # sieve, for a limit inside a group and for the cap.  The first v past
+    # the limit goes to _pi_to.
+    class Grown(Exception):
+        pass
+
+    def unused(top):
+        raise Grown(top)
+
+    pis = _pi_up_to_cap()
+    for top in (3 * SEGMENT + 5, _CAP):
+        _fresh_pi_table(monkeypatch)
+        limit = core._pi_to(top).limit
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_pi_to", unused)
+            points = _pi_points(limit)
+            assert [core._pi(v) for v in points] == [pis[v] for v in points]
+            if limit < _CAP:
+                with pytest.raises(Grown):
+                    core._pi(limit + 1)
 
 
 def _record_segments(monkeypatch):

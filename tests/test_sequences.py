@@ -296,22 +296,89 @@ def test_nth_raises_when_the_block_walk_disagrees_with_the_prefix_count(monkeypa
     assert abs(blocks[-1][0] - blocks[0][0]) <= 2 * SEGMENT
 
 
-@pytest.mark.parametrize("n", [40_000, 10**7, 10**8, MAX_NTH_INPUT])
-def test_nth_takes_one_prefix_count(monkeypatch, n):
-    # The anchor lands close enough to sp_n, in the benchmark's prefix band
-    # (sp_n near 1.8 * 10^5) and up to the top of the range, that the search
-    # closes in by blocks without counting a second prefix.
-    counts = []
+#: The indices whose answers lie in the benchmark's prefix band,
+#: 1.2..2.6 * 10^5: pi2(120 000) = 27 844 and pi2(260 000) = 58 078.
+_BAND = range(27_845, 58_079)
+
+
+def _search_cost(monkeypatch, n):
+    """nth_semiprime(n), and the prefix counts and blocks its search took."""
+    counts, blocks = [], []
+    prefix_count, semiprime_flags = sequences._prefix_count, sequences._semiprime_flags
 
     def counted(x):
         counts.append(x)
         return prefix_count(x)
 
-    prefix_count = sequences._prefix_count
-    monkeypatch.setattr(sequences, "_prefix_count", counted)
-    x = nth_semiprime(n)
+    def flagged(a, b):
+        blocks.append((a, b))
+        return semiprime_flags(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sequences, "_prefix_count", counted)
+        patch.setattr(sequences, "_semiprime_flags", flagged)
+        return nth_semiprime(n), counts, blocks
+
+
+def test_nth_anchor_lies_near_the_answer_in_the_band(semi_flags_2m):
+    # The module docstring's claim for the band, at every index in it: the
+    # anchor lies within 300 integers of sp_n, and half of the anchors
+    # within 70.  The block the search counts first is sized to the step
+    # from the anchor, so its cost rests on this.
+    answers = list(compress(range(len(semi_flags_2m)), semi_flags_2m))
+    assert answers[_BAND[0] - 2] <= 120_000 < answers[_BAND[0] - 1]
+    assert answers[_BAND[-1] - 1] <= 260_000 < answers[_BAND[-1]]
+    errors = sorted(abs(sequences._nth_anchor(n) - answers[n - 1]) for n in _BAND)
+    assert errors[-1] <= 300, errors[-1]
+    assert errors[len(errors) // 2] <= 70, errors[len(errors) // 2]
+
+
+@pytest.mark.parametrize(
+    "n, answer",
+    [
+        (210_035, 999_997),  # pi2(10^6)
+        (1_904_324, 9_999_998),  # pi2(10^7)
+        (17_427_258, 99_999_997),  # pi2(10^8)
+        (10**8, 611_720_495),
+        (MAX_NTH_INPUT, 999_999_991),  # pi2(10^9)
+    ],
+)
+def test_nth_anchor_lies_near_the_answer_above_a_million(n, answer):
+    # The module docstring's claim from 10^6 to 10^9: the anchor lies
+    # within 0.15 SEGMENT of sp_n, so the first step is a block, not a
+    # second prefix count.  Each answer is checked by the two counters.
+    assert count_range(answer, answer) == 1
+    assert semiprime_count(answer) == n
+    assert abs(sequences._nth_anchor(n) - answer) <= 0.15 * SEGMENT
+
+
+@pytest.mark.parametrize("n", [40_000, 1_904_324, 10**7, 17_427_258, 10**8, MAX_NTH_INPUT])
+def test_nth_takes_one_prefix_count(monkeypatch, n):
+    # The anchor lands close enough to sp_n, in the benchmark's prefix band
+    # (sp_n near 1.8 * 10^5) and up to the top of the range, that the search
+    # closes in by blocks without counting a second prefix; and the first
+    # block, the step plus a quarter of it above 10^6, holds sp_n.
+    x, counts, blocks = _search_cost(monkeypatch, n)
     assert len(counts) == 1, counts
+    assert len(blocks) == 1, blocks
     assert count_range(x, x) == 1
+
+
+def test_nth_search_cost_across_the_band(monkeypatch):
+    # Every index in the band takes one prefix count, at its anchor, and
+    # one block, but for 367 of its 30 234 indices (1.2 %) whose step
+    # falls more than the block's margin short of sp_n; those take a second
+    # block and never a third.  A narrower margin, or an anchor or step
+    # that strays further, shows here as more second blocks.
+    second = []
+    for n in _BAND:
+        x, counts, blocks = _search_cost(monkeypatch, n)
+        assert counts == [sequences._nth_anchor(n)], (n, counts)
+        assert len(blocks) <= 2, (n, blocks)
+        if len(blocks) == 2:
+            second.append(n)
+    assert len(second) <= 367, len(second)
+    assert 28_009 in second  # the first; CI checks it with nth --verify
 
 
 def test_nth_at_the_top_of_the_range():
