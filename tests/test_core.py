@@ -34,6 +34,7 @@ from semiprimes import (
 from semiprimes.core import (
     SEGMENT,
     _BELOW,
+    _HIT,
     _INDEX,
     _LARGE,
     _POPCOUNT,
@@ -485,6 +486,15 @@ def _narrow_windows(draw):
 @example((997 * 994013 - 500, 997 * 994013)).via("997's only multiple is hi, a semiprime")
 @example((997 * 994012, 997 * 994013)).via("997's two multiples are lo and hi")
 @example((49 * 20000003 - 30, 49 * 20000003 + 10)).via("49's one multiple, 7 has six")
+@example((1009 * 495017, 1009 * 495018 - 1)).via("size 1009, a prime r > c = 793: its one multiple")
+@example((1009 * 495017, 1009 * 495018)).via("size 1010: r = 1009 has two multiples")
+@example((961 * 520000, 961 * 520001 - 1)).via("size 961 = 31^2: the filter finds its one multiple")
+@example((961 * 520000, 961 * 520001)).via("size 962 > 31^2: a strided store, two multiples")
+@example((8, 26)).via("the constant first piece, c = 2")
+@example((10, 10)).via("10 = 2 * 5, the one p * r inside its own piece")
+@example((9, 11)).via("10 and its neighbours inside the first piece")
+@example((26, 27)).via("the first piece's last integer and 27 = 3^3")
+@example((8, 27)).via("the whole first piece and the next piece's first integer")
 @settings(max_examples=200)
 def test_window_parts_match_independent_sums_anywhere(window):
     _assert_window_parts_match_independent_sums(*window)
@@ -497,6 +507,37 @@ def test_window_index_tables_mark_or_reject():
     for i in range(_LARGE):
         marked = every_byte.translate(_INDEX[i])
         assert marked[0] == i and set(marked[1:]) == {_REJECT}, i
+
+
+def test_hit_table_settles_a_large_prime_hit():
+    # a prime r in (c, isqrt(b)] turns an unmarked x into _LARGE and an x
+    # marked with a prime index into _REJECT, and leaves _LARGE and _REJECT:
+    # applying the table twice is applying it once, so a second such r
+    # dividing the same x changes nothing
+    hit = bytes(range(256)).translate(_HIT)
+    assert hit[0] == _LARGE
+    assert set(hit[1:_LARGE]) == {_REJECT}
+    assert hit[_LARGE] == _LARGE and hit[_REJECT] == _REJECT
+    assert hit.translate(_HIT) == hit
+
+
+def test_small_times_large_prime_lies_below_its_piece_but_for_10():
+    # What the table rests on: in the cube piece [c^3, (c+1)^3), a prime
+    # p <= c times a prime r in (c, isqrt((c+1)^3 - 1)] lies below c^3, so
+    # an x of the piece that both divide has x/p composite.  Over every
+    # piece a count reaches, the one product inside its own piece is
+    # 10 = 2 * 5 in [8, 26], which the window pass reads off a constant.
+    # For each p the products rise with r, so a bisection finds every r
+    # with p * r >= c^3.
+    primes = oracle.sieve(core.TABLE_CAP).primes
+    inside = []
+    for c in range(2, icbrt(MAX_COUNT_INPUT) + 1):
+        top = (c + 1) ** 3 - 1
+        cut, end = bisect_right(primes, c), bisect_right(primes, isqrt(top))
+        for p in primes[:cut]:
+            first = max(cut, bisect_left(primes, -(-(c**3) // p)))
+            inside += [p * r for r in primes[first:end] if p * r <= top]
+    assert inside == [10]
 
 
 def test_semiprime_table_flags_the_semiprime_marks():
@@ -522,6 +563,15 @@ def _flag_windows(draw, top=2 * 10**6):
 @example((1_000_001, 1_000_001)).via("one integer, 101 * 9901, both factors above c")
 @example((999_958, 999_958)).via("one integer, 2 * 499979, a small factor")
 @example((999_983, 999_983)).via("one integer, a prime")
+@example((509 * 1973, 509 * 1974 - 1)).via("size 509, a prime r > c = 100: its one multiple")
+@example((509 * 1973, 509 * 1974)).via("size 510: r = 509 has two multiples")
+@example((169 * 5930, 169 * 5931 - 1)).via("size 169 = 13^2: the filter finds its one multiple")
+@example((169 * 5930, 169 * 5931)).via("size 170 > 13^2: a strided store, two multiples")
+@example((8, 26)).via("the constant first piece, c = 2")
+@example((10, 10)).via("10 = 2 * 5, the one p * r inside its own piece")
+@example((9, 11)).via("10 and its neighbours inside the first piece")
+@example((26, 27)).via("the first piece's last integer and 27 = 3^3")
+@example((8, 27)).via("the whole first piece and the next piece's first integer")
 @settings(max_examples=200)
 def test_semiprime_flags_match_spf_oracle(semi_flags_2m, window):
     lo, hi = window
