@@ -26,10 +26,15 @@ Counting sums that identity over [lo, hi], and since the sum is linear it
 takes one of two routes, one engine each:
 
 - the window pass sieves the integers themselves, one bytearray piece at a
-  time, and its final marks give sum(k1), sum(k2) and sum(t) together.
-  count_range takes it for a window with hi - lo below about 2 * hi^(3/4),
-  and nth_semiprime reads the semiprime flags of the blocks it walks off
-  the same marks;
+  time.  Each x ends with one of four marks, one per cell of the triple: a
+  prime, p * q with p <= c < q, two primes above c, or three or more prime
+  factors.  One marking step sets them for every modulus, the squares of
+  the primes up to c, those primes, and the primes above c up to the
+  piece's square root, each with its own translate table; the tables
+  commute, so the order of the moduli does not matter.  The marks' counts
+  give sum(k1), sum(k2) and sum(t) together.  count_range takes it for a
+  window with hi - lo below about 2 * hi^(3/4), and nth_semiprime reads
+  the semiprime flags of the blocks it walks off the same marks;
 - the prefix count (semiprime_count, and count_range over a wider range as
   the difference of two of them) groups each semiprime p*q by its smaller
   prime p, so that sum(k2) and sum(k1 - t) become prime counts pi at n // p
@@ -189,28 +194,31 @@ def classify(x: int) -> Classification:
     return Classification(_TRIPLE_CATEGORY[trip], trip)
 
 
-#: Window marks above their prime indices, at most pi(1000) = 168, so
-#: that all fit a byte.  _REJECT: x has three or more prime factors.
-_LARGE = 254
-_REJECT = 255
+#: The four window marks, one per cell of the triple.  0: no prime
+#: p <= c divides x (t, or k1 with t).  _SMALL: exactly one prime p <= c
+#: divides x, and p^2 does not (k2).  _LARGE: x is a product of two primes
+#: above c (k1 without t).  _REJECT: three or more prime factors.
+_SMALL, _LARGE, _REJECT = 1, 2, 3
 
-#: _INDEX[i] is the bytes.translate table of the prime with index i: it maps
-#: an unmarked byte (0) to i and every mark already set to _REJECT.
-_INDEX = [bytes([i]) + bytes([_REJECT]) * 255 for i in range(_LARGE)]
+#: The bytes.translate tables of the marking step, one per kind of
+#: modulus, each mapping the four marks into themselves.  _REJECTED, for a
+#: prime square p^2 with p <= c: every mark to _REJECT.  _MARK, for a
+#: prime p <= c: 0 to _SMALL, every other mark to _REJECT.  _HIT, for a
+#: prime r in (c, isqrt(b)]: 0 to _LARGE, _SMALL to _REJECT, and _LARGE
+#: and _REJECT to themselves.  Any two of them commute on the four marks,
+#: so the marks of a piece do not depend on the order its moduli mark it in.
+_REJECTED = bytes([_REJECT]) * 256
+_MARK = bytes([_SMALL]) + bytes([_REJECT]) * 255
+_HIT = bytes([_LARGE, _REJECT, _LARGE, _REJECT]) + bytes([_REJECT]) * 252
 
-#: Translates the final window marks to semiprime flags: a prime index or
-#: _LARGE to 1, a prime (0) or _REJECT to 0.
-_SEMIPRIME = bytes([0]) + bytes([1]) * _LARGE + bytes([0])
-
-#: Translates the mark of an x that a prime r in (c, isqrt(b)] divides: an
-#: unmarked x (0) to _LARGE, a prime index to _REJECT, and _LARGE and
-#: _REJECT to themselves, so that a second such r changes nothing.
-_HIT = bytes([_LARGE]) + bytes([_REJECT]) * (_LARGE - 1) + bytes([_LARGE, _REJECT])
+#: Translates the final window marks to semiprime flags: _SMALL and _LARGE
+#: to 1, a prime (0) and _REJECT to 0.
+_SEMIPRIME = bytes([0, 1, 1, 0]) + bytes(252)
 
 
 def _window_marks(lo: int, hi: int):
     # The final marks of count_range's window route, one per piece of
-    # [lo, hi]: 0 for a prime, a prime index i for p_i * q with q prime,
+    # [lo, hi]: 0 for a prime, _SMALL for p * q with p <= c < q prime,
     # _LARGE for a product of two primes above c, _REJECT for three or more
     # prime factors.  The pieces are cut at SEGMENT and at the cubes, so
     # that c = icbrt(x) is one constant in each.
@@ -223,55 +231,45 @@ def _window_marks(lo: int, hi: int):
 
 
 def _piece_marks(a: int, b: int, c: int) -> bytearray:
-    # The marks of one piece [a, b] with icbrt(x) = c >= 3 throughout.  A
-    # prime p <= c with two or more multiples in the piece marks them all
-    # with one strided translation by _INDEX[p's index], and with at most
-    # one, a single store; p^2 rejects its multiples with one strided store
-    # where p^2 < size, and one filter comprehension finds the one multiple,
-    # if any, of each larger p^2.  Then every x that a prime r in
-    # (c, isqrt(b)] divides is settled by one read of _HIT, on this fact:
-    # p * r <= c * (c + 1)^(3/2) < c^3 <= x for c >= 3, so an x marked
-    # with p has x/p = r * (x / (p * r)) composite, and is rejected; an
-    # unmarked x has no prime factor up to c and r <= isqrt(b) < x, so it
-    # is a product of two primes above c, _LARGE.  Every r up to the size
-    # applies _HIT in one strided translation; the r above it have at most
-    # one multiple each, which one filter comprehension finds.  The fact
-    # fails only in [8, 26], where c = 2 and 10 = 2 * 5: _FIRST_PIECE.
-    size, na, hit = b - a + 1, -a, _HIT
+    # The marks of one piece [a, b] with icbrt(x) = c >= 3 throughout, from
+    # one marking step over three kinds of modulus: the squares p^2 of the
+    # primes p <= c with _REJECTED, the primes p <= c with _MARK, and the
+    # primes r in (c, isqrt(b)] with _HIT.  A modulus up to the size reads
+    # its table for all its multiples with one strided translation; one
+    # above it has at most one multiple, which one filter comprehension per
+    # kind finds, and that multiple is one table read.  _HIT rests on this
+    # fact: p * r <= c * (c + 1)^(3/2) < c^3 <= x for c >= 3, so an x
+    # marked _SMALL by p has x/p = r * (x / (p * r)) composite, and is
+    # rejected; an unmarked x has no prime factor up to c and
+    # r <= isqrt(b) < x, so it is a product of two primes above c, _LARGE.
+    # The fact fails only in [8, 26], where c = 2 and 10 = 2 * 5:
+    # _FIRST_PIECE.
+    size, na = b - a + 1, -a
     end = bisect_right(_PRIMES, isqrt(b))
     cut = bisect_right(_PRIMES, c, 0, end)
-    square = bisect_right(_PRIMES, isqrt(size - 1), 0, cut)
-    mid = bisect_right(_PRIMES, size, cut, end)
     marks = bytearray(size)
-    for i, p in enumerate(_PRIMES[:cut], 1):
-        s = na % p
-        if s + p < size:
-            marks[s::p] = marks[s::p].translate(_INDEX[i])
-        elif s < size:
-            marks[s] = _REJECT if marks[s] else i
-    for p in _PRIMES[:square]:
-        p2 = p * p
-        s = na % p2
-        marks[s::p2] = bytes([_REJECT]) * ((size - 1 - s) // p2 + 1)
-    for s in [s for p in _PRIMES[square:cut] if (s := na % (p * p)) < size]:
-        marks[s] = _REJECT
-    for r in _PRIMES[cut:mid]:
-        s = na % r
-        marks[s::r] = marks[s::r].translate(hit)
-    for s in [s for r in _PRIMES[mid:end] if (s := na % r) < size]:
-        marks[s] = hit[marks[s]]
+    for moduli, first, last, table in (
+        (_SQUARES, 0, cut, _REJECTED),
+        (_PRIMES, 0, cut, _MARK),
+        (_PRIMES, cut, end, _HIT),
+    ):
+        mid = bisect_right(moduli, size, first, last)
+        for m in moduli[first:mid]:
+            s = na % m
+            marks[s::m] = marks[s::m].translate(table)
+        for s in [s for m in moduli[mid:last] if (s := na % m) < size]:
+            marks[s] = table[marks[s]]
     return marks
 
 
 def _window_parts(lo: int, hi: int) -> tuple:
     # (sum of k1, sum of k2, sum of t) over [lo, hi] from the window marks:
-    # the large-prime phase only turns 0 into _LARGE, so k1 = t + _LARGE
+    # t counts the 0 marks, k1 the 0 and _LARGE marks, k2 the _SMALL marks
     k1_sum = k2_sum = t_sum = 0
     for marks in _window_marks(lo, hi):
         t = marks.count(0)
-        k1 = t + marks.count(_LARGE)
-        k1_sum += k1
-        k2_sum += len(marks) - k1 - marks.count(_REJECT)
+        k1_sum += t + marks.count(_LARGE)
+        k2_sum += marks.count(_SMALL)
         t_sum += t
     return k1_sum, k2_sum, t_sum
 
@@ -373,12 +371,15 @@ _BLOCKS = tuple(
     + [_CUBE_ROOT_PRIMES[i : i + _BLOCK] for i in range(_FIRST_BLOCK, len(_CUBE_ROOT_PRIMES), _BLOCK)]
 )
 
+#: The prime squares the window pass rejects with: p^2 for every prime
+#: p <= icbrt(MAX_COUNT_INPUT), the 168 squares up to 997^2.
+_SQUARES = tuple(p * p for p in _primes(_icbrt(MAX_COUNT_INPUT)))
+
 #: The final window marks of the first cube piece [8, 26], from the triples:
 #: the one piece where a prime p <= c = 2 and a prime r in (c, 5] have their
 #: product inside, 10 = 2 * 5, a semiprime that a hit by 5 would reject.
-#: Its one small prime is 2, of index 1.
 _FIRST_PIECE = bytes(
-    0 if t else _LARGE if k1_bit else 1 if k2_bit else _REJECT
+    0 if t else _LARGE if k1_bit else _SMALL if k2_bit else _REJECT
     for t, k1_bit, k2_bit in map(_triple_bits, range(8, 27))
 )
 
@@ -570,17 +571,19 @@ def count_range(lo: int, hi: int) -> int:
     - a window with hi - lo < 2 * isqrt(hi) * isqrt(isqrt(hi)), about
       2 * hi^(3/4), is sieved itself, in one pass per piece of at most
       SEGMENT integers, the pieces also split at consecutive cubes so that
-      icbrt is a constant c within each.  Each x is marked with its one
-      prime p <= c, or rejected when two such primes or p*p divide it; the
-      unmarked x are sum(k1).  A p with two or more multiples in the piece
-      marks them with one strided bytes.translate, not one store per
-      multiple, and p*p rejects its multiples with one strided store.  Each
-      prime r in (c, isqrt(hi)] then settles every x it divides with one
-      read of a constant table: for c >= 3, p*r < c^3 <= x, so x/p is
-      composite and a marked x is rejected, and an unmarked x is a
-      semiprime with both factors above c.  The one piece where some p*r
-      lies inside is [8, 26], with 10 = 2 * 5, and its marks are a
-      constant.  What is left unmarked is sum(t), and marked p, sum(k2);
+      icbrt is a constant c within each.  Each x gets one of four marks:
+      unmarked, one prime p <= c, two primes above c, or rejected.  A prime
+      p <= c marks its multiples, and rejects those another such prime
+      marked; p*p rejects its multiples; and each prime r in
+      (c, isqrt(hi)] settles every x it divides: for c >= 3, p*r < c^3 <= x,
+      so x/p is composite and a marked x is rejected, and an unmarked x is
+      a semiprime with both factors above c.  Every modulus takes the same
+      step, one strided bytes.translate by its constant table when it is
+      at most the piece's size, and otherwise one table read for its one
+      multiple, if any.  The one piece where some p*r lies inside is
+      [8, 26], with 10 = 2 * 5, and its marks are a constant.  What is
+      left unmarked is sum(t), unmarked or with two primes above c sum(k1),
+      and marked by one p, sum(k2);
     - a wider range is the difference of two prefix counts,
       semiprime_count(hi) - semiprime_count(lo - 1), whose cost grows
       with hi rather than with the width.  The cut, one rule for every hi,

@@ -6,7 +6,7 @@ import tracemalloc
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import isqrt, prod
 
 import pytest
@@ -35,19 +35,23 @@ from semiprimes.core import (
     SEGMENT,
     _BELOW,
     _HIT,
-    _INDEX,
     _LARGE,
+    _MARK,
     _POPCOUNT,
     _PiTable,
     _REJECT,
+    _REJECTED,
     _SEMIPRIME,
+    _SMALL,
     _SMALL_SEMIPRIMES,
+    _SQUARES,
     _odd_segment,
     _prefix_count,
     _prefix_parts,
     _primes,
     _semiprime_flags,
     _triple_bits,
+    _window_marks,
     _window_parts,
 )
 
@@ -481,15 +485,19 @@ def _narrow_windows(draw):
 
 
 @given(_narrow_windows())
-@example((10**9, 10**9)).via("one integer: every p and p^2 stores at most once")
+@example((10**9, 10**9)).via("one integer: every modulus above the size, all filtered")
 @example((10**8, 10**8 + 511)).via("lo a multiple of 4: s = 0 for p = 2 and for p^2 = 4")
-@example((997 * 994013 - 500, 997 * 994013)).via("997's only multiple is hi, a semiprime")
-@example((997 * 994012, 997 * 994013)).via("997's two multiples are lo and hi")
+@example((997 * 994013 - 500, 997 * 994013)).via("size 501 < 997: filtered, one multiple, hi, a semiprime")
+@example((997 * 994012, 997 * 994013)).via("size 998 > 997: strided, two multiples, lo and hi")
+@example((997 * 1003000, 997 * 1003000 + 996)).via("size 997, a prime p <= c = 999: strided, one multiple")
+@example((997 * 1003000, 997 * 1003000 + 995)).via("size 996 < 997 <= c = 999: filtered, one multiple")
 @example((49 * 20000003 - 30, 49 * 20000003 + 10)).via("49's one multiple, 7 has six")
-@example((1009 * 495017, 1009 * 495018 - 1)).via("size 1009, a prime r > c = 793: its one multiple")
-@example((1009 * 495017, 1009 * 495018)).via("size 1010: r = 1009 has two multiples")
-@example((961 * 520000, 961 * 520001 - 1)).via("size 961 = 31^2: the filter finds its one multiple")
-@example((961 * 520000, 961 * 520001)).via("size 962 > 31^2: a strided store, two multiples")
+@example((1009 * 495017, 1009 * 495018 - 1)).via("size 1009, a prime r > c = 793: strided, one multiple")
+@example((1009 * 495017, 1009 * 495018 - 2)).via("size 1008 < r = 1009: filtered, one multiple")
+@example((1009 * 495017, 1009 * 495018)).via("size 1010 > r = 1009: strided, two multiples")
+@example((961 * 520000, 961 * 520001 - 1)).via("size 961 = 31^2: strided, one multiple")
+@example((961 * 520000, 961 * 520001 - 2)).via("size 960 < 31^2: filtered, one multiple")
+@example((961 * 520000, 961 * 520001)).via("size 962 > 31^2: strided, two multiples")
 @example((8, 26)).via("the constant first piece, c = 2")
 @example((10, 10)).via("10 = 2 * 5, the one p * r inside its own piece")
 @example((9, 11)).via("10 and its neighbours inside the first piece")
@@ -500,25 +508,37 @@ def test_window_parts_match_independent_sums_anywhere(window):
     _assert_window_parts_match_independent_sums(*window)
 
 
-def test_window_index_tables_mark_or_reject():
-    # translating by _INDEX[i] marks an unmarked x with i and rejects an x
-    # that already holds any mark
-    every_byte = bytes(range(256))
-    for i in range(_LARGE):
-        marked = every_byte.translate(_INDEX[i])
-        assert marked[0] == i and set(marked[1:]) == {_REJECT}, i
+_FOUR_MARKS = bytes([0, _SMALL, _LARGE, _REJECT])
+
+
+def test_mark_tables_commute_on_the_four_marks():
+    # The window pass marks a piece with the three tables in any order, so
+    # each maps the four marks into themselves and every two commute on
+    # them.  A second hit by a large prime or a second square changes
+    # nothing, while a second prime up to c rejects an unmarked x.
+    tables = {"_REJECTED": _REJECTED, "_MARK": _MARK, "_HIT": _HIT}
+    for name, table in tables.items():
+        assert set(_FOUR_MARKS.translate(table)) <= set(_FOUR_MARKS), name
+    for (name, f), (other, g) in combinations(tables.items(), 2):
+        fg, gf = _FOUR_MARKS.translate(f).translate(g), _FOUR_MARKS.translate(g).translate(f)
+        assert fg == gf, (name, other)
+    for table in (_HIT, _REJECTED):
+        once = _FOUR_MARKS.translate(table)
+        assert once.translate(table) == once
+    assert _FOUR_MARKS.translate(_MARK).translate(_MARK)[0] == _REJECT
+
+
+def test_window_squares_are_the_cube_root_prime_squares():
+    # the moduli _REJECTED marks with: p^2 for every prime p up to the cube
+    # root of the largest count, one per prime a piece can mark with _MARK
+    primes = oracle.sieve(icbrt(MAX_COUNT_INPUT)).primes
+    assert _SQUARES == tuple(p * p for p in primes)
 
 
 def test_hit_table_settles_a_large_prime_hit():
     # a prime r in (c, isqrt(b)] turns an unmarked x into _LARGE and an x
-    # marked with a prime index into _REJECT, and leaves _LARGE and _REJECT:
-    # applying the table twice is applying it once, so a second such r
-    # dividing the same x changes nothing
-    hit = bytes(range(256)).translate(_HIT)
-    assert hit[0] == _LARGE
-    assert set(hit[1:_LARGE]) == {_REJECT}
-    assert hit[_LARGE] == _LARGE and hit[_REJECT] == _REJECT
-    assert hit.translate(_HIT) == hit
+    # marked _SMALL into _REJECT, and leaves _LARGE and _REJECT
+    assert _FOUR_MARKS.translate(_HIT) == bytes([_LARGE, _REJECT, _LARGE, _REJECT])
 
 
 def test_small_times_large_prime_lies_below_its_piece_but_for_10():
@@ -541,11 +561,9 @@ def test_small_times_large_prime_lies_below_its_piece_but_for_10():
 
 
 def test_semiprime_table_flags_the_semiprime_marks():
-    # a prime index (p * q, q prime) and _LARGE (two primes above c) are
+    # _SMALL (p * q, p <= c < q prime) and _LARGE (two primes above c) are
     # semiprimes; a prime (0) and _REJECT are not
-    flags = bytes(range(256)).translate(_SEMIPRIME)
-    assert flags == bytes([0]) + bytes([1]) * (_LARGE - 1) + bytes([1, 0])
-    assert flags[0] == flags[_REJECT] == 0 and flags[_LARGE] == 1
+    assert _FOUR_MARKS.translate(_SEMIPRIME) == bytes([0, 1, 1, 0])
 
 
 @st.composite
@@ -563,10 +581,12 @@ def _flag_windows(draw, top=2 * 10**6):
 @example((1_000_001, 1_000_001)).via("one integer, 101 * 9901, both factors above c")
 @example((999_958, 999_958)).via("one integer, 2 * 499979, a small factor")
 @example((999_983, 999_983)).via("one integer, a prime")
-@example((509 * 1973, 509 * 1974 - 1)).via("size 509, a prime r > c = 100: its one multiple")
-@example((509 * 1973, 509 * 1974)).via("size 510: r = 509 has two multiples")
-@example((169 * 5930, 169 * 5931 - 1)).via("size 169 = 13^2: the filter finds its one multiple")
-@example((169 * 5930, 169 * 5931)).via("size 170 > 13^2: a strided store, two multiples")
+@example((509 * 1973, 509 * 1974 - 1)).via("size 509, a prime r > c = 100: strided, one multiple")
+@example((509 * 1973, 509 * 1974 - 2)).via("size 508 < r = 509: filtered, one multiple")
+@example((509 * 1973, 509 * 1974)).via("size 510 > r = 509: strided, two multiples")
+@example((169 * 5930, 169 * 5931 - 1)).via("size 169 = 13^2: strided, one multiple")
+@example((169 * 5930, 169 * 5931 - 2)).via("size 168 < 13^2: filtered, one multiple")
+@example((169 * 5930, 169 * 5931)).via("size 170 > 13^2: strided, two multiples")
 @example((8, 26)).via("the constant first piece, c = 2")
 @example((10, 10)).via("10 = 2 * 5, the one p * r inside its own piece")
 @example((9, 11)).via("10 and its neighbours inside the first piece")
@@ -594,17 +614,13 @@ def test_semiprime_flags_across_a_segment_join():
 
 def test_window_parts_match_independent_sums_at_every_cube():
     # Every seam where icbrt steps up, c^3 for c = 2 .. icbrt(MAX_COUNT_INPUT),
-    # with the window split into the pieces on either side of it.
+    # with the window split into the pieces on either side of it.  Every
+    # byte of every piece is one of the four marks.
     for c in range(2, icbrt(MAX_COUNT_INPUT) + 1):
-        _assert_window_parts_match_independent_sums(
-            max(8, c**3 - 300), min(MAX_COUNT_INPUT, c**3 + 300)
-        )
-
-
-def test_window_marks_fit_a_byte():
-    # _window_parts stores the index of each x's prime <= icbrt(x) in a byte,
-    # below its two other marks
-    assert len(_primes(icbrt(MAX_COUNT_INPUT))) < _LARGE < _REJECT <= 255
+        lo, hi = max(8, c**3 - 300), min(MAX_COUNT_INPUT, c**3 + 300)
+        _assert_window_parts_match_independent_sums(lo, hi)
+        for marks in _window_marks(lo, hi):
+            assert set(marks) <= set(_FOUR_MARKS), c
 
 
 def test_prime_table_is_the_sieve_to_the_cap():
