@@ -40,7 +40,7 @@ takes one of two routes, one engine each:
   prime p, so that sum(k2) and sum(k1 - t) become prime counts pi at n // p
   and at p^2 - 1 and p - 1.  Every pi(v) has one source, by the size of
   v, and above TABLE_CAP one function, _pi, picks it: up to TABLE_CAP, one
-  subscript of _SMALL_PI, a constant count per odd integer; up to
+  subscript of _SMALL_PI, a constant count per integer, indexed by v; up to
   _PI_CAP = 2 * 10^6, a read of one module-level pi table, one bit per odd
   integer, set for a prime, and a running prime count per group of eight
   bits, which grows on demand from an odd-only segmented sieve, to the
@@ -325,33 +325,37 @@ _odd_primes = _odd_segment(1, (TABLE_CAP + 1) // 2).translate(bytes([1, 0]) + by
 _PRIMES = (2,) + tuple(compress(range(1, TABLE_CAP + 1, 2), _odd_primes))
 
 
-def _running_counts(flags, initial=None):
-    # The running sums of flags, after initial if given, as an array('H'),
-    # built from lists of 1024 sums.  From the accumulate iterator itself
-    # the array grows one entry at a time, about 30 % slower for _PHI6;
-    # one list of every sum would hold a Python int per entry, over 1 MB
-    # of peak memory at import for _PHI6.
-    sums, counts = accumulate(flags, initial=initial), array("H")
+def _running_counts(flags):
+    # The running sums of flags, as an array('H'), built from lists of 1024
+    # sums.  From the accumulate iterator itself the array grows one entry
+    # at a time, about 30 % slower for _PHI6; one list of every sum would
+    # hold a Python int per entry, over 1 MB of peak memory at import for
+    # _PHI6.
+    sums, counts = accumulate(flags), array("H")
     while chunk := list(islice(sums, 1024)):
         counts.fromlist(chunk)
     return counts
 
 
-#: pi(v) = _SMALL_PI[(v + 1) >> 1] for 2 <= v <= TABLE_CAP: entry k counts
-#: the prime 2 and the odd primes up to 2k - 1, a running sum over the same
-#: flags.  A constant of about 32 kB, where most of the prefix count's pi
-#: reads fall, each one subscript.
-_SMALL_PI = _running_counts(_odd_primes, 1)
-del _odd_primes
+#: pi(v) = _SMALL_PI[v] for 0 <= v <= TABLE_CAP, a running sum over one
+#: flag per integer: the odd primes' flags at the odd v, and 2.  A constant
+#: of about 63 kB, where most of the prefix count's pi reads fall, each one
+#: subscript by value.
+_is_prime = bytearray(TABLE_CAP + 1)
+_is_prime[1::2] = _odd_primes
+_is_prime[2] = 1
+_SMALL_PI = _running_counts(_is_prime)
+del _odd_primes, _is_prime
 
-#: How many primes p have their edge p^2 - 1 in _SMALL_PI: those up to 173.
+#: How many primes p have their edge p^2 - 1 in _SMALL_PI, each read as
+#: _SMALL_PI[p * p - 1]: those up to 173.
 _SMALL_EDGES = bisect_right(_PRIMES, isqrt(TABLE_CAP + 1))
 
 #: _EDGE_SUMS[i] is the sum of pi(p^2 - 1) over the first i primes, for
 #: i <= _SMALL_EDGES, so that a prefix count reads the edges of its primes
-#: up to 173 in one subscript.  pi(p^2 - 1) is _SMALL_PI[p * p >> 1].
+#: up to 173 in one subscript.  pi(p^2 - 1) is _SMALL_PI[p * p - 1].
 _EDGE_SUMS = tuple(
-    accumulate((_SMALL_PI[p * p >> 1] for p in _PRIMES[:_SMALL_EDGES]), initial=0)
+    accumulate((_SMALL_PI[p * p - 1] for p in _PRIMES[:_SMALL_EDGES]), initial=0)
 )
 
 #: The cube-root primes, every prime <= icbrt(MAX_CLASSIFY_INPUT), cut into
@@ -487,13 +491,13 @@ def _meissel(x):
     # a < i <= b and p_i <= q, pi(x // p_i) - i + 1 for each i.  Every pi
     # it reads, at x // p_i with p_i > x^(1/3) or at a leaf of phi below
     # p_a^2, lies below x^(2/3).
-    a, b = _SMALL_PI[(_icbrt(x) + 1) >> 1], _SMALL_PI[(isqrt(x) + 1) >> 1]
+    a, b = _SMALL_PI[_icbrt(x)], _SMALL_PI[isqrt(x)]
     return _phi(x, a) + a - 1 + (b - a) * (a + b - 1) // 2 - sum(_pi(x // p) for p in _PRIMES[a:b])
 
 
 def _pi(v):
-    # pi(v) for 2 <= v <= MAX_COUNT_INPUT: one subscript of _SMALL_PI up to
-    # TABLE_CAP, a read of the pi table up to _PI_CAP, and Meissel's
+    # pi(v) for 2 <= v <= MAX_COUNT_INPUT: one subscript of _SMALL_PI by v
+    # up to TABLE_CAP, a read of the pi table up to _PI_CAP, and Meissel's
     # formula above, whose reads are this function's at smaller v.  A v
     # the table already holds is read off the module's table in one call,
     # its pi method, which keeps the one copy of the read; only a v above
@@ -502,7 +506,7 @@ def _pi(v):
     # _pi_to about 0.55 us, and a count in 1.2..2.6 * 10^5 reads the table
     # 2 to 4 times, for its head primes 2 to 7.
     if v <= TABLE_CAP:
-        return _SMALL_PI[(v + 1) >> 1]
+        return _SMALL_PI[v]
     table = _pi_table
     if v <= table.limit:
         return table.pi(v)
@@ -533,8 +537,8 @@ def _prefix_parts(n):
     # p <= c, p^2 - 1 < n/p, and for p > c, n/p < p^2, so the mins split
     # at c; pi(p - 1) is p's index in the prime table.  n // p falls as p
     # rises, so the primes split once: the p above n // (TABLE_CAP + 1)
-    # read pi(n // p) off _SMALL_PI, and the rest take it from _pi, which
-    # alone picks the pi table or Meissel's formula.  The edges p^2 - 1 of
+    # read pi(n // p) as _SMALL_PI[n // p], and the rest take it from _pi,
+    # which alone picks the pi table or Meissel's formula.  The edges p^2 - 1 of
     # the p up to 173 are summed in advance in _EDGE_SUMS, one subscript
     # for all of them, and the rest, n from 179^3 on, come from _pi too.
     # Edges and Meissel's reads lie below n^(2/3), and the quotients fall
@@ -547,7 +551,7 @@ def _prefix_parts(n):
     head = bisect_right(_PRIMES, n // (TABLE_CAP + 1), 0, b)
     near = min(c_count, _SMALL_EDGES)
     pi_quotients = [_pi(n // p) for p in _PRIMES[:head]]
-    pi_quotients += [_SMALL_PI[(n // p + 1) >> 1] for p in _PRIMES[head:b]]
+    pi_quotients += [_SMALL_PI[n // p] for p in _PRIMES[head:b]]
     edge_sum = _EDGE_SUMS[near] + sum([_pi(p * p - 1) for p in _PRIMES[near:c_count]])
     k2_sum = sum(pi_quotients[:c_count]) - edge_sum
     return k2_sum, sum(pi_quotients) - k2_sum - b * (b - 1) // 2
@@ -555,9 +559,9 @@ def _prefix_parts(n):
 
 def _prefix_count(n):
     # the number of semiprimes <= n, for n >= 7: about pi(sqrt(n)) reads,
-    # every one a subscript of _SMALL_PI below 2 * (TABLE_CAP + 1), and
-    # above it one _pi call per p with n // p or p^2 - 1 above TABLE_CAP,
-    # Meissel's formula among them from 2 * (_PI_CAP + 1) on
+    # every one a subscript of _SMALL_PI by value below 2 * (TABLE_CAP + 1),
+    # and above it one _pi call per p with n // p or p^2 - 1 above
+    # TABLE_CAP, Meissel's formula among them from 2 * (_PI_CAP + 1) on
     k2_sum, k1_t_sum = _prefix_parts(n)
     return k2_sum + k1_t_sum
 
@@ -588,16 +592,17 @@ def count_range(lo: int, hi: int) -> int:
       semiprime_count(hi) - semiprime_count(lo - 1), whose cost grows
       with hi rather than with the width.  The cut, one rule for every hi,
       was fitted where each prefix count took O(hi^(3/4)) steps.  On one
-      core of a 2-core x86-64 host (CPython 3.11), the widest window under
-      it, ending at hi = 10^7, 10^8 and 10^9, takes about 4.5-6, 24-38
-      and 180-200 ms, against 2.2-4, 32-60 and 320-470 ms for the two
+      core of a 2-core x86-64 host (CPython 3.11, best of 5, or of 3 at
+      10^9, in 3 rounds, the pi table grown), the widest window under it,
+      ending at hi = 10^7, 10^8 and 10^9, takes about 3.6-4.0, 20-22 and
+      154-166 ms, against 1.8-1.9, 26-28 and 269-279 ms for the two
       prefix counts: the window is slower near 10^7 and faster from 10^8
       on.  Re-fitting the cut waits for a benchmark workload that times
-      wide ranges.  The cut is taken from
-      integer square roots, so no intermediate value leaves 64 bits.
+      wide ranges.  The cut is taken from integer square roots, so no
+      intermediate value leaves 64 bits.
 
     The window pass keeps memory bounded by SEGMENT bytes at any width, and
-    the prefix count by the constant _SMALL_PI of 32 kB and the pi table of
+    the prefix count by the constant _SMALL_PI of 63 kB and the pi table of
     at most about 0.63 MB (a growth to it holds under 0.8 MB); the primes
     come from the constant table of the primes up to TABLE_CAP that the
     per-number indicators use.
@@ -615,16 +620,19 @@ def semiprime_count(n: int) -> int:
     each semiprime p*q grouped by its smaller prime p so that every part is
     a prime count pi at n // p or at some value <= n^(2/3).  Every pi at
     or below 31 622 is one subscript of a constant table built at import,
-    and every other one up to 2 * 10^6 a read of one pi table, an odd-only
-    segmented sieve's primes kept as one bit per odd integer with a
-    running count per eight bits, which grows on the first query that
-    needs it.  Below 4 * 10^6 that is every pi, and a count with the table
-    grown costs about pi(sqrt(n)) reads, the edges pi(p^2 - 1) of the p up
-    to 173 being one constant sum (0.03 ms at 10^6, 0.012 to 0.015 ms in
-    1.2..2.6 * 10^5).  From there on, the pi(n // p) above 2 * 10^6, those
-    of the p below n / (2 * 10^6), come from Meissel's formula over the
-    same two tables, so the cost grows well below n: 10^7 takes about 1 to
-    2 ms, 10^8 16 to 31 ms and 10^9 0.16 to 0.32 s, in about 1 MB.  The
+    indexed by the value itself, and every other one up to 2 * 10^6 a read
+    of one pi table, an odd-only segmented sieve's primes kept as one bit
+    per odd integer with a running count per eight bits, which grows on
+    the first query that needs it.  Below 4 * 10^6 that is every pi, and a
+    count with the table grown costs about pi(sqrt(n)) reads, the edges
+    pi(p^2 - 1) of the p up to 173 being one constant sum.  From there on,
+    the pi(n // p) above 2 * 10^6, those of the p below n / (2 * 10^6),
+    come from Meissel's formula over the same two tables, so the cost
+    grows well below n, in about 1 MB.  On one core of a 2-core x86-64
+    host (CPython 3.11, the pi table grown, best of 3 in each of 10
+    rounds), 1.2..2.6 * 10^5 took 0.009 to 0.011 ms, 10^6 0.018 to 0.020
+    ms, 10^7 0.86 to 1.0 ms, 10^8 13 to 14.4 ms and 10^9 0.13 to 0.16 s;
+    the host's speed moves by up to 2x from one process to the next.  The
     window pass under count_range, which sees every integer, is the
     independent route the tests compare it with.  Below 8 the count is
     read off the semiprimes 4 and 6.

@@ -88,10 +88,11 @@ def nth_semiprime(n: int) -> int:
     The search takes exact prefix counts near a floating-point estimate of
     the answer, counts the semiprime flags of blocks of at most SEGMENT
     integers to reach it, and picks the answer off the flags of the block
-    that does (see the module docstring).  With the pi table grown, it
-    takes 0.05 to 0.08 ms for answers near 2.6 * 10^5, most of it the
-    block's window pass, and 0.18 to 0.19 s at MAX_NTH_INPUT, most of it
-    one semiprime_count call near the answer.  literal.nth_semiprime_literal
+    that does (see the module docstring).  With the pi table grown, on one
+    core of a 2-core x86-64 host (CPython 3.11, best of 3 in each of 6
+    rounds), it took 0.034 to 0.039 ms for an answer near 2.6 * 10^5, most
+    of it the block's window pass, and 0.13 to 0.14 s at MAX_NTH_INPUT,
+    most of it one semiprime_count call near the answer.  literal.nth_semiprime_literal
     evaluates the gated sum itself, as a slow reference.
     """
     n = bounded(n, "nth_semiprime", "n", 1, MAX_NTH_INPUT)
@@ -254,7 +255,8 @@ def semiprime_stream(start: int, count: int) -> list:
     One upward walk from start, the same as next_semiprime's cube-piece
     walk, with the arguments checked once.  count is at most MAX_STREAM_COUNT (10^6), so
     the list stays bounded; a larger count raises RangeLimitError before
-    the walk.
+    the walk.  A walk that passes MAX_CLASSIFY_INPUT before it has found
+    count semiprimes raises RangeLimitError there, as next_semiprime does.
     """
     start = bounded(start, "semiprime_stream", "start", 4, MAX_CLASSIFY_INPUT)
     count = bounded(count, "semiprime_stream", "count", 0, MAX_STREAM_COUNT)

@@ -629,16 +629,17 @@ def test_prime_table_is_the_sieve_to_the_cap():
 
 
 def test_small_pi_is_the_sieve_count_to_the_cap():
-    # pi(v) = _SMALL_PI[(v + 1) >> 1] at every v in 2..TABLE_CAP, against a
-    # running sum over the classical sieve, in 16-bit entries of about 32 kB
+    # pi(v) = _SMALL_PI[v] at every v in 0..TABLE_CAP, 0 and 1 reading 0,
+    # against a running sum over the classical sieve, in 16-bit entries of
+    # about 63 kB
     is_prime = bytearray(core.TABLE_CAP + 1)
     for p in oracle.sieve(core.TABLE_CAP).primes:
         is_prime[p] = 1
     pis = list(accumulate(is_prime))
     tier = core._SMALL_PI
     assert type(tier) is array and tier.typecode == "H"
-    assert len(tier) == (core.TABLE_CAP + 1) // 2 + 1
-    assert [tier[(v + 1) >> 1] for v in range(2, core.TABLE_CAP + 1)] == pis[2:]
+    assert len(tier) == core.TABLE_CAP + 1
+    assert tier.tolist() == pis
     assert sys.getsizeof(tier) < 70_000
     # the edges p^2 - 1 it holds are those of the primes up to 173
     assert core._PRIMES[core._SMALL_EDGES - 1] == 173
@@ -1134,7 +1135,7 @@ def test_meissel_formula_matches_the_sieve(monkeypatch):
         p**e + d for e in (2, 3) for p in primes if p**e < _CAP for d in (-1, 0, 1)
     ]
     top = core.TABLE_CAP
-    assert core._SMALL_PI[(core._icbrt(top + 1) + 1) >> 1] == 11
+    assert core._SMALL_PI[core._icbrt(top + 1)] == 11
     for x in (*range(top + 1, top + 3001), *(v for v in seams if v > top), _CAP - 1, _CAP, _CAP + 1):
         assert core._meissel(x) == bisect_right(primes, x), x
     for k, pi in enumerate(_PI_POWERS, 1):
