@@ -8,7 +8,7 @@ asserted anywhere: they depend on the host, the counted values do not.
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import semiprime_count
 from .intmath import bounded
@@ -96,23 +96,12 @@ def reproduce_table(table_id: int, max_input: int = 10**6) -> list:
         if 5 <= max_input:
             rows.append(_timed_row(5, GOLDEN_FIFTH_SEMIPRIME, nth_semiprime))
         return rows
-    if table_id == 2:
-        return [
-            _timed_row(v, e, semiprime_count)
-            for v, e in sorted(GOLDEN_SEMIPRIME_COUNTS.items())
-            if v <= max_input
-        ]
-    if table_id == 3:
-        return [
-            _timed_row(n, e, nth_semiprime)
-            for n, e in sorted(GOLDEN_NTH_SEMIPRIMES.items())
-            if n <= max_input
-        ]
-    return [
-        _timed_row(n, e, next_semiprime)
-        for n, e in sorted(GOLDEN_NEXT_SEMIPRIMES.items())
-        if n <= max_input
-    ]
+    golden, query = {
+        2: (GOLDEN_SEMIPRIME_COUNTS, semiprime_count),
+        3: (GOLDEN_NTH_SEMIPRIMES, nth_semiprime),
+        4: (GOLDEN_NEXT_SEMIPRIMES, next_semiprime),
+    }[table_id]
+    return [_timed_row(v, e, query) for v, e in sorted(golden.items()) if v <= max_input]
 
 
 def rows_to_csv(rows) -> str:
@@ -125,16 +114,4 @@ def rows_to_csv(rows) -> str:
 
 
 def rows_to_json(rows) -> str:
-    return json.dumps(
-        [
-            {
-                "input": r.input,
-                "expected": r.expected,
-                "computed": r.computed,
-                "elapsed_s": r.elapsed_s,
-                "match": r.match,
-            }
-            for r in rows
-        ],
-        indent=2,
-    )
+    return json.dumps([asdict(r) for r in rows], indent=2)

@@ -11,7 +11,7 @@ import sys
 import time
 
 from . import bench, oracle
-from .core import Category, classify, semiprime_count
+from .core import classify, semiprime_count
 from .intmath import MAX_COUNT_INPUT, MAX_NTH_INPUT, MAX_STREAM_COUNT
 from .sequences import next_semiprime, nth_semiprime, semiprime_stream
 
@@ -69,17 +69,13 @@ def _cmd_count(args):
     return OK
 
 
-_OMEGA_CATEGORY = {1: Category.PRIME, 2: Category.SEMIPRIME}
-
-
 def _cmd_classify(args):
     begin = time.perf_counter()
     result = classify(args.number)
     elapsed = time.perf_counter() - begin
     if args.verify:
         omega = oracle.factor_profile(args.number).omega
-        expected = _OMEGA_CATEGORY.get(omega, Category.COMPOSITE_MANY_FACTORS)
-        if expected is not result.category:
+        if oracle.category_for_omega(omega) is not result.category:
             return _mismatch(
                 f"classify({args.number})={result.category.value} but trial division "
                 f"finds {omega} prime factors"

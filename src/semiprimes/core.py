@@ -43,15 +43,16 @@ takes one of two routes, one engine each:
   subscript of _SMALL_PI, a constant count per integer, indexed by v; up to
   _PI_CAP = 2 * 10^6, a read of one module-level pi table, one bit per odd
   integer, set for a prime, and a running prime count per group of eight
-  bits, which grows on demand from an odd-only segmented sieve, to the
-  larger of the read that asks and twice its old limit, never past
-  _PI_CAP, about 0.63 MB; and above that, Meissel's formula, whose phi
-  and prime counts are reads of the same two tables at or below v^(2/3).
-  A v the table already holds costs _pi one call, the table's read; only
-  a v past its limit goes through the growth.  Only pi(n // p) can lie
-  above the table, for the p below n / _PI_CAP, so below
-  2 * (_PI_CAP + 1) a prefix count is reads alone, and the edges
-  p^2 - 1 of the p up to 173 are one constant sum, _EDGE_SUMS.
+  bits, which grows on demand from an odd-only segmented sieve in whole
+  groups, to the larger of the read that asks and twice its old limit,
+  rounded up to a group, never past _PI_CAP, about 0.63 MB; and above
+  that, Meissel's formula, whose phi and prime counts are reads of the
+  same two tables at or below v^(2/3).  _pi itself reads the table, one
+  group count and one masked byte; only a v past its limit goes through
+  the growth first.  Only pi(n // p) can lie above the table, for the p
+  below n / _PI_CAP, so below 2 * (_PI_CAP + 1) a prefix count is reads
+  alone, and the edges p^2 - 1 of the p up to 173 are one constant sum,
+  _EDGE_SUMS.
 
 The two engines share no step beyond the prime table, and the tests hold
 each part of one to the other and to the per-number scans.  Both and the
@@ -67,7 +68,7 @@ import enum
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress
 from math import gcd, isqrt, prod
 from typing import NamedTuple, Optional
 
@@ -325,26 +326,14 @@ _odd_primes = _odd_segment(1, (TABLE_CAP + 1) // 2).translate(bytes([1, 0]) + by
 _PRIMES = (2,) + tuple(compress(range(1, TABLE_CAP + 1, 2), _odd_primes))
 
 
-def _running_counts(flags):
-    # The running sums of flags, as an array('H'), built from lists of 1024
-    # sums.  From the accumulate iterator itself the array grows one entry
-    # at a time, about 30 % slower for _PHI6; one list of every sum would
-    # hold a Python int per entry, over 1 MB of peak memory at import for
-    # _PHI6.
-    sums, counts = accumulate(flags), array("H")
-    while chunk := list(islice(sums, 1024)):
-        counts.fromlist(chunk)
-    return counts
-
-
-#: pi(v) = _SMALL_PI[v] for 0 <= v <= TABLE_CAP, a running sum over one
-#: flag per integer: the odd primes' flags at the odd v, and 2.  A constant
-#: of about 63 kB, where most of the prefix count's pi reads fall, each one
-#: subscript by value.
+#: pi(v) = _SMALL_PI[v] for 0 <= v <= TABLE_CAP, the running sums over one
+#: flag per integer (the odd primes' flags at the odd v, and 2), taken by
+#: the array straight from accumulate.  A constant of about 63 kB, where
+#: most of the prefix count's pi reads fall, each one subscript by value.
 _is_prime = bytearray(TABLE_CAP + 1)
 _is_prime[1::2] = _odd_primes
 _is_prime[2] = 1
-_SMALL_PI = _running_counts(_is_prime)
+_SMALL_PI = array("H", accumulate(_is_prime))
 del _odd_primes, _is_prime
 
 #: How many primes p have their edge p^2 - 1 in _SMALL_PI, each read as
@@ -388,33 +377,27 @@ _FIRST_PIECE = bytes(
 )
 
 
-#: _BELOW[b << 3 | r] is the number of set bits among the r low bits of the
-#: byte b, and _POPCOUNT[b] the number of set bits in b.
-_BELOW = bytes((b & (1 << r) - 1).bit_count() for b in range(256) for r in range(8))
+#: _POPCOUNT[b] is the number of set bits in the byte b.
 _POPCOUNT = bytes(b.bit_count() for b in range(256))
 
 
 class _PiTable(NamedTuple):
     # pi(v) for 2 <= v <= limit = 2 * size, with size odd integers 1, 3,
-    # ..., limit - 1.  Bit r of bits[g] is set when the odd integer
-    # 16g + 2r + 1 is prime, and counts[g] is the number of primes below
-    # 16g + 1, 2 counted.  bits has size // 8 + 1 bytes, so that a read at
-    # k = size finds a real byte, and its bits past size are 0.
+    # ..., limit - 1 in whole groups of eight, so that limit is a multiple
+    # of 16.  Bit r of bits[g] is set when the odd integer 16g + 2r + 1 is
+    # prime, and counts[g] is the number of primes below 16g + 1, 2
+    # counted.  bits and counts each hold one spare entry past the size // 8
+    # groups, a zero byte and the count pi(limit), for _pi's read at
+    # v = limit.  Plain data: _pi reads it, and _pi_to binds a whole new one.
     limit: int
     bits: bytes
     counts: array
 
-    def pi(self, v):
-        # pi(v) for 2 <= v <= limit: of the k = (v + 1) // 2 odd integers up
-        # to v, the first 8 * (k >> 3) are counted in counts[k >> 3] and the
-        # k & 7 others are the low bits of bits[k >> 3]
-        k = (v + 1) >> 1
-        return self.counts[k >> 3] + _BELOW[self.bits[k >> 3] << 3 | k & 7]
 
-
-#: The pi table's largest limit: 125 kB of bits and 0.5 MB of group
-#: counts.  Meissel's formula at x reads pi at or below x^(2/3), at most
-#: 10^6 for x <= MAX_COUNT_INPUT, so every read it makes lies inside.
+#: The pi table's largest limit, a whole number of groups: 125 kB of bits
+#: and 0.5 MB of group counts.  Meissel's formula at x reads pi at or below
+#: x^(2/3), at most 10^6 for x <= MAX_COUNT_INPUT, so every read it makes
+#: lies inside.
 _PI_CAP = 2 * 10**6
 
 # The one table every pi(v) with TABLE_CAP < v <= _PI_CAP is read off.  It
@@ -428,43 +411,42 @@ _pi_table = _PiTable(0, bytes(1), array("I", [1]))
 def _pi_to(top: int) -> _PiTable:
     # The pi table, grown if need be to answer every v <= min(top, _PI_CAP).
     # A growth sieves the odd integers from the old limit + 1 to
-    # max(top, twice the old limit), capped at _PI_CAP as read now,
-    # one _odd_segment of at most SEGMENT bytes at a time: no integer is
-    # sieved twice, and rising queries grow the table only a logarithmic
-    # number of times.  Each segment is packed as it is sieved, from eight
-    # strided lanes of bytes, into one integer whose bit j is set when the
-    # odd integer 2 * (old + j) + 1 is not prime.  Flipped to a set bit per
-    # prime, shifted past the old last group's valid bits and joined with
-    # them, it gives that group and every new one.  The packing integers
-    # are freed before the group counts are built, which keeps a growth to
-    # the cap under 0.8 MB traced.
+    # max(top, twice the old limit), capped at _PI_CAP as read now and
+    # rounded up to a whole group, one _odd_segment of at most SEGMENT
+    # bytes at a time: no integer is sieved twice, and rising queries grow
+    # the table only a logarithmic number of times.  Each segment is packed
+    # as it is sieved, from eight strided lanes of bytes, into one integer
+    # whose bit j is set when the odd integer 2 * (old + j) + 1 is not
+    # prime; flipped to a set bit per prime, it gives the new groups' bytes.
+    # They replace the old spare byte and count, and no old group changes.
+    # The packing integers are freed before the group counts are built,
+    # which keeps a growth to the cap under 0.8 MB traced.
     global _pi_table
     table = _pi_table
     if min(top, _PI_CAP) > table.limit:
-        old, size = table.limit // 2, (min(max(top, 2 * table.limit), _PI_CAP) + 1) // 2
+        old, size = table.limit // 2, -(-min(max(top, 2 * table.limit), _PI_CAP) // 16) * 8
         composite = sum(
             sum(int.from_bytes(flags[r::8], "little") << r for r in range(8)) << (j - old)
             for j in range(old, size, SEGMENT)
             for flags in [_odd_segment(2 * j + 1, min(SEGMENT, size - j))]
         )
-        g = old >> 3
-        primes = composite ^ ((1 << (size - old)) - 1)
-        tail = (primes << (old & 7) | table.bits[g]).to_bytes(size // 8 + 1 - g, "little")
-        del composite, primes
-        counts = table.counts[:g]
-        counts.extend(accumulate(tail[:-1].translate(_POPCOUNT), initial=table.counts[g]))
-        _pi_table = table = _PiTable(2 * size, table.bits[:g] + tail, counts)
+        tail = (composite ^ ((1 << (size - old)) - 1)).to_bytes((size - old) // 8 + 1, "little")
+        del composite
+        counts = table.counts[:-1]
+        counts.extend(accumulate(tail[:-1].translate(_POPCOUNT), initial=table.counts[-1]))
+        _pi_table = table = _PiTable(2 * size, table.bits[:-1] + tail, counts)
     return table
 
 
 #: _PHI6[v] is phi(v, 6), the integers in [1, v] that none of 2, 3, 5, 7,
 #: 11 and 13 divides, for v < 30030, their product.  The pattern repeats
 #: with that period, 5760 integers in each, so phi(x, 6) is
-#: x // 30030 * 5760 + _PHI6[x % 30030]: about 60 kB, built at import.
+#: x // 30030 * 5760 + _PHI6[x % 30030]: about 60 kB, the running sums of
+#: one flag per integer, built at import like _SMALL_PI.
 _coprime = bytearray(b"\x01") * 30030
 for _p in _PRIMES[:6]:
     _coprime[::_p] = bytes(30030 // _p)
-_PHI6 = _running_counts(_coprime)
+_PHI6 = array("H", accumulate(_coprime))
 del _coprime, _p
 
 
@@ -498,21 +480,20 @@ def _meissel(x):
 def _pi(v):
     # pi(v) for 2 <= v <= MAX_COUNT_INPUT: one subscript of _SMALL_PI by v
     # up to TABLE_CAP, a read of the pi table up to _PI_CAP, and Meissel's
-    # formula above, whose reads are this function's at smaller v.  A v
-    # the table already holds is read off the module's table in one call,
-    # its pi method, which keeps the one copy of the read; only a v above
-    # its limit goes through _pi_to.  Such a read takes about 0.35 us on
-    # one core of a 2-core x86-64 host (CPython 3.11), a call through
-    # _pi_to about 0.55 us, and a count in 1.2..2.6 * 10^5 reads the table
-    # 2 to 4 times, for its head primes 2 to 7.
+    # formula above, whose reads are this function's at smaller v.  The
+    # table's read is here alone: of the k = (v + 1) // 2 odd integers up
+    # to v, the first 8 * (k >> 3) are counted in counts[k >> 3] and the
+    # k & 7 others are the low bits of bits[k >> 3].  Only a v past the
+    # table's limit goes through _pi_to first.
     if v <= TABLE_CAP:
         return _SMALL_PI[v]
     table = _pi_table
-    if v <= table.limit:
-        return table.pi(v)
-    if v <= _PI_CAP:
-        return _pi_to(v).pi(v)
-    return _meissel(v)
+    if v > table.limit:
+        if v > _PI_CAP:
+            return _meissel(v)
+        table = _pi_to(v)
+    k = (v + 1) >> 1
+    return table.counts[k >> 3] + _POPCOUNT[table.bits[k >> 3] & (1 << (k & 7)) - 1]
 
 
 def prime_count_formula(x: int) -> int:

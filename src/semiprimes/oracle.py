@@ -10,6 +10,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from .core import Category
 from .intmath import bounded
 from .primality import PrimeTable
 
@@ -72,6 +73,11 @@ def factor_profile(x: int) -> FactorProfile:
     if left > 1:
         found.append(left)
     return FactorProfile(x, tuple(found))
+
+
+def category_for_omega(omega: int) -> Category:
+    """The category of a number with omega prime factors, with multiplicity."""
+    return {1: Category.PRIME, 2: Category.SEMIPRIME}.get(omega, Category.COMPOSITE_MANY_FACTORS)
 
 
 def is_semiprime_oracle(x: int) -> int:

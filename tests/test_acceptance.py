@@ -9,7 +9,7 @@ import random
 import time
 
 import semiprimes as sp
-from semiprimes import Category, bench, literal, oracle
+from semiprimes import bench, literal, oracle
 from semiprimes.core import _window_parts
 
 
@@ -17,14 +17,6 @@ def _report(tag, ok, detail=""):
     suffix = f" - {detail}" if detail else ""
     print(f"[acceptance] {tag}: {'PASS' if ok else 'FAIL'}{suffix}")
     assert ok, f"{tag} failed{suffix}"
-
-
-def _category_for_omega(omega):
-    if omega == 1:
-        return Category.PRIME
-    if omega == 2:
-        return Category.SEMIPRIME
-    return Category.COMPOSITE_MANY_FACTORS
 
 
 def test_c01_counts_at_powers_of_ten_within_two_minutes():
@@ -77,7 +69,7 @@ def test_c05_classification_matches_trial_division_to_1e5():
     mismatches = 0
     for x in range(8, 10**5 + 1):
         omega = oracle.factor_profile(x).omega
-        if sp.classify(x).category is not _category_for_omega(omega):
+        if sp.classify(x).category is not oracle.category_for_omega(omega):
             mismatches += 1
         if sp.semiprime_indicator(x) != (1 if omega == 2 else 0):
             mismatches += 1

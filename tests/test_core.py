@@ -33,7 +33,6 @@ from semiprimes import (
 )
 from semiprimes.core import (
     SEGMENT,
-    _BELOW,
     _HIT,
     _LARGE,
     _MARK,
@@ -56,14 +55,6 @@ from semiprimes.core import (
 )
 
 VALID_TRIPLES = {(1, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)}
-
-
-def _category_for_omega(omega):
-    if omega == 1:
-        return Category.PRIME
-    if omega == 2:
-        return Category.SEMIPRIME
-    return Category.COMPOSITE_MANY_FACTORS
 
 
 def test_k1_examples():
@@ -134,7 +125,7 @@ def test_classification_against_oracle_to_2e4():
         profile = oracle.factor_profile(x)
         result = classify(x)
         assert result.triple in VALID_TRIPLES, (x, result.triple)
-        assert result.category is _category_for_omega(profile.omega), x
+        assert result.category is oracle.category_for_omega(profile.omega), x
         assert semiprime_indicator(x) == (1 if profile.omega == 2 else 0), x
 
 
@@ -288,7 +279,7 @@ def test_classify_matches_factorization_near_the_top():
         x = rng.randrange(MAX_CLASSIFY_INPUT - 10**9, MAX_CLASSIFY_INPUT + 1)
         result = classify(x)
         assert result.triple == _oracle_triple(x), x
-        assert result.category is _category_for_omega(oracle.factor_profile(x).omega), x
+        assert result.category is oracle.category_for_omega(oracle.factor_profile(x).omega), x
 
 
 def test_k1_equals_small_divisor_existence_to_1e5():
@@ -824,12 +815,13 @@ def _fresh_pi_table(monkeypatch):
 
 
 def _assert_pi_table_complete(table):
-    # every group's bits and count, against the classical sieve: bit r of
-    # bits[g] is set exactly when 16g + 2r + 1 is prime, counts[g] is
-    # pi(16g) with the prime 2 in counts[0], and one group past the size
-    # odd integers is there with no bit set past them
+    # every group's bits and count, against the classical sieve: the limit
+    # is a whole number of groups of 16 integers, bit r of bits[g] is set
+    # exactly when 16g + 2r + 1 is prime, counts[g] is pi(16g) with the
+    # prime 2 in counts[0], and one spare group past the size odd integers
+    # is there, its byte 0 and its count pi(limit)
     size = table.limit // 2
-    assert table.limit == 2 * size <= _CAP
+    assert table.limit % 16 == 0 and table.limit <= _CAP
     bits = bytearray(size // 8 + 1)
     for p in _sieve_to_cap()[1 : bisect_right(_sieve_to_cap(), 2 * size - 1)]:
         bits[p >> 4] |= 1 << (p >> 1 & 7)
@@ -849,38 +841,49 @@ def _pi_points(limit):
     return [*range(2, min(41, limit + 1)), *(v for v in near if 41 <= v <= limit), limit - 1, limit]
 
 
-def _assert_reads_pi(table, points):
+def _grown(top):
+    raise AssertionError(f"the pi table was grown to {top}")
+
+
+def _assert_reads_pi(monkeypatch, points):
+    # core._pi at every point, against the classical sieve, each read off
+    # the module's pi table as it stands: TABLE_CAP is patched below the
+    # points, so that none is read off _SMALL_PI, and _pi_to to fail, so
+    # that none grows the table
     pis = _pi_up_to_cap()
-    assert [table.pi(v) for v in points] == [pis[v] for v in points]
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "TABLE_CAP", 1)
+        patch.setattr(core, "_pi_to", _grown)
+        assert [core._pi(v) for v in points] == [pis[v] for v in points]
 
 
 def test_bit_count_tables():
-    # _BELOW[b << 3 | r] counts the r low bits of b, _POPCOUNT[b] all 8
-    assert len(_BELOW) == 2048 and len(_POPCOUNT) == 256
+    # _POPCOUNT[b] counts the set bits of the byte b
+    assert len(_POPCOUNT) == 256
     for b in range(256):
         assert _POPCOUNT[b] == b.bit_count()
-        for r in range(8):
-            assert _BELOW[b << 3 | r] == (b % 2**r).bit_count(), (b, r)
 
 
 def test_prime_counts_match_sieve(monkeypatch):
     # pi off a table built fresh, against the classical sieve, at every v
     # up to 2 * 10^5 and at the group and segment edges to the cap; a
-    # growth that would double the limit stops at the cap
+    # growth that would double the limit stops at the cap, itself a whole
+    # number of groups
+    assert _CAP % 16 == 0
     _fresh_pi_table(monkeypatch)
     core._pi_to(_CAP * 3 // 4)
     table = core._pi_to(_CAP * 3 // 4 + 1)
     assert table.limit == _CAP
     _assert_pi_table_complete(table)
-    _assert_reads_pi(table, _pi_points(_CAP))
-    _assert_reads_pi(table, range(2, 2 * 10**5 + 1))
-    # a table whose size fills its last group reads its spare group at the
-    # limit
+    _assert_reads_pi(monkeypatch, _pi_points(_CAP))
+    _assert_reads_pi(monkeypatch, range(2, 2 * 10**5 + 1))
+    # a table below the cap whose last segment ends at a segment join reads
+    # its spare group at the limit
     _fresh_pi_table(monkeypatch)
     table = core._pi_to(4 * SEGMENT)
-    assert table.limit // 2 % 8 == 0
+    assert table.limit == 4 * SEGMENT
     _assert_pi_table_complete(table)
-    _assert_reads_pi(table, _pi_points(4 * SEGMENT))
+    _assert_reads_pi(monkeypatch, _pi_points(4 * SEGMENT))
     # one segment of the sieve started at lo, odd or even (the segment
     # starts at the odd lo | 1) and past a segment's length: 1 is marked by
     # hand, and each odd prime p marks from p*p or from its least odd
@@ -895,24 +898,17 @@ def test_pi_reads_a_grown_table_without_pi_to(monkeypatch):
     # Once the pi table holds v, _pi(v) reads it in place and never calls
     # _pi_to: with _pi_to patched to fail, every v at the group and segment
     # edges up to the limit still reads exact pi, against the classical
-    # sieve, for a limit inside a group and for the cap.  The first v past
-    # the limit goes to _pi_to.
-    class Grown(Exception):
-        pass
-
-    def unused(top):
-        raise Grown(top)
-
-    pis = _pi_up_to_cap()
+    # sieve, for a top that the growth rounds up to a whole group and for
+    # the cap.  The first v past the limit goes to _pi_to.
     for top in (3 * SEGMENT + 5, _CAP):
         _fresh_pi_table(monkeypatch)
         limit = core._pi_to(top).limit
-        with monkeypatch.context() as patch:
-            patch.setattr(core, "_pi_to", unused)
-            points = _pi_points(limit)
-            assert [core._pi(v) for v in points] == [pis[v] for v in points]
-            if limit < _CAP:
-                with pytest.raises(Grown):
+        assert limit % 16 == 0 and top <= limit < top + 16
+        _assert_reads_pi(monkeypatch, _pi_points(limit))
+        if limit < _CAP:
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "_pi_to", _grown)
+                with pytest.raises(AssertionError, match=f"grown to {limit + 1}"):
                     core._pi(limit + 1)
 
 
@@ -940,10 +936,11 @@ def _assert_sieved_once(segments, top):
 
 def test_pi_table_grown_in_steps_reads_as_one_built_fresh(monkeypatch):
     # Each growth sieves on from the old limit + 1, an odd start, so no
-    # integer twice, and the table grown in steps is byte for byte the one
-    # built at once.  In the second run the old sizes 9, 18 and 501 end
-    # inside a group (33 asks less than the doubling gives, and 35 asks
-    # nothing), so those growths carry the old last group's bits forward.
+    # integer twice, and appends whole groups after the old ones, so the
+    # table grown in steps is byte for byte the one built at once.  Each
+    # limit is max(top, twice the old limit) rounded up to a whole group of
+    # 16: in the second run 17 grows the table to 32, 33 to the doubling's
+    # 64, 35 asks nothing, and 1001 grows it to 1008.
     _fresh_pi_table(monkeypatch)
     fresh = core._pi_to(_CAP)
     for tops in ((100, 3 * SEGMENT + 5, _CAP), (17, 33, 35, 1001, _CAP)):
@@ -952,24 +949,29 @@ def test_pi_table_grown_in_steps_reads_as_one_built_fresh(monkeypatch):
         for top in tops:
             before = core._pi_table.limit
             table = core._pi_to(top)
-            assert top <= table.limit <= max(top + 1, 2 * before)
+            assert top <= table.limit <= -(-max(top, 2 * before) // 16) * 16
             _assert_pi_table_complete(table)
-            _assert_reads_pi(table, _pi_points(table.limit))
+            _assert_reads_pi(monkeypatch, _pi_points(table.limit))
         assert table == fresh
         _assert_sieved_once(segments, _CAP)
-    # a growth goes to twice the old limit when that is further
+    # a growth goes to twice the old limit when that is further, and every
+    # limit is rounded up to a whole group
     _fresh_pi_table(monkeypatch)
-    assert core._pi_to(1000).limit == 1000
-    assert core._pi_to(1001).limit == 2000
+    assert core._pi_to(1000).limit == 1008
+    assert core._pi_to(1009).limit == 2016
 
 
 def test_pi_table_grows_safely_from_four_threads(monkeypatch):
     # Each growth of the pi table binds a new, complete _PiTable, so four
     # threads growing it at once from a fresh table each read exact pi at
-    # their own points, and the table left is complete.  A short switch
-    # interval makes the threads interleave inside _pi_to.
+    # their own points through _pi, and the table left is complete.  A
+    # short switch interval makes the threads interleave inside _pi_to.
+    # TABLE_CAP is patched, before the threads start, down to isqrt(_CAP),
+    # the most a growth to the cap sieves with, so that every point above
+    # it is a read of the pi table.
     limits = (3_000, 2 * SEGMENT + 9, 700_000, _CAP)
     points = {limit: _pi_points(limit) for limit in limits}
+    monkeypatch.setattr(core, "TABLE_CAP", isqrt(_CAP))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -980,8 +982,8 @@ def test_pi_table_grows_safely_from_four_threads(monkeypatch):
 
             def grow(limit):
                 start.wait()
-                table = core._pi_to(limit)
-                results[limit] = [table.pi(v) for v in points[limit]]
+                core._pi_to(limit)
+                results[limit] = [core._pi(v) for v in points[limit]]
 
             threads = [threading.Thread(target=grow, args=(limit,)) for limit in limits]
             for thread in threads:
@@ -1016,13 +1018,13 @@ def test_pi_table_stays_bounded(monkeypatch):
     # At most _PI_CAP integers, 1 bit per odd one plus 4 bytes per group of
     # 8 odd ones: about 0.63 MB at the cap, whatever is counted.  A count
     # grows the table only as far as its largest read at or below the cap:
-    # at 10^9, from an empty table, the quotient of 503, as those of the
-    # primes up to 499 lie above the cap and take Meissel's formula, whose
-    # own reads stay below 10^6
+    # at 10^9, from an empty table, the quotient of 503 rounded up to a
+    # whole group of 16, as those of the primes up to 499 lie above the cap
+    # and take Meissel's formula, whose own reads stay below 10^6
     _fresh_pi_table(monkeypatch)
     assert semiprime_count(10**9) == 160_788_536
     assert 10**9 // 499 > _CAP > 10**9 // 503 == 1_988_071
-    assert core._pi_table.limit == 1_988_072
+    assert core._pi_table.limit == 1_988_080
     # the last n whose every pi(n // p) is read off the table grows it to
     # the cap
     assert semiprime_count(2 * _CAP + 1) == oracle.classical_count(2 * _CAP + 1)
@@ -1140,7 +1142,7 @@ def test_meissel_formula_matches_the_sieve(monkeypatch):
         assert core._meissel(x) == bisect_right(primes, x), x
     for k, pi in enumerate(_PI_POWERS, 1):
         assert (core._pi if k < 5 else core._meissel)(10**k) == pi, k
-    assert core._pi_table.limit <= _CAP
+    assert core._pi_table.limit <= _CAP and core._pi_table.limit % 16 == 0
 
 
 def test_phi_period_table():
