@@ -42,37 +42,48 @@ def _mismatch(message):
     return MISMATCH
 
 
-def _emit_scalar(args, value, method, elapsed):
-    n = args.number
+def _timed(query, *inputs):
+    # the query's answer and the wall-clock seconds it took
+    begin = time.perf_counter()
+    value = query(*inputs)
+    return value, time.perf_counter() - begin
+
+
+def _emit(args, plain_lines, json_text, csv_header, csv_rows):
+    # print one answer in the format args asks for, a line at a time
     if args.format == "plain":
-        print(value)
+        lines = plain_lines
     elif args.format == "json":
-        print(json.dumps({"input": n, "result": value, "method": method, "elapsed_s": elapsed}))
+        lines = [json_text]
     else:
-        print("input,result,method,elapsed_s")
-        print(f"{n},{value},{method},{elapsed!r}")
+        lines = [csv_header, *csv_rows]
+    for line in lines:
+        print(line)
+    return OK
+
+
+def _emit_result(args, value, method, elapsed):
+    # the one-value answer of count, nth and next
+    n = args.number
+    record = {"input": n, "result": value, "method": method, "elapsed_s": elapsed}
+    csv_row = f"{n},{value},{method},{elapsed!r}"
+    return _emit(args, [value], json.dumps(record), "input,result,method,elapsed_s", [csv_row])
 
 
 def _cmd_count(args):
     if args.verify and args.number > oracle.CLASSICAL_COUNT_LIMIT:
         # checked first: the oracle would refuse it only after the count
-        _fail(f"count --verify accepts N up to {oracle.CLASSICAL_COUNT_LIMIT}, got {args.number}")
-        return USAGE
-    begin = time.perf_counter()
-    value = semiprime_count(args.number)
-    elapsed = time.perf_counter() - begin
+        raise ValueError(f"count --verify accepts N up to {oracle.CLASSICAL_COUNT_LIMIT}, got {args.number}")
+    value, elapsed = _timed(semiprime_count, args.number)
     if args.verify:
         check = oracle.classical_count(args.number)
         if check != value:
             return _mismatch(f"count({args.number}): formula={value} but classical={check}")
-    _emit_scalar(args, value, "formula", elapsed)
-    return OK
+    return _emit_result(args, value, "formula", elapsed)
 
 
 def _cmd_classify(args):
-    begin = time.perf_counter()
-    result = classify(args.number)
-    elapsed = time.perf_counter() - begin
+    result, elapsed = _timed(classify, args.number)
     if args.verify:
         omega = oracle.factor_profile(args.number).omega
         if oracle.category_for_omega(omega) is not result.category:
@@ -80,43 +91,28 @@ def _cmd_classify(args):
                 f"classify({args.number})={result.category.value} but trial division "
                 f"finds {omega} prime factors"
             )
-    trip = result.triple
-    if args.format == "plain":
-        if trip is None:
-            print(f"{result.category.value} (small domain)")
-        else:
-            print(f"{result.category.value} (T={trip.t}, K1={trip.k1}, K2={trip.k2})")
-    elif args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "input": args.number,
-                    "result": result.category.value,
-                    "triple": list(trip) if trip else None,
-                    "method": "formula",
-                    "elapsed_s": elapsed,
-                }
-            )
-        )
-    else:
-        print("input,category,t,k1,k2")
-        bits = (str(trip.t), str(trip.k1), str(trip.k2)) if trip else ("", "", "")
-        print(f"{args.number},{result.category.value},{bits[0]},{bits[1]},{bits[2]}")
-    return OK
+    category, trip = result.category.value, result.triple
+    record = {
+        "input": args.number,
+        "result": category,
+        "triple": list(trip) if trip else None,
+        "method": "formula",
+        "elapsed_s": elapsed,
+    }
+    shown = f"T={trip.t}, K1={trip.k1}, K2={trip.k2}" if trip else "small domain"
+    csv_row = ",".join(map(str, (args.number, category, *(trip or ("", "", "")))))
+    return _emit(args, [f"{category} ({shown})"], json.dumps(record), "input,category,t,k1,k2", [csv_row])
 
 
 def _cmd_nth(args):
     n = args.number
     if args.verify and n > oracle.NTH_CHECK_LIMIT:
         # checked first: the answer could pass what classical_count accepts
-        _fail(
+        raise ValueError(
             f"nth --verify accepts n up to {oracle.NTH_CHECK_LIMIT} "
             f"(answers up to {oracle.CLASSICAL_COUNT_LIMIT}), got {n}"
         )
-        return USAGE
-    begin = time.perf_counter()
-    value = nth_semiprime(n)
-    elapsed = time.perf_counter() - begin
+    value, elapsed = _timed(nth_semiprime, n)
     if args.verify:
         # value is the nth semiprime exactly when it is a semiprime and n
         # semiprimes are <= value
@@ -127,53 +123,32 @@ def _cmd_nth(args):
                 f"nth({n})={value} but the classical count there is {count} "
                 f"and the semiprime indicator by trial division {semiprime}"
             )
-    _emit_scalar(args, value, "formula", elapsed)
-    return OK
+    return _emit_result(args, value, "formula", elapsed)
 
 
 def _cmd_next(args):
-    begin = time.perf_counter()
-    value = next_semiprime(args.number)
-    elapsed = time.perf_counter() - begin
+    value, elapsed = _timed(next_semiprime, args.number)
     if args.verify:
         check = oracle.next_semiprime_oracle(args.number)
         if check != value:
             return _mismatch(f"next({args.number})={value} but oracle scan gives {check}")
-    _emit_scalar(args, value, "scan", elapsed)
-    return OK
+    return _emit_result(args, value, "scan", elapsed)
 
 
 def _cmd_stream(args):
-    begin = time.perf_counter()
-    values = semiprime_stream(args.start, args.count)
-    elapsed = time.perf_counter() - begin
-    if args.format == "plain":
-        for v in values:
-            print(v)
-    elif args.format == "json":
-        print(
-            json.dumps(
-                {"input": args.start, "result": values, "method": "scan", "elapsed_s": elapsed}
-            )
-        )
-    else:
-        print("index,value")
-        for i, v in enumerate(values, start=1):
-            print(f"{i},{v}")
-    return OK
+    values, elapsed = _timed(semiprime_stream, args.start, args.count)
+    record = {"input": args.start, "result": values, "method": "scan", "elapsed_s": elapsed}
+    rows = [f"{i},{v}" for i, v in enumerate(values, start=1)]
+    return _emit(args, values, json.dumps(record), "index,value", rows)
 
 
 def _cmd_table(args):
     rows = bench.reproduce_table(args.table_id, max_input=args.max_input)
-    if args.format == "plain":
-        print(f"{'input':>12} {'expected':>12} {'computed':>12} {'elapsed_s':>12} match")
-        for r in rows:
-            flag = "true" if r.match else "false"
-            print(f"{r.input:>12} {r.expected:>12} {r.computed:>12} {r.elapsed_s:>12.6f} {flag}")
-    elif args.format == "json":
-        print(bench.rows_to_json(rows))
-    else:
-        sys.stdout.write(bench.rows_to_csv(rows))
+    plain = [f"{'input':>12} {'expected':>12} {'computed':>12} {'elapsed_s':>12} match"]
+    for r in rows:
+        flag = "true" if r.match else "false"
+        plain.append(f"{r.input:>12} {r.expected:>12} {r.computed:>12} {r.elapsed_s:>12.6f} {flag}")
+    _emit(args, plain, bench.rows_to_json(rows), bench.CSV_HEADER, bench.rows_to_csv(rows).splitlines()[1:])
     if all(r.match for r in rows):
         return OK
     _fail("one or more table rows did not match the expected values")
@@ -262,7 +237,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:  # DomainError, RangeLimitError, bad table
+    except ValueError as exc:  # DomainError, RangeLimitError, bad table, --verify past its oracle
         _fail(str(exc))
         return USAGE
 

@@ -221,30 +221,34 @@ def _window_marks(lo: int, hi: int):
     # The final marks of count_range's window route, one per piece of
     # [lo, hi]: 0 for a prime, _SMALL for p * q with p <= c < q prime,
     # _LARGE for a product of two primes above c, _REJECT for three or more
-    # prime factors.  The pieces are cut at SEGMENT and at the cubes, so
-    # that c = icbrt(x) is one constant in each.
+    # prime factors.  The pieces are cut at SEGMENT and at the cubes q^3 of
+    # the primes q, so that the primes up to icbrt(x) are one set in each:
+    # a piece starting at a, with c = icbrt(a), ends before the cube of the
+    # next prime above c.  The pieces below 125 = 5^3 read _FIRST_PIECE.
     a = lo
     while a <= hi:
         c = _icbrt(a)
-        b = min(hi, a + SEGMENT - 1, (c + 1) ** 3 - 1)
-        yield _FIRST_PIECE[a - 8 : b - 7] if c == 2 else _piece_marks(a, b, c)
+        b = min(hi, a + SEGMENT - 1, _PRIMES[_SMALL_PI[c]] ** 3 - 1)
+        yield _FIRST_PIECE[a - 8 : b - 7] if c < 5 else _piece_marks(a, b, c)
         a = b + 1
 
 
 def _piece_marks(a: int, b: int, c: int) -> bytearray:
-    # The marks of one piece [a, b] with icbrt(x) = c >= 3 throughout, from
-    # one marking step over three kinds of modulus: the squares p^2 of the
-    # primes p <= c with _REJECTED, the primes p <= c with _MARK, and the
-    # primes r in (c, isqrt(b)] with _HIT.  A modulus up to the size reads
-    # its table for all its multiples with one strided translation; one
-    # above it has at most one multiple, which one filter comprehension per
-    # kind finds, and that multiple is one table read.  _HIT rests on this
-    # fact: p * r <= c * (c + 1)^(3/2) < c^3 <= x for c >= 3, so an x
-    # marked _SMALL by p has x/p = r * (x / (p * r)) composite, and is
-    # rejected; an unmarked x has no prime factor up to c and
-    # r <= isqrt(b) < x, so it is a product of two primes above c, _LARGE.
-    # The fact fails only in [8, 26], where c = 2 and 10 = 2 * 5:
-    # _FIRST_PIECE.
+    # The marks of one piece [a, b] inside [P^3, q^3), for consecutive
+    # primes 5 <= P < q, so that the primes up to icbrt(x) are those up to
+    # c = icbrt(a) throughout, from one marking step over three kinds of
+    # modulus: the squares p^2 of the primes p <= c with _REJECTED, the
+    # primes p <= c with _MARK, and the primes r in (c, isqrt(b)] with
+    # _HIT.  A modulus up to the size reads its table for all its multiples
+    # with one strided translation; one above it has at most one multiple,
+    # which one filter comprehension per kind finds, and that multiple is
+    # one table read.  _HIT rests on this fact: p * r <= P * isqrt(q^3 - 1)
+    # < P^3 <= x for every prime P from 5 to 997, so an x marked _SMALL by
+    # p has x/p = r * (x / (p * r)) composite, and is rejected; an unmarked
+    # x has no prime factor up to c and r <= isqrt(b) < x, so it is a
+    # product of two primes above c, _LARGE.  The fact fails only below
+    # 125, at P = 2 and 3, where 10 = 2 * 5 and 33 = 3 * 11 lie inside
+    # their own pieces: _FIRST_PIECE.
     size, na = b - a + 1, -a
     end = bisect_right(_PRIMES, isqrt(b))
     cut = bisect_right(_PRIMES, c, 0, end)
@@ -368,12 +372,13 @@ _BLOCKS = tuple(
 #: p <= icbrt(MAX_COUNT_INPUT), the 168 squares up to 997^2.
 _SQUARES = tuple(p * p for p in _primes(_icbrt(MAX_COUNT_INPUT)))
 
-#: The final window marks of the first cube piece [8, 26], from the triples:
-#: the one piece where a prime p <= c = 2 and a prime r in (c, 5] have their
-#: product inside, 10 = 2 * 5, a semiprime that a hit by 5 would reject.
+#: The final window marks of [8, 124], the pieces [2^3, 3^3) and
+#: [3^3, 5^3), from the triples: the two pieces where a prime p <= c and a
+#: prime r in (c, isqrt(b)] have their product inside, 10 = 2 * 5 and
+#: 33 = 3 * 11, semiprimes that a hit by r would reject.
 _FIRST_PIECE = bytes(
     0 if t else _LARGE if k1_bit else _SMALL if k2_bit else _REJECT
-    for t, k1_bit, k2_bit in map(_triple_bits, range(8, 27))
+    for t, k1_bit, k2_bit in map(_triple_bits, range(8, 125))
 )
 
 
@@ -555,20 +560,22 @@ def count_range(lo: int, hi: int) -> int:
 
     - a window with hi - lo < 2 * isqrt(hi) * isqrt(isqrt(hi)), about
       2 * hi^(3/4), is sieved itself, in one pass per piece of at most
-      SEGMENT integers, the pieces also split at consecutive cubes so that
-      icbrt is a constant c within each.  Each x gets one of four marks:
-      unmarked, one prime p <= c, two primes above c, or rejected.  A prime
-      p <= c marks its multiples, and rejects those another such prime
-      marked; p*p rejects its multiples; and each prime r in
-      (c, isqrt(hi)] settles every x it divides: for c >= 3, p*r < c^3 <= x,
+      SEGMENT integers, the pieces also split at the cubes of the primes so
+      that the primes up to icbrt(x) are one set within each, those up to
+      c, the icbrt of the piece's first integer.  Each x gets one of four
+      marks: unmarked, one prime p <= c, two primes above c, or rejected.
+      A prime p <= c marks its multiples, and rejects those another such
+      prime marked; p*p rejects its multiples; and each prime r in
+      (c, isqrt(hi)] settles every x it divides: in a piece inside
+      [P^3, q^3), P and q consecutive primes and P >= 5, p*r < P^3 <= x,
       so x/p is composite and a marked x is rejected, and an unmarked x is
       a semiprime with both factors above c.  Every modulus takes the same
       step, one strided bytes.translate by its constant table when it is
       at most the piece's size, and otherwise one table read for its one
-      multiple, if any.  The one piece where some p*r lies inside is
-      [8, 26], with 10 = 2 * 5, and its marks are a constant.  What is
-      left unmarked is sum(t), unmarked or with two primes above c sum(k1),
-      and marked by one p, sum(k2);
+      multiple, if any.  The pieces where some p*r lies inside are
+      [8, 26] and [27, 124], with 10 = 2 * 5 and 33 = 3 * 11, and their
+      marks are a constant.  What is left unmarked is sum(t), unmarked or
+      with two primes above c sum(k1), and marked by one p, sum(k2);
     - a wider range is the difference of two prefix counts,
       semiprime_count(hi) - semiprime_count(lo - 1), whose cost grows
       with hi rather than with the width.  The cut, one rule for every hi,

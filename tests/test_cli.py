@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,74 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _table_json(*rows):
+    # rows_to_json's indented text, one (input, expected, computed) per row
+    return "[\n" + ",\n".join(
+        f'  {{\n    "input": {x},\n    "expected": {e},\n    "computed": {c},\n'
+        f'    "elapsed_s": T,\n    "match": true\n  }}'
+        for x, e, c in rows
+    ) + "\n]\n"
+
+
+_TABLE_HEAD = "       input     expected     computed    elapsed_s match\n"
+_TABLE_1 = ((8, 1, 1), (9, 1, 1), (10, 1, 1), (11, 1, 1), (12, 1, 1), (13, 1, 1), (14, 0, 0), (5, 14, 14))
+_TABLE_4 = (
+    (100, 106, 106), (200, 201, 201), (300, 301, 301), (400, 403, 403),
+    (500, 501, 501), (1000, 1003, 1003), (5000, 5001, 5001), (10000, 10001, 10001),
+)
+
+# The stdout of every command in each format, with every elapsed time
+# (a float, in fixed-point or exponent form) read as T.
+_STDOUT = {
+    ("count 100", "plain"): "34\n",
+    ("count 100", "json"): '{"input": 100, "result": 34, "method": "formula", "elapsed_s": T}\n',
+    ("count 100", "csv"): "input,result,method,elapsed_s\n100,34,formula,T\n",
+    ("nth 5", "plain"): "14\n",
+    ("nth 5", "json"): '{"input": 5, "result": 14, "method": "formula", "elapsed_s": T}\n',
+    ("nth 5", "csv"): "input,result,method,elapsed_s\n5,14,formula,T\n",
+    ("next 10", "plain"): "14\n",
+    ("next 10", "json"): '{"input": 10, "result": 14, "method": "scan", "elapsed_s": T}\n',
+    ("next 10", "csv"): "input,result,method,elapsed_s\n10,14,scan,T\n",
+    ("classify 13", "plain"): "prime (T=1, K1=1, K2=0)\n",
+    ("classify 13", "json"): '{"input": 13, "result": "prime", "triple": [1, 1, 0], '
+    '"method": "formula", "elapsed_s": T}\n',
+    ("classify 13", "csv"): "input,category,t,k1,k2\n13,prime,1,1,0\n",
+    ("classify 14", "plain"): "semiprime (T=0, K1=0, K2=1)\n",
+    ("classify 14", "json"): '{"input": 14, "result": "semiprime", "triple": [0, 0, 1], '
+    '"method": "formula", "elapsed_s": T}\n',
+    ("classify 14", "csv"): "input,category,t,k1,k2\n14,semiprime,0,0,1\n",
+    ("classify 4", "plain"): "semiprime (small domain)\n",
+    ("classify 4", "json"): '{"input": 4, "result": "semiprime", "triple": null, '
+    '"method": "formula", "elapsed_s": T}\n',
+    ("classify 4", "csv"): "input,category,t,k1,k2\n4,semiprime,,,\n",
+    ("stream 4 5", "plain"): "6\n9\n10\n14\n15\n",
+    ("stream 4 5", "json"): '{"input": 4, "result": [6, 9, 10, 14, 15], "method": "scan", "elapsed_s": T}\n',
+    ("stream 4 5", "csv"): "index,value\n1,6\n2,9\n3,10\n4,14\n5,15\n",
+    ("stream 4 0", "plain"): "",
+    ("stream 4 0", "json"): '{"input": 4, "result": [], "method": "scan", "elapsed_s": T}\n',
+    ("stream 4 0", "csv"): "index,value\n",
+    ("table 1", "plain"): _TABLE_HEAD
+    + "".join(f"{x:>12} {e:>12} {c:>12}     T true\n" for x, e, c in _TABLE_1),
+    ("table 1", "json"): _table_json(*_TABLE_1),
+    ("table 1", "csv"): "input,expected,computed,elapsed_s,match\n"
+    + "".join(f"{x},{e},{c},T,true\n" for x, e, c in _TABLE_1),
+    ("table 4", "plain"): _TABLE_HEAD
+    + "".join(f"{x:>12} {e:>12} {c:>12}     T true\n" for x, e, c in _TABLE_4),
+    ("table 4", "json"): _table_json(*_TABLE_4),
+    ("table 4", "csv"): "input,expected,computed,elapsed_s,match\n"
+    + "".join(f"{x},{e},{c},T,true\n" for x, e, c in _TABLE_4),
+}
+
+
+@pytest.mark.parametrize("command, fmt", list(_STDOUT), ids=lambda v: v.replace(" ", "-"))
+def test_stdout_of_every_command_in_every_format(capsys, command, fmt):
+    # the exact bytes each format prints, elapsed times aside; plain table
+    # rows print elapsed_s 12 wide with 6 decimals, so T keeps 4 spaces
+    code, out, err = run_cli(capsys, *command.split(), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert re.sub(r"\d+(\.\d+)?e[-+]\d+|\d+\.\d+", "T", out) == _STDOUT[command, fmt]
 
 
 def test_count_plain(capsys):

@@ -6,7 +6,7 @@ import tracemalloc
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, pairwise
 from math import isqrt, prod
 
 import pytest
@@ -489,11 +489,15 @@ def _narrow_windows(draw):
 @example((961 * 520000, 961 * 520001 - 1)).via("size 961 = 31^2: strided, one multiple")
 @example((961 * 520000, 961 * 520001 - 2)).via("size 960 < 31^2: filtered, one multiple")
 @example((961 * 520000, 961 * 520001)).via("size 962 > 31^2: strided, two multiples")
-@example((8, 26)).via("the constant first piece, c = 2")
+@example((8, 26)).via("the constant's first piece, c = 2")
 @example((10, 10)).via("10 = 2 * 5, the one p * r inside its own piece")
 @example((9, 11)).via("10 and its neighbours inside the first piece")
-@example((26, 27)).via("the first piece's last integer and 27 = 3^3")
-@example((8, 27)).via("the whole first piece and the next piece's first integer")
+@example((26, 27)).via("the first piece's last integer and 27 = 3^3, inside the constant")
+@example((8, 27)).via("the first piece and the next piece's first integer")
+@example((33, 33)).via("33 = 3 * 11, the other p * r inside its own piece")
+@example((124, 125)).via("the constant's last integer and 125 = 5^3")
+@example((8, 343)).via("the whole constant and the piece [5^3, 7^3)")
+@example((200, 230)).via("across 6^3 = 216, inside one piece")
 @settings(max_examples=200)
 def test_window_parts_match_independent_sums_anywhere(window):
     _assert_window_parts_match_independent_sums(*window)
@@ -532,23 +536,46 @@ def test_hit_table_settles_a_large_prime_hit():
     assert _FOUR_MARKS.translate(_HIT) == bytes([_LARGE, _REJECT, _LARGE, _REJECT])
 
 
-def test_small_times_large_prime_lies_below_its_piece_but_for_10():
-    # What the table rests on: in the cube piece [c^3, (c+1)^3), a prime
-    # p <= c times a prime r in (c, isqrt((c+1)^3 - 1)] lies below c^3, so
-    # an x of the piece that both divide has x/p composite.  Over every
-    # piece a count reaches, the one product inside its own piece is
-    # 10 = 2 * 5 in [8, 26], which the window pass reads off a constant.
+def test_small_times_large_prime_lies_below_its_piece_but_for_10_and_33():
+    # What the table rests on: in the piece [P^3, q^3), for consecutive
+    # primes P < q, a prime p <= P times a prime r in (P, isqrt(q^3 - 1)]
+    # lies below P^3, so an x of the piece that both divide has x/p
+    # composite.  Over every piece a count reaches, the products inside
+    # their own piece are 10 = 2 * 5 in [8, 26] and 33 = 3 * 11 in
+    # [27, 124], both in the constant the window pass reads below 125.
     # For each p the products rise with r, so a bisection finds every r
-    # with p * r >= c^3.
+    # with p * r >= P^3.
     primes = oracle.sieve(core.TABLE_CAP).primes
     inside = []
-    for c in range(2, icbrt(MAX_COUNT_INPUT) + 1):
-        top = (c + 1) ** 3 - 1
-        cut, end = bisect_right(primes, c), bisect_right(primes, isqrt(top))
+    for cut in range(1, bisect_right(primes, icbrt(MAX_COUNT_INPUT)) + 1):
+        low, top = primes[cut - 1] ** 3, primes[cut] ** 3 - 1
+        end = bisect_right(primes, isqrt(top))
         for p in primes[:cut]:
-            first = max(cut, bisect_left(primes, -(-(c**3) // p)))
+            first = max(cut, bisect_left(primes, -(-low // p)))
             inside += [p * r for r in primes[first:end] if p * r <= top]
-    assert inside == [10]
+    assert inside == [10, 33]
+    assert 8 + len(core._FIRST_PIECE) == 5**3
+
+
+def test_first_piece_is_the_triple_marks_below_125():
+    # the constant marks of [8, 124], one per x from its (t, k1, k2) triple
+    mark = {(1, 1, 0): 0, (0, 1, 0): _LARGE, (0, 0, 1): _SMALL, (0, 0, 0): _REJECT}
+    assert len(core._FIRST_PIECE) == 117
+    assert core._FIRST_PIECE == bytes(mark[tuple(_triple_bits(x))] for x in range(8, 125))
+
+
+def test_window_pieces_end_at_prime_cubes_and_segment():
+    # A piece ends at SEGMENT integers or before the cube of a prime, where
+    # the primes up to the cube root change; a composite cube such as
+    # 6^3 = 216 cuts nothing.  The constant reads as the pieces [8, 26]
+    # and [27, 124].
+    lo, hi = 8, 2 * 10**6
+    cuts = [q**3 for q in oracle.sieve(icbrt(hi)).primes] + [hi + 1]
+    ends = []
+    for a, b in pairwise(cuts):
+        ends += [*range(a + SEGMENT - 1, b - 1, SEGMENT), b - 1]
+    pieces = [len(marks) for marks in _window_marks(lo, hi)]
+    assert list(accumulate(pieces, initial=lo - 1))[1:] == ends
 
 
 def test_semiprime_table_flags_the_semiprime_marks():
@@ -566,9 +593,10 @@ def _flag_windows(draw, top=2 * 10**6):
 
 
 @given(_flag_windows())
-@example((100**3 - 500, 100**3 + 500)).via("across the cube 100^3: two pieces")
+@example((100**3 - 500, 100**3 + 500)).via("across the cube 100^3, inside one piece")
+@example((101**3 - 500, 101**3 + 500)).via("across the prime cube 101^3: two pieces")
 @example((125**3, 125**3 + 1000)).via("starting on the cube 125^3")
-@example((10**6 + 1, 10**6 + SEGMENT + 1)).via("SEGMENT + 1 integers across the cubes 101^3 .. 104^3")
+@example((10**6 + 1, 10**6 + SEGMENT + 1)).via("SEGMENT + 1 integers across 101^3 .. 104^3, cut at 103^3")
 @example((1_000_001, 1_000_001)).via("one integer, 101 * 9901, both factors above c")
 @example((999_958, 999_958)).via("one integer, 2 * 499979, a small factor")
 @example((999_983, 999_983)).via("one integer, a prime")
@@ -578,11 +606,15 @@ def _flag_windows(draw, top=2 * 10**6):
 @example((169 * 5930, 169 * 5931 - 1)).via("size 169 = 13^2: strided, one multiple")
 @example((169 * 5930, 169 * 5931 - 2)).via("size 168 < 13^2: filtered, one multiple")
 @example((169 * 5930, 169 * 5931)).via("size 170 > 13^2: strided, two multiples")
-@example((8, 26)).via("the constant first piece, c = 2")
+@example((8, 26)).via("the constant's first piece, c = 2")
 @example((10, 10)).via("10 = 2 * 5, the one p * r inside its own piece")
 @example((9, 11)).via("10 and its neighbours inside the first piece")
-@example((26, 27)).via("the first piece's last integer and 27 = 3^3")
-@example((8, 27)).via("the whole first piece and the next piece's first integer")
+@example((26, 27)).via("the first piece's last integer and 27 = 3^3, inside the constant")
+@example((8, 27)).via("the first piece and the next piece's first integer")
+@example((33, 33)).via("33 = 3 * 11, the other p * r inside its own piece")
+@example((124, 125)).via("the constant's last integer and 125 = 5^3")
+@example((8, 343)).via("the whole constant and the piece [5^3, 7^3)")
+@example((200, 230)).via("across 6^3 = 216, inside one piece")
 @settings(max_examples=200)
 def test_semiprime_flags_match_spf_oracle(semi_flags_2m, window):
     lo, hi = window
@@ -590,10 +622,10 @@ def test_semiprime_flags_match_spf_oracle(semi_flags_2m, window):
 
 
 def test_semiprime_flags_across_a_segment_join():
-    # Below about 9 * 10^6 the cubes are closer than SEGMENT and cut every
-    # piece first; near 10^9 a piece ends at a + SEGMENT - 1.  The flags on
-    # both sides of that join against the indicator, and in all against the
-    # difference of two prefix counts.
+    # Below 83^3 = 571 787 the prime cubes are closer than SEGMENT and cut
+    # every piece first; near 10^9 a piece ends at a + SEGMENT - 1.  The
+    # flags on both sides of that join against the indicator, and in all
+    # against the difference of two prefix counts.
     lo, hi = 10**9 - SEGMENT - 300, 10**9
     flags = _semiprime_flags(lo, hi)
     join = lo + SEGMENT
@@ -605,8 +637,9 @@ def test_semiprime_flags_across_a_segment_join():
 
 def test_window_parts_match_independent_sums_at_every_cube():
     # Every seam where icbrt steps up, c^3 for c = 2 .. icbrt(MAX_COUNT_INPUT),
-    # with the window split into the pieces on either side of it.  Every
-    # byte of every piece is one of the four marks.
+    # with the window split into the pieces on either side of it where c is
+    # prime, and inside one piece where it is not.  Every byte of every
+    # piece is one of the four marks.
     for c in range(2, icbrt(MAX_COUNT_INPUT) + 1):
         lo, hi = max(8, c**3 - 300), min(MAX_COUNT_INPUT, c**3 + 300)
         _assert_window_parts_match_independent_sums(lo, hi)

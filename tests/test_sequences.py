@@ -138,7 +138,8 @@ def test_nth_round_trip_beside_block_seams(semi_flags_2m):
 
 
 def test_nth_round_trip_beside_cubes(semi_flags_2m):
-    # the block sums split every count at cubes
+    # the block sums split every count at the cubes of the primes, and the
+    # composite cubes lie inside one piece
     for c in [*range(2, 51), 63, 64, 99, 100, 101, 125]:
         for x in _semiprimes_beside(semi_flags_2m, c**3):
             _round_trip(semi_flags_2m, x)
@@ -175,10 +176,11 @@ def test_nth_round_trip_at_final_block_ends(semi_flags_2m, monkeypatch):
 
 
 def test_nth_round_trip_at_a_join_inside_the_final_block(semi_flags_2m, monkeypatch):
-    # The window pass splits a block at each cube, so the flags the answer
-    # is picked from join there: answers on both sides of a cube, from an
-    # anchor just below both.
-    for c in (3, 10, 50, 99, 100, 125):
+    # The window pass splits a block at the cube of each prime, so the
+    # flags the answer is picked from join there: answers on both sides of
+    # a cube, from an anchor just below both.  Composite cubes lie inside
+    # one piece.
+    for c in (3, 5, 10, 11, 47, 50, 97, 99, 100, 101, 113, 125):
         for x in _semiprimes_beside(semi_flags_2m, c**3):
             n = semi_flags_2m.count(1, 0, x + 1)
             found, (a, b) = _final_block(monkeypatch, n, min(x, c**3) - 2)
@@ -187,11 +189,11 @@ def test_nth_round_trip_at_a_join_inside_the_final_block(semi_flags_2m, monkeypa
 
 def test_nth_round_trip_at_a_segment_join_inside_the_final_block(monkeypatch):
     # The window pass also ends a piece at a + SEGMENT - 1, but the search's
-    # blocks are at most SEGMENT wide, and below about 9 * 10^6 the cubes
-    # cut first; so only a wider block limit, near 999 * 10^6 (between 999^3
-    # and 1000^3), puts that join inside the final block.  From an anchor
-    # SEGMENT + 1 below x, x is the first integer after the join; from
-    # SEGMENT below, the last before it.
+    # blocks are at most SEGMENT wide, and below 83^3 the prime cubes cut
+    # first; so only a wider block limit, near 999 * 10^6 (above 997^3,
+    # the last prime cube below 10^9), puts that join inside the final
+    # block.  From an anchor SEGMENT + 1 below x, x is the first integer
+    # after the join; from SEGMENT below, the last before it.
     x = next_semiprime(999_000_000)
     n = semiprime_count(x)
     monkeypatch.setattr(sequences, "SEGMENT", 3 * SEGMENT)
