@@ -1,4 +1,4 @@
-"""Golden-table reproduction with CSV/JSON row serialization.
+"""Golden-table reproduction.
 
 The embedded expected values are reference results for the counting, ordinal
 and successor queries; reproduce_table recomputes each row and records
@@ -6,9 +6,8 @@ whether it matches.  Wall-clock columns are informational only and are never
 asserted anywhere: they depend on the host, the counted values do not.
 """
 
-import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .core import semiprime_count
 from .intmath import bounded
@@ -57,9 +56,6 @@ GOLDEN_NEXT_SEMIPRIMES = {
 GOLDEN_GATE_COLUMN = {8: 1, 9: 1, 10: 1, 11: 1, 12: 1, 13: 1, 14: 0}
 GOLDEN_FIFTH_SEMIPRIME = 14
 
-CSV_HEADER = "input,expected,computed,elapsed_s,match"
-
-
 @dataclass(frozen=True)
 class TableRow:
     input: int
@@ -103,15 +99,3 @@ def reproduce_table(table_id: int, max_input: int = 10**6) -> list:
     }[table_id]
     return [_timed_row(v, e, query) for v, e in sorted(golden.items()) if v <= max_input]
 
-
-def rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.input},{r.expected},{r.computed},{r.elapsed_s!r},{'true' if r.match else 'false'}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def rows_to_json(rows) -> str:
-    return json.dumps([asdict(r) for r in rows], indent=2)

@@ -1,12 +1,15 @@
 """Command-line front-end: classify, count, nth, next, stream, table.
 
 Exit status 0 on success, 1 on an internal mismatch (a --verify cross-check
-or a golden-table row disagreeing), 2 on usage, domain, or range errors.
-Diagnostics go to stderr as a single line.
+or a golden-table row disagreeing), 2 on usage, domain, or range errors,
+and 141 (128 + SIGPIPE, as a shell reports a tool that a closed pipe
+stopped) when the reader of stdout closes it early, with nothing on
+stderr.  Other diagnostics go to stderr as a single line.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -18,6 +21,7 @@ from .sequences import next_semiprime, nth_semiprime, semiprime_stream
 OK = 0
 MISMATCH = 1
 USAGE = 2
+CLOSED_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,10 +149,13 @@ def _cmd_stream(args):
 def _cmd_table(args):
     rows = bench.reproduce_table(args.table_id, max_input=args.max_input)
     plain = [f"{'input':>12} {'expected':>12} {'computed':>12} {'elapsed_s':>12} match"]
+    csv_rows = []
     for r in rows:
         flag = "true" if r.match else "false"
         plain.append(f"{r.input:>12} {r.expected:>12} {r.computed:>12} {r.elapsed_s:>12.6f} {flag}")
-    _emit(args, plain, bench.rows_to_json(rows), bench.CSV_HEADER, bench.rows_to_csv(rows).splitlines()[1:])
+        csv_rows.append(f"{r.input},{r.expected},{r.computed},{r.elapsed_s!r},{flag}")
+    json_text = json.dumps([vars(r) for r in rows], indent=2)
+    _emit(args, plain, json_text, "input,expected,computed,elapsed_s,match", csv_rows)
     if all(r.match for r in rows):
         return OK
     _fail("one or more table rows did not match the expected values")
@@ -236,10 +243,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # a closed pipe shows here, not in the interpreter's last flush
+        sys.stdout.flush()
+        return code
     except ValueError as exc:  # DomainError, RangeLimitError, bad table, --verify past its oracle
         _fail(str(exc))
         return USAGE
+    except BrokenPipeError:
+        # the reader closed stdout: what is left in its buffer goes to
+        # devnull, so that the interpreter's last flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -14,13 +14,14 @@ k1(x) + k2(x) - t(x) = 1 exactly for semiprimes.
 Per number, one scan (_least_small_factor) finds the least prime
 p <= c = icbrt(x) dividing x, with c given by its caller: k1, k2 and
 _triple_bits compute it per x, and the successor walk in sequences once
-per cube piece [c^3, (c+1)^3).  The scan takes one gcd of x with the
-product of each block of the cube-root primes (_BLOCKS, a first block of
-8 primes, then blocks of 128) that starts at or below c, and looks at the
-primes one by one only in the first block whose gcd is not 1.  With
-none, k1 = 1 and k2 = 0.  With one, k1 = t = 0 and k2 = t(x/p): since
-x/p >= x^(2/3) >= 4, x is a semiprime exactly when x/p is prime, and a
-composite x/p means three or more prime factors.
+per piece of _pieces, in which the primes up to icbrt(x) are one set.
+The scan takes one gcd of x with the product of each block of the
+cube-root primes (_BLOCKS, a first block of 8 primes, then blocks of 128)
+that starts at or below c, and looks at the primes one by one only in the
+first block whose gcd is not 1.  With none, k1 = 1 and k2 = 0.  With
+one, k1 = t = 0 and k2 = t(x/p): since x/p >= x^(2/3) >= 4, x is a
+semiprime exactly when x/p is prime, and a composite x/p means three or
+more prime factors.
 
 Counting sums that identity over [lo, hi], and since the sum is linear it
 takes one of two routes, one engine each:
@@ -72,7 +73,7 @@ from itertools import accumulate, compress
 from math import gcd, isqrt, prod
 from typing import NamedTuple, Optional
 
-from .intmath import MAX_CLASSIFY_INPUT, MAX_COUNT_INPUT, RangeLimitError, _icbrt, bounded
+from .intmath import MAX_CLASSIFY_INPUT, MAX_COUNT_INPUT, _icbrt, bounded
 from .primality import _SMALL_SEMIPRIMES, _t
 
 
@@ -127,7 +128,8 @@ def _least_small_factor(x, c):
     # c, and a prime-by-prime scan, stopped at c, only of a block whose gcd
     # is not 1.  Every block before it shares no prime with x, so the first
     # prime of that block that divides x is the least small factor.  The
-    # caller supplies c, so that a walk computes it once per cube piece.
+    # caller supplies c, or any integer with the same primes below it, so
+    # that a walk computes it once per piece of _pieces.
     for first, primes, product in _BLOCKS:
         if first > c:
             return 0
@@ -217,20 +219,29 @@ _HIT = bytes([_LARGE, _REJECT, _LARGE, _REJECT]) + bytes([_REJECT]) * 252
 _SEMIPRIME = bytes([0, 1, 1, 0]) + bytes(252)
 
 
-def _window_marks(lo: int, hi: int):
-    # The final marks of count_range's window route, one per piece of
-    # [lo, hi]: 0 for a prime, _SMALL for p * q with p <= c < q prime,
-    # _LARGE for a product of two primes above c, _REJECT for three or more
-    # prime factors.  The pieces are cut at SEGMENT and at the cubes q^3 of
-    # the primes q, so that the primes up to icbrt(x) are one set in each:
-    # a piece starting at a, with c = icbrt(a), ends before the cube of the
-    # next prime above c.  The pieces below 125 = 5^3 read _FIRST_PIECE.
+def _pieces(lo: int, hi: int):
+    # [lo, hi] (8 <= lo) as pieces (a, b, c) with c = icbrt(a), in which the
+    # primes up to icbrt(x) are those up to c: a piece ends after SEGMENT
+    # integers or just before the cube of the next prime above c, whichever
+    # comes first, so a composite cube such as 6^3 cuts nothing.  The window
+    # pass marks one piece at a time, and the successor walk takes one cube
+    # root per piece.
     a = lo
     while a <= hi:
         c = _icbrt(a)
         b = min(hi, a + SEGMENT - 1, _PRIMES[_SMALL_PI[c]] ** 3 - 1)
-        yield _FIRST_PIECE[a - 8 : b - 7] if c < 5 else _piece_marks(a, b, c)
+        yield a, b, c
         a = b + 1
+
+
+def _window_marks(lo: int, hi: int):
+    # The final marks of count_range's window route, one per piece of
+    # [lo, hi] from _pieces: 0 for a prime, _SMALL for p * q with
+    # p <= c < q prime, _LARGE for a product of two primes above c, _REJECT
+    # for three or more prime factors.  The pieces below 125 = 5^3 read
+    # _FIRST_PIECE.
+    for a, b, c in _pieces(lo, hi):
+        yield _FIRST_PIECE[a - 8 : b - 7] if c < 5 else _piece_marks(a, b, c)
 
 
 def _piece_marks(a: int, b: int, c: int) -> bytearray:
@@ -250,14 +261,16 @@ def _piece_marks(a: int, b: int, c: int) -> bytearray:
     # 125, at P = 2 and 3, where 10 = 2 * 5 and 33 = 3 * 11 lie inside
     # their own pieces: _FIRST_PIECE.
     size, na = b - a + 1, -a
-    end = bisect_right(_PRIMES, isqrt(b))
-    cut = bisect_right(_PRIMES, c, 0, end)
+    end, cut = _SMALL_PI[isqrt(b)], _SMALL_PI[c]
     marks = bytearray(size)
     for moduli, first, last, table in (
         (_SQUARES, 0, cut, _REJECTED),
         (_PRIMES, 0, cut, _MARK),
         (_PRIMES, cut, end, _HIT),
     ):
+        # where the moduli pass the piece's size: a bisection, since the
+        # moduli may be squares and the size, up to SEGMENT, may pass
+        # TABLE_CAP, so this is no pi read
         mid = bisect_right(moduli, size, first, last)
         for m in moduli[first:mid]:
             s = na % m
@@ -301,7 +314,9 @@ def _odd_segment(a: int, size: int) -> bytearray:
     flags = bytearray(size)
     if a == 1:
         flags[0] = 1
-    for p in _primes(isqrt(a + 2 * size - 2))[1:]:
+    # a bisection, not a read of _SMALL_PI: at import this pass builds the
+    # flags _SMALL_PI is summed from
+    for p in _PRIMES[1 : bisect_right(_PRIMES, isqrt(a + 2 * size - 2))]:
         p2 = p * p
         s = (p2 - a) >> 1 if p2 >= a else -((a + p) >> 1) % p
         flags[s::p] = _ONES[: (size - 1 - s) // p + 1]
@@ -314,17 +329,11 @@ def _odd_segment(a: int, size: int) -> bytearray:
 TABLE_CAP = max(isqrt(MAX_COUNT_INPUT), _icbrt(MAX_CLASSIFY_INPUT))
 
 
-def _primes(limit):
-    # every prime <= limit, ascending, for limit <= TABLE_CAP
-    if limit > TABLE_CAP:
-        raise RangeLimitError(f"the prime table stops at {TABLE_CAP}, asked for {limit}")
-    return _PRIMES[: bisect_right(_PRIMES, limit)]
-
-
 # Every prime <= TABLE_CAP, ascending, fixed at import: first the sieving
 # primes up to isqrt(TABLE_CAP) = 177 by _t, then every prime from one
-# _odd_segment pass that reads them through _primes, its flags flipped to
-# 1 for each odd prime.  Nothing rebinds it.
+# _odd_segment pass that reads them, its flags flipped to 1 for each odd
+# prime.  Nothing rebinds it, and every slice of it up to a bound v <=
+# TABLE_CAP is _PRIMES[:_SMALL_PI[v]].
 _PRIMES = tuple(p for p in range(2, isqrt(TABLE_CAP) + 1) if _t(p))
 _odd_primes = _odd_segment(1, (TABLE_CAP + 1) // 2).translate(bytes([1, 0]) + bytes(254))
 _PRIMES = (2,) + tuple(compress(range(1, TABLE_CAP + 1, 2), _odd_primes))
@@ -342,7 +351,7 @@ del _odd_primes, _is_prime
 
 #: How many primes p have their edge p^2 - 1 in _SMALL_PI, each read as
 #: _SMALL_PI[p * p - 1]: those up to 173.
-_SMALL_EDGES = bisect_right(_PRIMES, isqrt(TABLE_CAP + 1))
+_SMALL_EDGES = _SMALL_PI[isqrt(TABLE_CAP + 1)]
 
 #: _EDGE_SUMS[i] is the sum of pi(p^2 - 1) over the first i primes, for
 #: i <= _SMALL_EDGES, so that a prefix count reads the edges of its primes
@@ -361,7 +370,7 @@ _EDGE_SUMS = tuple(
 #: blocks of 64 and 49 us prime by prime; wider blocks gain little on a
 #: prime and lose on every integer whose gcd hits.
 _FIRST_BLOCK, _BLOCK = 8, 128
-_CUBE_ROOT_PRIMES = _primes(_icbrt(MAX_CLASSIFY_INPUT))
+_CUBE_ROOT_PRIMES = _PRIMES[: _SMALL_PI[_icbrt(MAX_CLASSIFY_INPUT)]]
 _BLOCKS = tuple(
     (block[0], block, prod(block))
     for block in [_CUBE_ROOT_PRIMES[:_FIRST_BLOCK]]
@@ -370,7 +379,7 @@ _BLOCKS = tuple(
 
 #: The prime squares the window pass rejects with: p^2 for every prime
 #: p <= icbrt(MAX_COUNT_INPUT), the 168 squares up to 997^2.
-_SQUARES = tuple(p * p for p in _primes(_icbrt(MAX_COUNT_INPUT)))
+_SQUARES = tuple(p * p for p in _PRIMES[: _SMALL_PI[_icbrt(MAX_COUNT_INPUT)]])
 
 #: The final window marks of [8, 124], the pieces [2^3, 3^3) and
 #: [3^3, 5^3), from the triples: the two pieces where a prime p <= c and a
@@ -529,12 +538,11 @@ def _prefix_parts(n):
     # for all of them, and the rest, n from 179^3 on, come from _pi too.
     # Edges and Meissel's reads lie below n^(2/3), and the quotients fall
     # as p rises, so the first quotient at or below _PI_CAP is the largest
-    # read of the pi table a count makes.  The three cuts are bisections of
-    # _PRIMES itself, which n <= MAX_COUNT_INPUT keeps inside the table,
-    # so no slice of it is copied but those the reads walk.
-    b = bisect_right(_PRIMES, isqrt(n))
-    c_count = bisect_right(_PRIMES, _icbrt(n), 0, b)
-    head = bisect_right(_PRIMES, n // (TABLE_CAP + 1), 0, b)
+    # read of the pi table a count makes.  The three cuts are prime counts
+    # read off _SMALL_PI: n <= MAX_COUNT_INPUT < (TABLE_CAP + 1)^2 keeps
+    # isqrt(n) inside it and n // (TABLE_CAP + 1) at or below isqrt(n), so
+    # head <= b, and no slice of _PRIMES is copied but those the reads walk.
+    b, c_count, head = _SMALL_PI[isqrt(n)], _SMALL_PI[_icbrt(n)], _SMALL_PI[n // (TABLE_CAP + 1)]
     near = min(c_count, _SMALL_EDGES)
     pi_quotients = [_pi(n // p) for p in _PRIMES[:head]]
     pi_quotients += [_SMALL_PI[n // p] for p in _PRIMES[head:b]]

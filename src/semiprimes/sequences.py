@@ -33,11 +33,13 @@ the triple says is not a semiprime.
 Indices run up to MAX_NTH_INPUT, the number of semiprimes <= MAX_COUNT_INPUT,
 so every answer lies in the counting range; n is checked once, before the
 search.  Successors and streams walk upward one integer at a time, since
-semiprime gaps are a handful of integers.  The walk goes one cube piece
-[c^3, (c+1)^3) at a time, with c = icbrt(x) computed once per piece, and
-decides each x from its least prime factor p <= c alone: x is a semiprime
-exactly when t(x/p) = 1, or, with no such p, when t(x) = 0, which is
-k1 + k2 - t = 1 without building the triple.
+semiprime gaps are a handful of integers.  The walk goes through the
+window pass's pieces (core._pieces), which end at SEGMENT integers or just
+before a prime cube, so that c = icbrt of a piece's first integer bounds
+the cube-root primes of every x in it, and decides each x from its least
+prime factor p <= c alone: x is a semiprime exactly when t(x/p) = 1, or,
+with no such p, when t(x) = 0, which is k1 + k2 - t = 1 without building
+the triple.
 
 The closed-form summations themselves (the gated sum for the nth query, the
 telescoping sum of products for the successor) are transcribed in literal,
@@ -51,6 +53,7 @@ from .core import (
     SEGMENT,
     _SMALL_SEMIPRIMES,
     _least_small_factor,
+    _pieces,
     _prefix_count,
     _semiprime_flags,
     _triple_bits,
@@ -61,7 +64,6 @@ from .intmath import (
     MAX_NTH_INPUT,
     MAX_STREAM_COUNT,
     RangeLimitError,
-    _icbrt,
     bounded,
 )
 from .primality import _t
@@ -219,18 +221,15 @@ def _nth_scan(n):
 def _semiprimes_after(n):
     # Every semiprime > n (n >= 4), ascending, up to the classification
     # limit; the indicators are unchecked, so the range bounds the walk.
-    # Every x in the piece [a, b) has icbrt(x) = c.  With a least small
-    # factor p, k1 + k2 - t = t(x/p); without one, k1 + k2 - t = 1 - t(x).
+    # Every x in the piece [a, b] has the primes up to c as its cube-root
+    # primes.  With a least small factor p, k1 + k2 - t = t(x/p); without
+    # one, k1 + k2 - t = 1 - t(x).
     yield from (x for x in _SMALL_SEMIPRIMES if x > n)
-    a = max(n + 1, 8)
-    c = _icbrt(a)
-    while a <= MAX_CLASSIFY_INPUT:
-        b = min((c + 1) ** 3, MAX_CLASSIFY_INPUT + 1)
-        for x in range(a, b):
+    for a, b, c in _pieces(max(n + 1, 8), MAX_CLASSIFY_INPUT):
+        for x in range(a, b + 1):
             p = _least_small_factor(x, c)
             if _t(x // p) if p else 1 - _t(x):
                 yield x
-        a, c = b, c + 1
     raise RangeLimitError(
         f"the semiprime search from {n} passed the classification limit {MAX_CLASSIFY_INPUT}"
     )
@@ -239,8 +238,9 @@ def _semiprimes_after(n):
 def next_semiprime(n: int) -> int:
     """Smallest semiprime strictly greater than n (4 <= n <= 10^12).
 
-    Walks upward one cube piece at a time, with one cube root per piece and
-    one least-small-factor scan and one t call per integer (see the module
+    Walks upward through the window pass's pieces, which end just before
+    each prime cube, with one cube root per piece and one
+    least-small-factor scan and one t call per integer (see the module
     docstring), with the below-8 stretch answered by lookup.  An n above
     MAX_CLASSIFY_INPUT raises RangeLimitError before the walk, and a walk
     that passes it without finding a semiprime raises it there.  literal.next_semiprime_literal
@@ -252,10 +252,10 @@ def next_semiprime(n: int) -> int:
 def semiprime_stream(start: int, count: int) -> list:
     """The first `count` semiprimes strictly greater than start, ascending.
 
-    One upward walk from start, the same as next_semiprime's cube-piece
-    walk, with the arguments checked once.  count is at most MAX_STREAM_COUNT (10^6), so
-    the list stays bounded; a larger count raises RangeLimitError before
-    the walk.  A walk that passes MAX_CLASSIFY_INPUT before it has found
+    One upward walk from start, the same as next_semiprime's walk through
+    the window pass's pieces, with the arguments checked once.  count is at
+    most MAX_STREAM_COUNT (10^6), so the list stays bounded; a larger count
+    raises RangeLimitError before the walk.  A walk that passes MAX_CLASSIFY_INPUT before it has found
     count semiprimes raises RangeLimitError there, as next_semiprime does.
     """
     start = bounded(start, "semiprime_stream", "start", 4, MAX_CLASSIFY_INPUT)

@@ -1,9 +1,7 @@
-import json
-
 import pytest
 
 from semiprimes import bench
-from semiprimes.bench import CSV_HEADER, reproduce_table, rows_to_csv, rows_to_json
+from semiprimes.bench import reproduce_table
 
 
 def test_reproduce_table2_capped():
@@ -63,19 +61,3 @@ def test_long_run_rows_are_gated(monkeypatch):
         requested.clear()
         assert all(r.match for r in reproduce_table(2, **kwargs))
         assert requested == [10**k for k in range(1, top + 1)], kwargs
-
-
-def test_row_serialization_schema():
-    rows = reproduce_table(4, max_input=200)
-    csv_text = rows_to_csv(rows)
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == CSV_HEADER == "input,expected,computed,elapsed_s,match"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert first[0] == "100" and first[1] == "106" and first[2] == "106" and first[4] == "true"
-    assert lines[2].split(",")[:3] == ["200", "201", "201"]
-    decoded = json.loads(rows_to_json(rows))
-    assert [set(entry) for entry in decoded] == [
-        {"input", "expected", "computed", "elapsed_s", "match"}
-    ] * 2
-    assert decoded[0]["computed"] == 106 and decoded[0]["match"] is True

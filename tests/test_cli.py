@@ -1,11 +1,12 @@
 import json
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
-from semiprimes import MAX_STREAM_COUNT, cli, nth_semiprime, oracle, semiprime_count
+from semiprimes import MAX_STREAM_COUNT, bench, cli, nth_semiprime, oracle, semiprime_count
 
 
 def run_cli(capsys, *argv):
@@ -14,11 +15,11 @@ def run_cli(capsys, *argv):
     return code, out, err
 
 
-def _table_json(*rows):
-    # rows_to_json's indented text, one (input, expected, computed) per row
+def _table_json(*rows, match="true"):
+    # the table's indented JSON text, one (input, expected, computed) per row
     return "[\n" + ",\n".join(
         f'  {{\n    "input": {x},\n    "expected": {e},\n    "computed": {c},\n'
-        f'    "elapsed_s": T,\n    "match": true\n  }}'
+        f'    "elapsed_s": T,\n    "match": {match}\n  }}'
         for x, e, c in rows
     ) + "\n]\n"
 
@@ -30,8 +31,13 @@ _TABLE_4 = (
     (500, 501, 501), (1000, 1003, 1003), (5000, 5001, 5001), (10000, 10001, 10001),
 )
 
+def _masked(out):
+    # every elapsed time (a float, in fixed-point or exponent form) read as T
+    return re.sub(r"\d+(\.\d+)?e[-+]\d+|\d+\.\d+", "T", out)
+
+
 # The stdout of every command in each format, with every elapsed time
-# (a float, in fixed-point or exponent form) read as T.
+# read as T.
 _STDOUT = {
     ("count 100", "plain"): "34\n",
     ("count 100", "json"): '{"input": 100, "result": 34, "method": "formula", "elapsed_s": T}\n',
@@ -79,7 +85,29 @@ def test_stdout_of_every_command_in_every_format(capsys, command, fmt):
     # rows print elapsed_s 12 wide with 6 decimals, so T keeps 4 spaces
     code, out, err = run_cli(capsys, *command.split(), "--format", fmt)
     assert (code, err) == (0, "")
-    assert re.sub(r"\d+(\.\d+)?e[-+]\d+|\d+\.\d+", "T", out) == _STDOUT[command, fmt]
+    assert _masked(out) == _STDOUT[command, fmt]
+    if fmt == "json":
+        # the elapsed times the pattern masks are JSON numbers too
+        json.loads(out)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_table_row_that_does_not_match(capsys, monkeypatch, fmt):
+    # every row of table 4 off by one: each shows false, the command exits
+    # 1 and says so in one line on stderr
+    next_semiprime = bench.next_semiprime
+    monkeypatch.setattr(bench, "next_semiprime", lambda n: next_semiprime(n) + 1)
+    rows = [(x, e, e + 1) for x, e, _ in _TABLE_4]
+    expected = {
+        "plain": _TABLE_HEAD + "".join(f"{x:>12} {e:>12} {c:>12}     T false\n" for x, e, c in rows),
+        "json": _table_json(*rows, match="false"),
+        "csv": "input,expected,computed,elapsed_s,match\n"
+        + "".join(f"{x},{e},{c},T,false\n" for x, e, c in rows),
+    }[fmt]
+    code, out, err = run_cli(capsys, "table", "4", "--format", fmt)
+    assert code == 1
+    assert _masked(out) == expected
+    assert err == "semiprimes: error: one or more table rows did not match the expected values\n"
 
 
 def test_count_plain(capsys):
@@ -323,6 +351,32 @@ def test_output_is_deterministic(capsys):
     b = json.loads(run_cli(capsys, "count", "360", "--format", "json")[1])
     a.pop("elapsed_s"), b.pop("elapsed_s")
     assert a == b
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_quietly(buffered):
+    # A reader that takes one line of a long stream and closes the pipe, and
+    # one that closed it before the first write: exit 128 + SIGPIPE, with
+    # nothing on stderr, whether stdout is block-buffered or not.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "semiprimes"]
+    proc = subprocess.Popen(
+        [*argv, "stream", "4", "100000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert proc.stdout.readline() == b"6\n"
+    proc.stdout.close()
+    assert proc.wait() == cli.CLOSED_PIPE == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([*argv, "classify", "14"], stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (141, b"")
 
 
 def test_python_m_invocation():

@@ -47,7 +47,6 @@ from semiprimes.core import (
     _odd_segment,
     _prefix_count,
     _prefix_parts,
-    _primes,
     _semiprime_flags,
     _triple_bits,
     _window_marks,
@@ -189,13 +188,13 @@ def test_triple_matches_factorization_property(x):
 
 def _least_small_factor_by_scan(x):
     # the reference for the block gcds: every prime <= icbrt(x) in turn
-    for p in _primes(icbrt(x)):
+    for p in core._PRIMES[: core._SMALL_PI[icbrt(x)]]:
         if x % p == 0:
             return p
     return 0
 
 
-_CUBE_ROOT_PRIMES = _primes(icbrt(MAX_CLASSIFY_INPUT))
+_CUBE_ROOT_PRIMES = oracle.sieve(icbrt(MAX_CLASSIFY_INPUT)).primes
 _SMALL_PRIMES_TO_1E6 = oracle.sieve(10**6).primes
 
 
@@ -692,12 +691,12 @@ def test_prefix_counts_below_twice_the_cap_read_only_the_small_pi(monkeypatch):
 
 
 def test_primes_slices_match_the_sieve():
+    # _PRIMES[:_SMALL_PI[v]] is every prime <= v, the one way core slices
+    # the prime table by a bound
     small = oracle.sieve(200).primes
     for v in (0, 1, 2, *small, *(p - 1 for p in small), core.TABLE_CAP):
         expected = oracle.sieve(v).primes if v >= 2 else ()
-        assert _primes(v) == expected, v
-    with pytest.raises(RangeLimitError):
-        _primes(core.TABLE_CAP + 1)
+        assert core._PRIMES[: core._SMALL_PI[v]] == expected, v
 
 
 def test_prime_table_needs_no_indicator_after_import(monkeypatch):
@@ -709,7 +708,7 @@ def test_prime_table_needs_no_indicator_after_import(monkeypatch):
     table = core._PRIMES
     monkeypatch.setattr(core, "_t", unused)
     monkeypatch.setattr(primality, "_t", unused)
-    assert _primes(core.TABLE_CAP) == oracle.sieve(core.TABLE_CAP).primes
+    assert core._PRIMES[: core._SMALL_PI[core.TABLE_CAP]] == oracle.sieve(core.TABLE_CAP).primes
     assert core._PRIMES is table
 
 

@@ -21,7 +21,7 @@ from semiprimes import (
     semiprime_stream,
     sequences,
 )
-from semiprimes.core import SEGMENT, _triple_bits
+from semiprimes.core import SEGMENT, _pieces, _triple_bits
 
 
 def test_gate_examples():
@@ -435,16 +435,20 @@ def _semiprimes_by_triples(lo, hi):
     [
         (101**3 - 150, 101**3 + 150),  # 101^3 itself: the prime 101 joins at the cube
         (1000**3 - 150, 1000**3 + 150),
-        (1682**3 - 150, 1682**3 + 150),  # the cube piece that holds 4 759 123 141
+        (1682**3 - 150, 1682**3 + 150),  # a composite cube just below 4 759 123 141
         (9999**3 - 150, 9999**3 + 150),
+        (9973**3 - 150, 9973**3 + 150),  # the last prime cube below 10^12
         (4_759_123_141 - 150, 4_759_123_141 + 150),  # the strong test's base switch
         (MAX_CLASSIFY_INPUT - 300, MAX_CLASSIFY_INPUT),
     ],
-    ids=["101^3", "1000^3", "1682^3", "9999^3", "base switch", "10^12"],
+    ids=["101^3", "1000^3", "1682^3", "9999^3", "9973^3", "base switch", "10^12"],
 )
 def test_walk_matches_the_triples(lo, hi):
-    # The walk takes icbrt once per cube piece; the stream from lo - 1 must
-    # list the semiprimes that one triple per integer finds, across the edge.
+    # The walk takes icbrt once per piece, and a piece ends just before a
+    # prime cube, where a prime joins the cube-root primes; at a composite
+    # cube such as 1000^3 or 9999^3 no piece ends.  The stream from lo - 1
+    # must list the semiprimes that one triple per integer finds, across
+    # the cube.
     expected = _semiprimes_by_triples(lo, hi)
     assert len(expected) > 10
     assert semiprime_stream(lo - 1, len(expected)) == expected
@@ -487,9 +491,16 @@ def test_stream_count_is_capped_before_the_walk(monkeypatch):
         semiprime_stream(4, MAX_STREAM_COUNT + 1)
 
 
-def test_stream_matches_oracle(semis_10k):
+def test_stream_matches_oracle(semis_10k, semi_flags_2m):
     assert semiprime_stream(4, len(semis_10k) - 1) == semis_10k[1:]
     assert semiprime_stream(5, 3) == semis_10k[1:4]
+    # From 10^6 + 1 the walk's pieces end before 101^3 and 103^3, and the
+    # piece from 103^3 ends at SEGMENT integers, before 107^3: a stream
+    # from 10^6 across that join, 44 815 semiprimes long.
+    join = 103**3 + SEGMENT
+    assert (103**3, join - 1, 103) in _pieces(10**6 + 1, join)
+    expected = list(compress(range(10**6 + 1, join + 1001), semi_flags_2m[10**6 + 1 : join + 1001]))
+    assert semiprime_stream(10**6, len(expected)) == expected
 
 
 def test_successor_search_stops_at_classification_limit():
