@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from semiprimes import bench
+from semiprimes import bench, cli
 from semiprimes.bench import reproduce_table
 
 
@@ -61,3 +63,20 @@ def test_long_run_rows_are_gated(monkeypatch):
         requested.clear()
         assert all(r.match for r in reproduce_table(2, **kwargs))
         assert requested == [10**k for k in range(1, top + 1)], kwargs
+
+
+def test_row_serialization_schema(capsys):
+    # the table command writes the rows; both formats keep the same five fields
+    assert cli.main(["table", "4", "--max-input", "200", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "input,expected,computed,elapsed_s,match"
+    assert len(lines) == 3
+    first = lines[1].split(",")
+    assert first[0] == "100" and first[1] == "106" and first[2] == "106" and first[4] == "true"
+    assert lines[2].split(",")[:3] == ["200", "201", "201"]
+    assert cli.main(["table", "4", "--max-input", "200", "--format", "json"]) == 0
+    decoded = json.loads(capsys.readouterr().out)
+    assert [set(entry) for entry in decoded] == [
+        {"input", "expected", "computed", "elapsed_s", "match"}
+    ] * 2
+    assert decoded[0]["computed"] == 106 and decoded[0]["match"] is True
