@@ -83,19 +83,11 @@ def reproduce_table(table_id: int, max_input: int = 10**6) -> list:
     """
     table_id = bounded(table_id, "reproduce_table", "table_id", 1, 4)
     max_input = bounded(max_input, "reproduce_table", "max_input", 0)
-    if table_id == 1:
-        rows = [
-            _timed_row(x, expected, lambda v: gate(5, semiprime_count(v)))
-            for x, expected in GOLDEN_GATE_COLUMN.items()
-            if x <= max_input
-        ]
-        if 5 <= max_input:
-            rows.append(_timed_row(5, GOLDEN_FIFTH_SEMIPRIME, nth_semiprime))
-        return rows
-    golden, query = {
-        2: (GOLDEN_SEMIPRIME_COUNTS, semiprime_count),
-        3: (GOLDEN_NTH_SEMIPRIMES, nth_semiprime),
-        4: (GOLDEN_NEXT_SEMIPRIMES, next_semiprime),
+    rows = {
+        1: [(x, e, lambda v: gate(5, semiprime_count(v))) for x, e in GOLDEN_GATE_COLUMN.items()]
+        + [(5, GOLDEN_FIFTH_SEMIPRIME, nth_semiprime)],
+        2: [(v, e, semiprime_count) for v, e in GOLDEN_SEMIPRIME_COUNTS.items()],
+        3: [(v, e, nth_semiprime) for v, e in GOLDEN_NTH_SEMIPRIMES.items()],
+        4: [(v, e, next_semiprime) for v, e in GOLDEN_NEXT_SEMIPRIMES.items()],
     }[table_id]
-    return [_timed_row(v, e, query) for v, e in sorted(golden.items()) if v <= max_input]
-
+    return [_timed_row(v, e, query) for v, e, query in rows if v <= max_input]

@@ -37,10 +37,6 @@ def _natural_arg(text):
     return int(text, 10)
 
 
-def _fail(message):
-    print(f"semiprimes: error: {message}", file=sys.stderr)
-
-
 def _mismatch(message):
     print(f"semiprimes: verification failed: {message}", file=sys.stderr)
     return MISMATCH
@@ -158,8 +154,7 @@ def _cmd_table(args):
     _emit(args, plain, json_text, "input,expected,computed,elapsed_s,match", csv_rows)
     if all(r.match for r in rows):
         return OK
-    _fail("one or more table rows did not match the expected values")
-    return MISMATCH
+    return _mismatch(f"table {args.table_id}: one or more rows did not match the expected values")
 
 
 def _add_format(p):
@@ -248,7 +243,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except ValueError as exc:  # DomainError, RangeLimitError, bad table, --verify past its oracle
-        _fail(str(exc))
+        print(f"semiprimes: error: {exc}", file=sys.stderr)
         return USAGE
     except BrokenPipeError:
         # the reader closed stdout: what is left in its buffer goes to

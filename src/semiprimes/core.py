@@ -69,7 +69,7 @@ import enum
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, starmap
 from math import gcd, isqrt, prod
 from typing import NamedTuple, Optional
 
@@ -220,12 +220,12 @@ _SEMIPRIME = bytes([0, 1, 1, 0]) + bytes(252)
 
 
 def _pieces(lo: int, hi: int):
-    # [lo, hi] (8 <= lo) as pieces (a, b, c) with c = icbrt(a), in which the
+    # [lo, hi] (1 <= lo) as pieces (a, b, c) with c = icbrt(a), in which the
     # primes up to icbrt(x) are those up to c: a piece ends after SEGMENT
     # integers or just before the cube of the next prime above c, whichever
     # comes first, so a composite cube such as 6^3 cuts nothing.  The window
-    # pass marks one piece at a time, and the successor walk takes one cube
-    # root per piece.
+    # pass marks one piece at a time from 8, and the successor walk takes
+    # one cube root per piece from 5, where the first piece is (5, 7, 1).
     a = lo
     while a <= hi:
         c = _icbrt(a)
@@ -234,20 +234,14 @@ def _pieces(lo: int, hi: int):
         a = b + 1
 
 
-def _window_marks(lo: int, hi: int):
-    # The final marks of count_range's window route, one per piece of
-    # [lo, hi] from _pieces: 0 for a prime, _SMALL for p * q with
+def _piece_marks(a: int, b: int, c: int) -> bytes:
+    # The final marks of count_range's window route over one piece [a, b]
+    # of _pieces (8 <= a): 0 for a prime, _SMALL for p * q with
     # p <= c < q prime, _LARGE for a product of two primes above c, _REJECT
     # for three or more prime factors.  The pieces below 125 = 5^3 read
-    # _FIRST_PIECE.
-    for a, b, c in _pieces(lo, hi):
-        yield _FIRST_PIECE[a - 8 : b - 7] if c < 5 else _piece_marks(a, b, c)
-
-
-def _piece_marks(a: int, b: int, c: int) -> bytearray:
-    # The marks of one piece [a, b] inside [P^3, q^3), for consecutive
-    # primes 5 <= P < q, so that the primes up to icbrt(x) are those up to
-    # c = icbrt(a) throughout, from one marking step over three kinds of
+    # _FIRST_PIECE.  A piece inside [P^3, q^3), for consecutive primes
+    # 5 <= P < q, so that the primes up to icbrt(x) are those up to
+    # c = icbrt(a) throughout, is marked in one step over three kinds of
     # modulus: the squares p^2 of the primes p <= c with _REJECTED, the
     # primes p <= c with _MARK, and the primes r in (c, isqrt(b)] with
     # _HIT.  A modulus up to the size reads its table for all its multiples
@@ -260,6 +254,8 @@ def _piece_marks(a: int, b: int, c: int) -> bytearray:
     # product of two primes above c, _LARGE.  The fact fails only below
     # 125, at P = 2 and 3, where 10 = 2 * 5 and 33 = 3 * 11 lie inside
     # their own pieces: _FIRST_PIECE.
+    if c < 5:
+        return _FIRST_PIECE[a - 8 : b - 7]
     size, na = b - a + 1, -a
     end, cut = _SMALL_PI[isqrt(b)], _SMALL_PI[c]
     marks = bytearray(size)
@@ -284,7 +280,7 @@ def _window_parts(lo: int, hi: int) -> tuple:
     # (sum of k1, sum of k2, sum of t) over [lo, hi] from the window marks:
     # t counts the 0 marks, k1 the 0 and _LARGE marks, k2 the _SMALL marks
     k1_sum = k2_sum = t_sum = 0
-    for marks in _window_marks(lo, hi):
+    for marks in starmap(_piece_marks, _pieces(lo, hi)):
         t = marks.count(0)
         k1_sum += t + marks.count(_LARGE)
         k2_sum += marks.count(_SMALL)
@@ -294,7 +290,7 @@ def _window_parts(lo: int, hi: int) -> tuple:
 
 def _semiprime_flags(lo: int, hi: int) -> bytes:
     # one byte per x in [lo, hi] (8 <= lo): 1 for a semiprime, else 0
-    return b"".join(marks.translate(_SEMIPRIME) for marks in _window_marks(lo, hi))
+    return b"".join(marks.translate(_SEMIPRIME) for marks in starmap(_piece_marks, _pieces(lo, hi)))
 
 
 def _count_range(lo: int, hi: int) -> int:
@@ -524,7 +520,7 @@ def prime_count_formula(x: int) -> int:
 
 
 def _prefix_parts(n):
-    # (sum of k2, sum of k1 - t) over [1, n] for n >= 7, each semiprime p*q
+    # (sum of k2, sum of k1 - t) over [1, n] for n >= 1, each semiprime p*q
     # (p <= q) grouped by p, every part a prime count pi:
     #   sum k2       = sum over p <= c of pi(n/p) - pi(p^2 - 1)        (q >= p^2)
     #   sum k1 - t   = sum over p <= r of pi(min(n/p, p^2 - 1)) - pi(p - 1)
@@ -552,7 +548,7 @@ def _prefix_parts(n):
 
 
 def _prefix_count(n):
-    # the number of semiprimes <= n, for n >= 7: about pi(sqrt(n)) reads,
+    # the number of semiprimes <= n, for n >= 1: about pi(sqrt(n)) reads,
     # every one a subscript of _SMALL_PI by value below 2 * (TABLE_CAP + 1),
     # and above it one _pi call per p with n // p or p^2 - 1 above
     # TABLE_CAP, Meissel's formula among them from 2 * (_PI_CAP + 1) on
@@ -612,7 +608,7 @@ def count_range(lo: int, hi: int) -> int:
 def semiprime_count(n: int) -> int:
     """Number of semiprimes <= n, for n >= 1.
 
-    For n >= 8 this is the paper's sum(k2) + sum(k1 - t) over [1, n], with
+    This is the paper's sum(k2) + sum(k1 - t) over [1, n], with
     each semiprime p*q grouped by its smaller prime p so that every part is
     a prime count pi at n // p or at some value <= n^(2/3).  Every pi at
     or below 31 622 is one subscript of a constant table built at import,
@@ -630,10 +626,7 @@ def semiprime_count(n: int) -> int:
     ms, 10^7 0.86 to 1.0 ms, 10^8 13 to 14.4 ms and 10^9 0.13 to 0.16 s;
     the host's speed moves by up to 2x from one process to the next.  The
     window pass under count_range, which sees every integer, is the
-    independent route the tests compare it with.  Below 8 the count is
-    read off the semiprimes 4 and 6.
+    independent route the tests compare it with.  The same two sums hold
+    below 8, where sum(k1 - t) counts 4 and 6.
     """
-    n = bounded(n, "semiprime_count", "n", 1, MAX_COUNT_INPUT)
-    if n < 8:
-        return bisect_right(_SMALL_SEMIPRIMES, n)
-    return _prefix_count(n)
+    return _prefix_count(bounded(n, "semiprime_count", "n", 1, MAX_COUNT_INPUT))

@@ -31,8 +31,10 @@ from math import gcd, isqrt, prod
 from .intmath import MAX_CLASSIFY_INPUT, _wheel_limit, bounded
 
 # The semiprimes below 8, where the indicator formulas do not apply; every
-# other integer in 2..7 is prime.  t, classification, counting, the nth
-# lookup and the successor walk below 8 all read this one tuple.
+# other integer in 2..7 is prime.  t and classify below 8 and the nth
+# lookup for n = 1 and 2 read this one tuple.  Counting below 8 takes the
+# prefix count's sums, and the successor walk from 5 the same test as
+# from 8 on, with t answering 5, 6 and 7.
 _SMALL_SEMIPRIMES = (4, 6)
 
 #: Largest argument t settles by the paper's wheel scan, at most 167 pairs

@@ -198,16 +198,10 @@ def _nth_scan(n):
             )
         flags = _semiprime_flags(a, b)
         block = flags.count(1)
-        if count < n:
-            if count + block >= n:
-                running = count
-                break
-            x, count = b, count + block
-        else:
-            running = count - block
-            if running < n:
-                break
-            x, count = a - 1, running
+        running = count if count < n else count - block
+        if running < n <= running + block:
+            break
+        x, count = (b, running + block) if running < n else (a - 1, running)
     x = next(islice(compress(range(a, b + 1), flags), n - running - 1, None))
     tb, k1b, k2b = _triple_bits(x)
     if k1b + k2b - tb != 1:
@@ -223,9 +217,10 @@ def _semiprimes_after(n):
     # limit; the indicators are unchecked, so the range bounds the walk.
     # Every x in the piece [a, b] has the primes up to c as its cube-root
     # primes.  With a least small factor p, k1 + k2 - t = t(x/p); without
-    # one, k1 + k2 - t = 1 - t(x).
-    yield from (x for x in _SMALL_SEMIPRIMES if x > n)
-    for a, b, c in _pieces(max(n + 1, 8), MAX_CLASSIFY_INPUT):
+    # one, k1 + k2 - t = 1 - t(x).  Both hold from 5 on: the first piece,
+    # (5, 7, 1), has no cube-root primes, and t reads 5, 6 and 7 off the
+    # small-domain table.
+    for a, b, c in _pieces(n + 1, MAX_CLASSIFY_INPUT):
         for x in range(a, b + 1):
             p = _least_small_factor(x, c)
             if _t(x // p) if p else 1 - _t(x):
@@ -241,7 +236,7 @@ def next_semiprime(n: int) -> int:
     Walks upward through the window pass's pieces, which end just before
     each prime cube, with one cube root per piece and one
     least-small-factor scan and one t call per integer (see the module
-    docstring), with the below-8 stretch answered by lookup.  An n above
+    docstring), with the same test below 8 as above it.  An n above
     MAX_CLASSIFY_INPUT raises RangeLimitError before the walk, and a walk
     that passes it without finding a semiprime raises it there.  literal.next_semiprime_literal
     evaluates the telescoping sum of products itself, as a slow reference.

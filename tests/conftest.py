@@ -1,7 +1,11 @@
+from array import array
+from functools import cache
+from itertools import accumulate
+
 import pytest
 from hypothesis import HealthCheck, settings
 
-from semiprimes.oracle import semiprime_flags
+from semiprimes.oracle import semiprime_flags, sieve
 
 settings.register_profile(
     "package-default",
@@ -26,3 +30,13 @@ def semis_10k(semi_flags_10k):
 def semi_flags_2m():
     # past fifteen SEGMENT widths from 8 and the cubes to 125^3
     return semiprime_flags(2 * 10**6)
+
+
+@cache
+def prime_flags(limit):
+    # (flags, pi) for 0..limit from the classical sieve: flags[x] is 1
+    # exactly when x is prime, and pi[x], their running sum, is pi(x)
+    flags = bytearray(limit + 1)
+    for p in sieve(limit).primes:
+        flags[p] = 1
+    return bytes(flags), array("I", accumulate(flags))

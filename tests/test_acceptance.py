@@ -12,6 +12,8 @@ import semiprimes as sp
 from semiprimes import bench, literal, oracle
 from semiprimes.core import _window_parts
 
+from conftest import prime_flags
+
 
 def _report(tag, ok, detail=""):
     suffix = f" - {detail}" if detail else ""
@@ -83,14 +85,7 @@ def test_c05_classification_matches_trial_division_to_1e5():
 def test_c06_primality_indicator_and_count_exhaustive():
     limit = 10**6
     pi_limit = 10**5
-    flags = bytearray(limit + 1)
-    for p in oracle.sieve(limit).primes:
-        flags[p] = 1
-    pi_prefix = [0] * (pi_limit + 1)
-    running = 0
-    for x in range(pi_limit + 1):
-        running += flags[x]
-        pi_prefix[x] = running
+    flags, pi_prefix = prime_flags(limit)
     indicator_bad = 0
     count_bad = 0
     acc = 4

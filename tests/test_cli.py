@@ -107,7 +107,7 @@ def test_table_row_that_does_not_match(capsys, monkeypatch, fmt):
     code, out, err = run_cli(capsys, "table", "4", "--format", fmt)
     assert code == 1
     assert _masked(out) == expected
-    assert err == "semiprimes: error: one or more table rows did not match the expected values\n"
+    assert err == "semiprimes: verification failed: table 4: one or more rows did not match the expected values\n"
 
 
 def test_count_plain(capsys):

@@ -6,7 +6,7 @@ import tracemalloc
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cache
-from itertools import accumulate, combinations, pairwise
+from itertools import accumulate, combinations, pairwise, starmap
 from math import isqrt, prod
 
 import pytest
@@ -45,13 +45,16 @@ from semiprimes.core import (
     _SMALL_SEMIPRIMES,
     _SQUARES,
     _odd_segment,
+    _piece_marks,
+    _pieces,
     _prefix_count,
     _prefix_parts,
     _semiprime_flags,
     _triple_bits,
-    _window_marks,
     _window_parts,
 )
+
+from conftest import prime_flags
 
 VALID_TRIPLES = {(1, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)}
 
@@ -567,13 +570,14 @@ def test_window_pieces_end_at_prime_cubes_and_segment():
     # A piece ends at SEGMENT integers or before the cube of a prime, where
     # the primes up to the cube root change; a composite cube such as
     # 6^3 = 216 cuts nothing.  The constant reads as the pieces [8, 26]
-    # and [27, 124].
+    # and [27, 124]; the successor walk starts at the piece [5, 7].
+    assert list(_pieces(5, 30)) == [(5, 7, 1), (8, 26, 2), (27, 30, 3)]
     lo, hi = 8, 2 * 10**6
     cuts = [q**3 for q in oracle.sieve(icbrt(hi)).primes] + [hi + 1]
     ends = []
     for a, b in pairwise(cuts):
         ends += [*range(a + SEGMENT - 1, b - 1, SEGMENT), b - 1]
-    pieces = [len(marks) for marks in _window_marks(lo, hi)]
+    pieces = [len(marks) for marks in starmap(_piece_marks, _pieces(lo, hi))]
     assert list(accumulate(pieces, initial=lo - 1))[1:] == ends
 
 
@@ -642,7 +646,7 @@ def test_window_parts_match_independent_sums_at_every_cube():
     for c in range(2, icbrt(MAX_COUNT_INPUT) + 1):
         lo, hi = max(8, c**3 - 300), min(MAX_COUNT_INPUT, c**3 + 300)
         _assert_window_parts_match_independent_sums(lo, hi)
-        for marks in _window_marks(lo, hi):
+        for marks in starmap(_piece_marks, _pieces(lo, hi)):
             assert set(marks) <= set(_FOUR_MARKS), c
 
 
@@ -655,10 +659,7 @@ def test_small_pi_is_the_sieve_count_to_the_cap():
     # pi(v) = _SMALL_PI[v] at every v in 0..TABLE_CAP, 0 and 1 reading 0,
     # against a running sum over the classical sieve, in 16-bit entries of
     # about 63 kB
-    is_prime = bytearray(core.TABLE_CAP + 1)
-    for p in oracle.sieve(core.TABLE_CAP).primes:
-        is_prime[p] = 1
-    pis = list(accumulate(is_prime))
+    pis = prime_flags(core.TABLE_CAP)[1].tolist()
     tier = core._SMALL_PI
     assert type(tier) is array and tier.typecode == "H"
     assert len(tier) == core.TABLE_CAP + 1
@@ -822,15 +823,6 @@ def _sieve_to_cap():
     return oracle.sieve(_CAP).primes
 
 
-@cache
-def _pi_up_to_cap():
-    # pi(v) for every v <= _CAP, a running sum over the classical sieve
-    is_prime = bytearray(_CAP + 1)
-    for p in _sieve_to_cap():
-        is_prime[p] = 1
-    return array("I", accumulate(is_prime))
-
-
 def _expected_flags(a, size):
     # what _odd_segment(a, size) should give, from the classical sieve: 0
     # exactly for the primes among the odd integers a, a + 2, ...
@@ -858,7 +850,7 @@ def _assert_pi_table_complete(table):
     for p in _sieve_to_cap()[1 : bisect_right(_sieve_to_cap(), 2 * size - 1)]:
         bits[p >> 4] |= 1 << (p >> 1 & 7)
     assert table.bits == bits
-    pis = _pi_up_to_cap()
+    pis = prime_flags(_CAP)[1]
     assert table.counts.tolist() == [pis[max(2, 16 * g)] for g in range(size // 8 + 1)]
 
 
@@ -882,7 +874,7 @@ def _assert_reads_pi(monkeypatch, points):
     # the module's pi table as it stands: TABLE_CAP is patched below the
     # points, so that none is read off _SMALL_PI, and _pi_to to fail, so
     # that none grows the table
-    pis = _pi_up_to_cap()
+    pis = prime_flags(_CAP)[1]
     with monkeypatch.context() as patch:
         patch.setattr(core, "TABLE_CAP", 1)
         patch.setattr(core, "_pi_to", _grown)
@@ -1023,7 +1015,7 @@ def test_pi_table_grows_safely_from_four_threads(monkeypatch):
             for thread in threads:
                 thread.join(timeout=60)
                 assert not thread.is_alive()
-            pis = _pi_up_to_cap()
+            pis = prime_flags(_CAP)[1]
             for limit in limits:
                 assert results[limit] == [pis[v] for v in points[limit]], limit
             _assert_pi_table_complete(core._pi_table)

@@ -22,6 +22,8 @@ from semiprimes import (
     t2,
 )
 
+from conftest import prime_flags
+
 
 def test_t0_examples():
     assert t0(12) == 0
@@ -69,9 +71,7 @@ def test_range_limit():
 
 def test_t_matches_sieve_to_1e5():
     limit = 10**5
-    flags = bytearray(limit + 1)
-    for p in oracle.sieve(limit).primes:
-        flags[p] = 1
+    flags = prime_flags(limit)[0]
     bad = [x for x in range(8, limit + 1) if t(x) != flags[x]]
     assert not bad, bad[:10]
 
@@ -107,9 +107,7 @@ def test_t_above_wheel_top_at_its_edges():
 
 def test_t_above_wheel_top_matches_sieve_across_the_seam():
     lo, hi = primality.WHEEL_TOP - 10**4, primality.WHEEL_TOP + 10**5
-    flags = bytearray(hi + 1)
-    for p in oracle.sieve(hi).primes:
-        flags[p] = 1
+    flags = prime_flags(hi)[0]
     bad = [x for x in range(lo, hi + 1) if t(x) != flags[x]]
     assert not bad, bad[:10]
 
@@ -269,14 +267,7 @@ def test_prime_count_domain():
 
 def test_prime_count_matches_sieve_prefix():
     limit = 2 * 10**4
-    flags = bytearray(limit + 1)
-    for p in oracle.sieve(limit).primes:
-        flags[p] = 1
-    pi = [0] * (limit + 1)
-    running = 0
-    for x in range(limit + 1):
-        running += flags[x]
-        pi[x] = running
+    pi = prime_flags(limit)[1]
     # the paper's summation grid (literal.prime_count_literal), advanced one
     # argument at a time
     acc = 4

@@ -313,6 +313,9 @@ def _search_cost(monkeypatch, n):
         return prefix_count(x)
 
     def flagged(a, b):
+        # a search that counts one block twice has stopped moving, and
+        # would count it again without end
+        assert (a, b) not in blocks, (n, blocks)
         blocks.append((a, b))
         return semiprime_flags(a, b)
 
